@@ -3,7 +3,11 @@
 Subcommands: ``fit`` (model battery to coefficient tables), ``curves``
 (adjusted age-bin levels, optionally charted), ``detect`` (u-shape rules
 over fitted data or the bundled reference tables), ``simulate`` (the
-Monte Carlo bias experiments), and ``report`` (the whole pipeline).
+Monte Carlo bias experiments), and ``report`` (everything ``fit``,
+``detect`` and ``curves`` write, plus coefficient reductions).
+
+The survey commands load the file once and fit each (country, spec) at
+most once; every table they write is a view of those shared fits.
 
 Exit codes: 0 success, 1 fatal error, 2 partial failure (some countries
 failed; failures are listed on stderr and the rest of the output is
@@ -31,12 +35,13 @@ from .design import DesignError, FINE_BINS, scheme_bin_labels
 from .models import (
     PRESETS,
     AgeCurve,
-    ModelSpec,
-    adjusted_means,
+    CountryResult,
     batch_fit,
+    curve_from_fit,
     get_spec,
 )
 from .shape import (
+    ShapeVerdict,
     classify_curve,
     depth,
     detect_quad,
@@ -64,6 +69,9 @@ QUAD_BATTERY = (
     "quad-nocontrols-nocap",
     "quad-controls-nocap",
 )
+
+FIT_HEADER = ("country", "model", "coefficient", "estimate", "std_error", "t_abs", "n", "rank")
+FIT_FORMATS = ("%s", "%s", "%s", "%.5f", "%.5f", "%.2f", "%d", "%d")
 
 RULES = ("quad_t15", "range_t1", "curve_heuristic")
 RULE_FIXTURES = {"quad_t15": "table2", "range_t1": "table3", "curve_heuristic": "table4"}
@@ -169,147 +177,189 @@ def _out_dir(args, config: configparser.ConfigParser) -> Path:
     return out
 
 
-def _report_partial(failures: list[tuple[str, str]], successes: int) -> int:
-    if failures:
-        for country, message in failures:
-            print(f"FAILED {country}: {message}", file=sys.stderr)
-        if successes == 0:
-            print("no country could be fitted", file=sys.stderr)
-            return EXIT_FATAL
-        return EXIT_PARTIAL
-    return EXIT_OK
+class _Fits(dict):
+    """:func:`batch_fit` results keyed by spec name, each computed on
+    first use, so every writer in one command shares one fit per
+    (country, spec). ``unusable`` lists ``"<country> [<rule>]: <reason>"``
+    for fitted countries that a detection rule cannot read."""
+
+    def __init__(self, records, countries: list[str] | None):
+        super().__init__()
+        self.records = records
+        self.countries = countries
+        self.unusable: list[str] = []
+
+    def __missing__(self, name: str) -> list[CountryResult]:
+        self[name] = batch_fit(self.records, get_spec(name), self.countries)
+        return self[name]
 
 
-def _fit_rows(spec: ModelSpec, results) -> list[list]:
-    rows = []
-    for res in results:
-        if not res.ok:
-            continue
-        fit = res.fit
-        for label in fit.labels:
-            rows.append(
-                [
-                    res.country,
-                    spec.name,
-                    label,
-                    fit.coef(label),
-                    fit.se(label),
-                    fit.t(label),
-                    fit.n_obs,
-                    fit.rank,
-                ]
-            )
-    return rows
-
-
-def cmd_fit(args) -> int:
+def _survey_run(args) -> tuple[_Fits, Path, set[str]]:
+    """Load the survey once and set up the shared fits, the output
+    directory and the formats of a survey command."""
     config = _read_config(args.config)
-    records = _load_records(args, config)
-    countries = _countries_arg(args, config)
+    fits = _Fits(_load_records(args, config), _countries_arg(args, config))
     formats = _formats(args, config)
-    out = _out_dir(args, config)
+    return fits, _out_dir(args, config), formats
 
-    spec_names = list(QUAD_BATTERY) if args.spec == "quad-battery" else [args.spec]
-    specs = [get_spec(name) for name in spec_names]
 
-    failures: list[tuple[str, str]] = []
-    successes = 0
-    for spec in specs:
-        results = batch_fit(records, spec, countries)
+def _report_partial(fits: _Fits) -> int:
+    """List every fit's notes, every failed (country, spec) and every
+    unusable fit on stderr and return the exit code: partial when
+    something failed, fatal when no fit succeeded."""
+    for name, results in fits.items():
         for res in results:
-            if res.ok:
-                successes += 1
-            else:
-                failures.append((f"{res.country} [{spec.name}]", res.error))
-        header = [
-            "country", "model", "coefficient", "estimate",
-            "std_error", "t_abs", "n", "rank",
-        ]
-        rows = _fit_rows(spec, results)
-        if "csv" in formats:
-            path = out / f"fit_{spec.name}.csv"
-            write_csv(path, header, rows)
-            print(f"wrote {path}")
-        if "text" in formats:
-            path = out / f"fit_{spec.name}.txt"
-            text = format_table(
-                header,
-                rows,
-                ["%s", "%s", "%s", "%.5f", "%.5f", "%.2f", "%d", "%d"],
-            )
-            path.write_text(text, encoding="utf-8")
-            print(f"wrote {path}")
-    return _report_partial(failures, successes)
+            for note in res.notes:
+                print(f"note [{name}]: {note}", file=sys.stderr)
+    failed = [
+        f"{res.country} [{name}]: {res.error}"
+        for name, results in fits.items()
+        for res in results
+        if not res.ok
+    ] + fits.unusable
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    if not failed:
+        return EXIT_OK
+    if not any(res.ok for results in fits.values() for res in results):
+        print("no country could be fitted", file=sys.stderr)
+        return EXIT_FATAL
+    return EXIT_PARTIAL
 
 
-def _curve_table(curves: list[AgeCurve], bin_order: list[str]) -> tuple[list[str], list[list]]:
-    header = ["country", *bin_order, "max", "min", "difference"]
-    rows = []
-    for curve in curves:
-        levels = {b: v for b, v in zip(curve.bin_labels, curve.levels)}
-        report = depth(curve)
-        rows.append(
-            [
-                curve.country,
-                *[levels.get(b) for b in bin_order],
-                report.max_level,
-                report.min_level,
-                report.difference,
-            ]
-        )
-    return header, rows
-
-
-def cmd_curves(args) -> int:
-    config = _read_config(args.config)
-    records = _load_records(args, config)
-    countries = _countries_arg(args, config)
-    formats = _formats(args, config)
-    out = _out_dir(args, config)
-    scheme = args.scheme
-
-    if countries is None:
-        seen: dict[str, None] = {}
-        for rec in records:
-            seen.setdefault(rec.country, None)
-        countries = list(seen)
-
-    bin_order = scheme_bin_labels(scheme)
-    curves: list[AgeCurve] = []
-    failures: list[tuple[str, str]] = []
-    for country in countries:
-        try:
-            curves.append(adjusted_means(records, country, scheme))
-        except (DataError, DesignError, RankDeficientError, ValueError) as exc:
-            failures.append((country, str(exc)))
-
-    header, rows = _curve_table(curves, bin_order)
+def _write_table(out: Path, formats: set[str], stem: str, header, rows, fmts) -> None:
+    """Write ``<stem>.csv`` and/or an aligned ``<stem>.txt``, as
+    ``formats`` asks."""
     if "csv" in formats:
-        path = out / f"curves_{scheme}.csv"
+        path = out / f"{stem}.csv"
         write_csv(path, header, rows)
         print(f"wrote {path}")
     if "text" in formats:
-        path = out / f"curves_{scheme}.txt"
-        fmts = ["%s"] + ["%.2f"] * (len(header) - 1)
+        path = out / f"{stem}.txt"
         path.write_text(format_table(header, rows, fmts), encoding="utf-8")
         print(f"wrote {path}")
+
+
+def _write_fit(fits: _Fits, out: Path, formats: set[str], name: str) -> None:
+    rows = [
+        [res.country, name, label, res.fit.coef(label), res.fit.se(label),
+         res.fit.t(label), res.fit.n_obs, res.fit.rank]
+        for res in fits[name]
+        if res.ok
+        for label in res.fit.labels
+    ]
+    _write_table(out, formats, f"fit_{name}", FIT_HEADER, rows, FIT_FORMATS)
+
+
+def _write_reductions(fits: _Fits, out: Path, formats: set[str]) -> None:
+    """Signed coefficient reductions: the controlled, age-capped model is
+    the baseline; the bare full-age model is the comparison."""
+    rows = [
+        [bare.country, change.label, change.old, change.new,
+         change.percent_reduction, "yes" if change.sign_flipped else "no"]
+        for controlled, bare in zip(fits["quad-controls-cap"], fits["quad-nocontrols-nocap"])
+        if controlled.ok and bare.ok
+        for change in reduction(controlled.fit, bare.fit).changes
+    ]
+    header = ["country", "coefficient", "with_controls", "without_controls",
+              "percent_reduction", "sign_flipped"]
+    _write_table(out, formats, "reductions", header, rows,
+                 ["%s", "%s", "%.5f", "%.5f", "%.1f", "%s"])
+
+
+def _curves(fits: _Fits, scheme: str) -> list[AgeCurve]:
+    return [
+        curve_from_fit(res.fit, res.country, scheme)
+        for res in fits[f"ranges-{scheme}"]
+        if res.ok
+    ]
+
+
+def _write_curves(fits: _Fits, out: Path, formats: set[str], scheme: str, autoscale: bool) -> None:
+    curves = _curves(fits, scheme)
+    bin_order = scheme_bin_labels(scheme)
+    header = ["country", *bin_order, "max", "min", "difference"]
+    rows = []
+    for curve in curves:
+        levels = dict(zip(curve.bin_labels, curve.levels))
+        extremes = depth(curve)
+        rows.append([
+            curve.country,
+            *[levels.get(b) for b in bin_order],
+            extremes.max_level,
+            extremes.min_level,
+            extremes.difference,
+        ])
+    _write_table(out, formats, f"curves_{scheme}", header, rows,
+                 ["%s"] + ["%.2f"] * (len(header) - 1))
     if "svg" in formats and curves:
         series = [
-            (
-                curve.country,
-                [(bin_midpoint(b), v) for b, v in zip(curve.bin_labels, curve.levels)],
-            )
+            (curve.country, [(bin_midpoint(b), v) for b, v in zip(curve.bin_labels, curve.levels)])
             for curve in curves
         ]
         chart = svg_line_chart(
             series,
             title=f"Adjusted happiness by age range ({scheme} bins)",
-            y_range=None if args.autoscale else (0.0, 10.0),
+            y_range=None if autoscale else (0.0, 10.0),
         )
         path = out / f"curves_{scheme}.svg"
         path.write_text(chart, encoding="utf-8")
         print(f"wrote {path}")
-    return _report_partial(failures, len(curves))
+
+
+def _verdicts(fits: _Fits, rule: str) -> list[ShapeVerdict]:
+    if rule == "quad_t15":
+        return [detect_quad(r.fit, r.country) for r in fits["quad-nocontrols-nocap"] if r.ok]
+    if rule == "curve_heuristic":
+        return [classify_curve(curve) for curve in _curves(fits, "fine")]
+    verdicts = []
+    for res in fits["ranges-coarse"]:
+        if res.ok:
+            try:
+                verdicts.append(detect_ranges(res.fit, res.country))
+            except KeyError as exc:  # no respondent in a bin the rule reads
+                fits.unusable.append(f"{res.country} [{rule}]: {exc.args[0]}")
+    return verdicts
+
+
+def _write_detect(out: Path, formats: set[str], rule: str, verdicts: list[ShapeVerdict]) -> None:
+    evidence_keys = list(dict.fromkeys(key for v in verdicts for key in v.evidence))
+    header = ["country", "rule", "is_ushape", *evidence_keys]
+    rows = [
+        [
+            v.country,
+            v.rule,
+            "yes" if v.is_ushape else "no",
+            *[
+                (str(v.evidence[k]) if isinstance(v.evidence.get(k), tuple) else v.evidence.get(k))
+                for k in evidence_keys
+            ],
+        ]
+        for v in verdicts
+    ]
+    _write_table(out, formats, f"detect_{rule}", header, rows,
+                 ["%s", "%s", "%s"] + ["%g"] * len(evidence_keys))
+
+    positive = sum(v.is_ushape for v in verdicts)
+    print(f"u-shape under {rule}: {positive} of {len(verdicts)} countries")
+
+
+def cmd_fit(args) -> int:
+    requested = QUAD_BATTERY if args.spec == "quad-battery" else (args.spec,)
+    try:
+        names = [get_spec(name).name for name in requested]
+    except KeyError as exc:
+        raise FatalError(exc.args[0]) from None
+    fits, out, formats = _survey_run(args)
+    for name in names:
+        _write_fit(fits, out, formats, name)
+    return _report_partial(fits)
+
+
+def cmd_curves(args) -> int:
+    fits, out, formats = _survey_run(args)
+    _write_curves(fits, out, formats, args.scheme, args.autoscale)
+    return _report_partial(fits)
 
 
 def _fixture_curve(row: dict) -> AgeCurve:
@@ -351,93 +401,26 @@ def _detect_from_fixture(rule: str) -> list:
     return verdicts
 
 
-def _detect_from_records(rule: str, records, countries) -> tuple[list, list]:
-    verdicts = []
-    failures: list[tuple[str, str]] = []
-    if rule == "quad_t15":
-        results = batch_fit(records, PRESETS["quad-nocontrols-nocap"], countries)
-        for res in results:
-            if res.ok:
-                verdicts.append(detect_quad(res.fit, res.country))
-            else:
-                failures.append((res.country, res.error))
-    elif rule == "range_t1":
-        results = batch_fit(records, PRESETS["ranges-coarse"], countries)
-        for res in results:
-            if res.ok:
-                verdicts.append(detect_ranges(res.fit, res.country))
-            else:
-                failures.append((res.country, res.error))
-    else:
-        if countries is None:
-            seen: dict[str, None] = {}
-            for rec in records:
-                seen.setdefault(rec.country, None)
-            countries = list(seen)
-        for country in countries:
-            try:
-                verdicts.append(classify_curve(adjusted_means(records, country, "fine")))
-            except (DataError, DesignError, RankDeficientError, ValueError) as exc:
-                failures.append((country, str(exc)))
-    return verdicts, failures
-
-
 def cmd_detect(args) -> int:
+    rule = args.rule
+    if not args.fixture:
+        fits, out, formats = _survey_run(args)
+        _write_detect(out, formats, rule, _verdicts(fits, rule))
+        return _report_partial(fits)
+    if args.fixture != RULE_FIXTURES[rule]:
+        raise FatalError(
+            f"rule {rule!r} reads fixture {RULE_FIXTURES[rule]!r}, "
+            f"not {args.fixture!r}"
+        )
     config = _read_config(args.config)
     formats = _formats(args, config)
-    out = _out_dir(args, config)
-    rule = args.rule
-
-    source_flags: dict[str, bool] = {}
-    if args.fixture:
-        if args.fixture != RULE_FIXTURES[rule]:
-            raise FatalError(
-                f"rule {rule!r} reads fixture {RULE_FIXTURES[rule]!r}, "
-                f"not {args.fixture!r}"
-            )
-        verdicts = _detect_from_fixture(rule)
-        failures: list[tuple[str, str]] = []
-        for row in fixtures.load(args.fixture):
-            if "source_ushape" in row:
-                source_flags[str(row["country"])] = row["source_ushape"] == "yes"
-    else:
-        records = _load_records(args, config)
-        verdicts, failures = _detect_from_records(
-            rule, records, _countries_arg(args, config)
-        )
-
-    evidence_keys: list[str] = []
-    for verdict in verdicts:
-        for key in verdict.evidence:
-            if key not in evidence_keys:
-                evidence_keys.append(key)
-    header = ["country", "rule", "is_ushape", *evidence_keys]
-    rows = [
-        [
-            v.country,
-            v.rule,
-            "yes" if v.is_ushape else "no",
-            *[
-                (str(v.evidence[k]) if isinstance(v.evidence.get(k), tuple) else v.evidence.get(k))
-                for k in evidence_keys
-            ],
-        ]
-        for v in verdicts
-    ]
-    if "csv" in formats:
-        path = out / f"detect_{rule}.csv"
-        write_csv(path, header, rows)
-        print(f"wrote {path}")
-    if "text" in formats:
-        path = out / f"detect_{rule}.txt"
-        path.write_text(
-            format_table(header, rows, ["%s", "%s", "%s"] + ["%g"] * len(evidence_keys)),
-            encoding="utf-8",
-        )
-        print(f"wrote {path}")
-
-    positive = sum(v.is_ushape for v in verdicts)
-    print(f"u-shape under {rule}: {positive} of {len(verdicts)} countries")
+    verdicts = _detect_from_fixture(rule)
+    _write_detect(_out_dir(args, config), formats, rule, verdicts)
+    source_flags = {
+        str(row["country"]): row["source_ushape"] == "yes"
+        for row in fixtures.load(args.fixture)
+        if "source_ushape" in row
+    }
     for v in verdicts:
         flag = source_flags.get(v.country)
         if flag is not None and flag != v.is_ushape:
@@ -447,7 +430,7 @@ def cmd_detect(args) -> int:
                 f"but the literal rule says "
                 f"{'u-shaped' if v.is_ushape else 'not u-shaped'}"
             )
-    return _report_partial(failures, len(verdicts))
+    return EXIT_OK
 
 
 def _simulate_config(args, config: configparser.ConfigParser) -> tuple[DgpConfig, int]:
@@ -516,99 +499,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = _read_config(args.config)
-    records = _load_records(args, config)
-    countries = _countries_arg(args, config)
-    formats = _formats(args, config)
-    out = _out_dir(args, config)
-
-    failures: list[tuple[str, str]] = []
-    successes = 0
-
-    # 1. the quadratic battery
-    battery = {}
+    """Everything ``fit --spec quad-battery``, all three ``detect`` rules
+    and ``curves --scheme fine`` write, plus the reductions table, over
+    one load and one fit per (country, spec)."""
+    fits, out, formats = _survey_run(args)
     for name in QUAD_BATTERY:
-        spec = get_spec(name)
-        results = batch_fit(records, spec, countries)
-        battery[name] = {res.country: res for res in results}
-        rows = _fit_rows(spec, results)
-        write_csv(
-            out / f"fit_{name}.csv",
-            ["country", "model", "coefficient", "estimate", "std_error", "t_abs", "n", "rank"],
-            rows,
-        )
-        for res in results:
-            if res.ok:
-                successes += 1
-            else:
-                failures.append((f"{res.country} [{name}]", res.error))
-    print(f"wrote {out}/fit_<model>.csv for {len(QUAD_BATTERY)} models")
-
-    # 2. coefficient reductions: the controlled, age-capped model is the
-    # baseline; the bare full-age model is the comparison
-    reduction_rows = []
-    for country, bare in battery["quad-nocontrols-nocap"].items():
-        controlled = battery["quad-controls-cap"].get(country)
-        if bare.ok and controlled is not None and controlled.ok:
-            report = reduction(controlled.fit, bare.fit)
-            for change in report.changes:
-                reduction_rows.append(
-                    [
-                        country,
-                        change.label,
-                        change.old,
-                        change.new,
-                        change.percent_reduction,
-                        "yes" if change.sign_flipped else "no",
-                    ]
-                )
-    write_csv(
-        out / "reductions.csv",
-        ["country", "coefficient", "with_controls", "without_controls", "percent_reduction", "sign_flipped"],
-        reduction_rows,
-    )
-    print(f"wrote {out}/reductions.csv")
-
-    # 3. detections from the data
+        _write_fit(fits, out, formats, name)
+    _write_reductions(fits, out, formats)
     for rule in RULES:
-        verdicts, rule_failures = _detect_from_records(rule, records, countries)
-        failures.extend((f"{c} [{rule}]", m) for c, m in rule_failures)
-        write_csv(
-            out / f"detect_{rule}.csv",
-            ["country", "rule", "is_ushape"],
-            [[v.country, v.rule, "yes" if v.is_ushape else "no"] for v in verdicts],
-        )
-        positive = sum(v.is_ushape for v in verdicts)
-        print(f"u-shape under {rule}: {positive} of {len(verdicts)} countries")
-
-    # 4. fine curves, with chart
-    if countries is None:
-        seen: dict[str, None] = {}
-        for rec in records:
-            seen.setdefault(rec.country, None)
-        countries = list(seen)
-    curves = []
-    for country in countries:
-        try:
-            curves.append(adjusted_means(records, country, "fine"))
-        except (DataError, DesignError, RankDeficientError, ValueError) as exc:
-            failures.append((f"{country} [curves]", str(exc)))
-
-    header, rows = _curve_table(curves, [b[0] for b in FINE_BINS])
-    write_csv(out / "curves_fine.csv", header, rows)
-    print(f"wrote {out}/curves_fine.csv")
-    if "svg" in formats and curves:
-        series = [
-            (c.country, [(bin_midpoint(b), v) for b, v in zip(c.bin_labels, c.levels)])
-            for c in curves
-        ]
-        (out / "curves_fine.svg").write_text(
-            svg_line_chart(series, title="Adjusted happiness by age range"),
-            encoding="utf-8",
-        )
-        print(f"wrote {out}/curves_fine.svg")
-
-    return _report_partial(failures, successes + len(curves))
+        _write_detect(out, formats, rule, _verdicts(fits, rule))
+    _write_curves(fits, out, formats, "fine", autoscale=False)
+    return _report_partial(fits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -690,13 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FatalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except (DataError, DesignError, RankDeficientError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except KeyError as exc:
+    except (FatalError, DataError, DesignError, RankDeficientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

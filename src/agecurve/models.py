@@ -11,8 +11,9 @@ probe:
 Two presentation helpers turn fits back into curves that are comparable
 across countries: :func:`predict_curve` evaluates a quadratic fit with
 every non-age regressor standardized to its weighted sample mean, and
-:func:`adjusted_means` does the same for bin models, yielding an adjusted
-happiness level per age bin.
+:func:`curve_from_fit` does the same for bin models, yielding an adjusted
+happiness level per age bin (:func:`adjusted_means` fits and converts in
+one call).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .dataset import CONTROL_VARS, EmptySampleError, FilterSpec, SurveyRecord, apply_filter
+from .dataset import CONTROL_VARS, FilterSpec, SurveyRecord, apply_filter
 from .design import (
     COARSE_REFERENCE,
     FINE_REFERENCE,
@@ -30,7 +31,7 @@ from .design import (
     build_design,
     scheme_bin_labels,
 )
-from .wls import FitResult, RankDeficientError, fit_wls
+from .wls import FitResult, fit_wls
 
 __all__ = [
     "ModelSpec",
@@ -45,6 +46,7 @@ __all__ = [
     "batch_fit",
     "predict_curve",
     "quad_vertex",
+    "curve_from_fit",
     "adjusted_means",
 ]
 
@@ -60,9 +62,8 @@ class ModelSpec:
 
     ``form`` is ``"quadratic"`` (age and age squared) or ``"ranges"``
     (bin indicators under ``scheme``). ``age_cap`` restricts the sample
-    to ages at or below the cap before fitting. Period controls are part
-    of every model in the battery; the flag exists so the fitted design
-    is fully described by its spec.
+    to ages at or below the cap before fitting. Every model carries
+    survey-round (period) dummies.
     """
 
     name: str
@@ -71,15 +72,12 @@ class ModelSpec:
     controls: bool = False
     age_cap: int | None = None
     cohort_control: bool = False
-    period_control: bool = True
 
     def __post_init__(self) -> None:
         if self.form not in ("quadratic", "ranges"):
             raise ValueError(f"unknown model form {self.form!r}")
         if self.scheme not in ("coarse", "fine"):
             raise ValueError(f"unknown bin scheme {self.scheme!r}")
-        if not self.period_control:
-            raise ValueError("every model in the battery keeps period controls")
         if self.age_cap is not None and self.age_cap < 15:
             raise ValueError(f"age_cap {self.age_cap} below the survey minimum")
 
@@ -134,8 +132,7 @@ def terms_for(spec: ModelSpec) -> list[TermSpec]:
         terms.append(TermSpec.age_squared())
     else:
         terms.append(TermSpec.age_bins(spec.scheme))
-    if spec.period_control:
-        terms.append(TermSpec.period())
+    terms.append(TermSpec.period())
     if spec.cohort_control:
         terms.append(TermSpec.cohort(width=5))
     if spec.controls:
@@ -158,13 +155,20 @@ def fit_spec(
     """Fit one spec for one country (or the pooled sample when ``country``
     is None).
 
-    Applies the spec's sample restrictions (age cap, listwise deletion
-    when controls are on), warns through :class:`TooFewPeriodsWarning`
-    when fewer than three distinct rounds remain, and returns the WLS
-    fit with its design attached.
+    This is the one place that decides whether a spec is identified on a
+    sample. It applies the spec's sample restrictions (age cap, listwise
+    deletion when controls are on), refuses a cohort-controlled spec on
+    fewer than two distinct rounds with :class:`DesignError`, warns
+    through :class:`TooFewPeriodsWarning` when fewer than three remain,
+    and returns the WLS fit.
     """
     kept, _ = apply_filter(records, _filter_for(spec, country))
     n_periods = len({rec.period_year for rec in kept})
+    if spec.cohort_control and n_periods < 2:
+        raise DesignError(
+            f"only {n_periods} distinct survey round(s); "
+            "cohort-controlled fit skipped"
+        )
     if n_periods < 3:
         label = country if country is not None else "pooled sample"
         warnings.warn(
@@ -188,12 +192,6 @@ def _context_offset(fit: FitResult) -> float:
     terms puts predicted values on the level of the observed sample
     rather than the (often unobserved) reference cell.
     """
-    if fit.design is None:
-        raise ValueError(
-            "fit carries no design matrix; refit or keep the design to "
-            "compute standardized curves"
-        )
-    shares = fit.design.weighted_column_means()
     keep = [
         j
         for j, label in enumerate(fit.labels)
@@ -201,7 +199,7 @@ def _context_offset(fit: FitResult) -> float:
     ]
     if not keep:
         return 0.0
-    return float(shares[keep] @ fit.coefficients[keep])
+    return float(fit.column_means[keep] @ fit.coefficients[keep])
 
 
 def predict_curve(fit: FitResult, ages: Iterable[int]) -> list[tuple[int, float]]:
@@ -233,8 +231,8 @@ class AgeCurve:
     """Adjusted happiness level per age bin for one country.
 
     Levels are on the happiness scale and comparable across countries
-    fitted with the same scheme. Extremes are derived properties, so
-    they cannot drift out of sync with the levels.
+    fitted with the same scheme. :func:`agecurve.shape.depth` reports
+    the extremes.
     """
 
     country: str
@@ -247,18 +245,6 @@ class AgeCurve:
         if not self.bin_labels:
             raise ValueError("curve needs at least one bin")
 
-    @property
-    def max_level(self) -> float:
-        return max(self.levels)
-
-    @property
-    def min_level(self) -> float:
-        return min(self.levels)
-
-    @property
-    def depth(self) -> float:
-        return self.max_level - self.min_level
-
     def level(self, bin_label: str) -> float:
         try:
             return self.levels[self.bin_labels.index(bin_label)]
@@ -266,29 +252,12 @@ class AgeCurve:
             raise KeyError(f"no bin {bin_label!r} in curve") from None
 
 
-def adjusted_means(
-    records: Sequence[SurveyRecord],
-    country: str,
-    scheme: str = "fine",
-    spec: ModelSpec | None = None,
-) -> AgeCurve:
-    """Adjusted happiness level per age bin.
-
-    Fits the range model for ``scheme`` (period and cohort controlled by
-    default; pass ``spec`` to override) and converts coefficients to
-    levels: reference bin = intercept + standardization offset, other
-    bins add their own coefficient. Bins with no observations are left
-    out of the curve with a warning.
-    """
-    if spec is None:
-        spec = PRESETS["ranges-coarse" if scheme == "coarse" else "ranges-fine"]
-    if spec.form != "ranges" or spec.scheme != scheme:
-        raise ValueError(
-            f"spec {spec.name!r} does not fit {scheme!r} age ranges"
-        )
-    fit = fit_spec(records, spec, country)
+def curve_from_fit(fit: FitResult, country: str, scheme: str) -> AgeCurve:
+    """Convert a range fit under ``scheme`` to adjusted levels per bin:
+    reference bin = intercept + standardization offset, other bins add
+    their own coefficient. Bins with no observations are left out of the
+    curve with a warning."""
     base = fit.coef("const") + _context_offset(fit)
-
     reference = COARSE_REFERENCE if scheme == "coarse" else FINE_REFERENCE
     labels: list[str] = []
     levels: list[float] = []
@@ -305,6 +274,24 @@ def adjusted_means(
                 stacklevel=2,
             )
     return AgeCurve(country=country, bin_labels=tuple(labels), levels=tuple(levels))
+
+
+def adjusted_means(
+    records: Sequence[SurveyRecord],
+    country: str,
+    scheme: str = "fine",
+    spec: ModelSpec | None = None,
+) -> AgeCurve:
+    """Adjusted happiness level per age bin: :func:`fit_spec` on the
+    range model for ``scheme`` (period and cohort controlled by default;
+    pass ``spec`` to override), then :func:`curve_from_fit`."""
+    if spec is None:
+        spec = PRESETS["ranges-coarse" if scheme == "coarse" else "ranges-fine"]
+    if spec.form != "ranges" or spec.scheme != scheme:
+        raise ValueError(
+            f"spec {spec.name!r} does not fit {scheme!r} age ranges"
+        )
+    return curve_from_fit(fit_spec(records, spec, country), country, scheme)
 
 
 @dataclass
@@ -327,39 +314,26 @@ def batch_fit(
     spec: ModelSpec,
     countries: Sequence[str] | None = None,
 ) -> list[CountryResult]:
-    """Fit one spec across countries, isolating failures.
+    """Fit one spec across countries with :func:`fit_spec`, isolating
+    failures.
 
     ``countries`` defaults to first-appearance order in ``records``.
     A country whose data cannot support the spec (no rows after
     filtering, rank deficiency, a single survey round under a cohort
     spec) yields an error entry; other countries are unaffected.
-    Cohort-controlled specs additionally require at least two distinct
-    rounds, else period and cohort cannot be told apart from noise.
+    Warnings become the result's notes.
     """
     if countries is None:
-        seen: dict[str, None] = {}
-        for rec in records:
-            seen.setdefault(rec.country, None)
-        countries = list(seen)
-
+        countries = list(dict.fromkeys(rec.country for rec in records))
     results: list[CountryResult] = []
     for country in countries:
         result = CountryResult(country=country)
         try:
-            subset, _ = apply_filter(records, _filter_for(spec, country))
-            n_periods = len({rec.period_year for rec in subset})
-            if spec.cohort_control and n_periods < 2:
-                result.error = (
-                    f"only {n_periods} distinct survey round(s); "
-                    "cohort-controlled fit skipped"
-                )
-                results.append(result)
-                continue
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 result.fit = fit_spec(records, spec, country)
             result.notes.extend(str(w.message) for w in caught)
-        except (EmptySampleError, DesignError, RankDeficientError, ValueError) as exc:
+        except ValueError as exc:
             result.error = str(exc)
         results.append(result)
     return results

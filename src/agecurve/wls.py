@@ -51,9 +51,9 @@ class RankReport:
 class FitResult:
     """One fitted model. Coefficient order follows ``labels``.
 
-    ``design`` keeps the matrix the fit was computed from; curve
-    prediction and adjusted means need its column means, so it is kept by
-    default and can be dropped (set to None) to save memory.
+    ``column_means`` holds the weighted mean of each design column (for
+    an indicator, the weighted share of its level), which is all that
+    curve prediction and adjusted means need of the design.
     """
 
     labels: tuple[str, ...]
@@ -65,7 +65,7 @@ class FitResult:
     dof: int
     rank: int
     weighted_rss: float
-    design: DesignMatrix | None = None
+    column_means: np.ndarray
 
     def _index(self, label: str) -> int:
         try:
@@ -83,11 +83,6 @@ class FitResult:
 
     def t(self, label: str) -> float:
         return float(self.t_stats[self._index(label)])
-
-    def without_design(self) -> "FitResult":
-        from dataclasses import replace
-
-        return replace(self, design=None)
 
 
 def _qr(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,5 +199,5 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
         dof=dof,
         rank=rank,
         weighted_rss=weighted_rss,
-        design=design,
+        column_means=design.weighted_column_means(),
     )

@@ -1,7 +1,9 @@
 import pytest
 
+import agecurve.cli
+import agecurve.models
 from agecurve import save_csv
-from agecurve.cli import main
+from agecurve.cli import RULES, main
 from agecurve.render import read_csv
 from conftest import synth_survey
 
@@ -75,6 +77,14 @@ class TestFit:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_key_error_inside_command_propagates(self, survey_csv, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("a bug, not bad input")
+
+        monkeypatch.setattr(agecurve.cli, "batch_fit", broken)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["fit", "--input", str(survey_csv), "--out", str(tmp_path / "o")])
 
     def test_country_filter(self, survey_csv, tmp_path):
         out = tmp_path / "out"
@@ -182,6 +192,13 @@ class TestCurves:
         svg = (out / "curves_fine.svg").read_text()
         assert svg.count("<polyline") == 2
 
+    def test_few_rounds_note_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "two_rounds.csv"
+        save_csv(synth_survey(n=400, seed=110, country="AA", rounds=(1, 2)), path)
+        code = main(["curves", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "note [ranges-fine]: AA: only 2 distinct survey round(s)" in capsys.readouterr().err
+
     def test_autoscale_changes_chart(self, survey_csv, tmp_path):
         args = ["curves", "--input", str(survey_csv), "--format", "svg"]
         main(args + ["--out", str(tmp_path / "a")])
@@ -231,6 +248,22 @@ class TestDetect:
         ])
         assert code == 1
         assert "reads fixture" in capsys.readouterr().err
+
+    def test_range_rule_lists_country_without_a_rule_bin(self, tmp_path, capsys):
+        records = synth_survey(n=300, seed=108, country="AA") + synth_survey(
+            n=300, seed=109, country="YOUNG", age_low=15, age_high=55
+        )
+        path = tmp_path / "young.csv"
+        save_csv(records, path)
+        out = tmp_path / "out"
+        code = main([
+            "detect", "--rule", "range_t1", "--input", str(path),
+            "--out", str(out), "--format", "csv",
+        ])
+        assert code == 2
+        assert "FAILED YOUNG [range_t1]: no column 'bin:60-74'" in capsys.readouterr().err
+        _, rows = read_csv(out / "detect_range_t1.csv")
+        assert [row[0] for row in rows] == ["AA"]
 
     def test_detect_from_data(self, survey_csv, tmp_path, capsys):
         code = main([
@@ -330,3 +363,87 @@ class TestReport:
             "percent_reduction", "sign_flipped",
         ]
         assert {row[1] for row in rows} == {"age", "age_sq"}
+
+
+class TestSharedFits:
+    def test_report_is_the_union_of_the_other_commands(self, survey_csv, tmp_path):
+        flags = ["--input", str(survey_csv), "--format", "csv,text,svg"]
+        report = tmp_path / "report"
+        assert main(["report", *flags, "--out", str(report)]) == 0
+        commands = [
+            ["fit", "--spec", "quad-battery"],
+            *(["detect", "--rule", rule] for rule in RULES),
+            ["curves", "--scheme", "fine"],
+        ]
+        written = set()
+        for i, command in enumerate(commands):
+            out = tmp_path / f"separate{i}"
+            assert main([*command, *flags, "--out", str(out)]) == 0
+            for path in out.iterdir():
+                assert path.read_bytes() == (report / path.name).read_bytes(), path.name
+                written.add(path.name)
+        extra = {path.name for path in report.iterdir()} - written
+        assert extra == {"reductions.csv", "reductions.txt"}
+
+    def test_report_filters_and_fits_once_per_country_and_spec(
+        self, survey_csv, tmp_path, monkeypatch
+    ):
+        calls = {"apply_filter": 0, "fit_wls": 0}
+        for name in calls:
+            original = getattr(agecurve.models, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(agecurve.models, name, counted)
+        code = main([
+            "report", "--input", str(survey_csv), "--out", str(tmp_path / "out"),
+            "--format", "csv",
+        ])
+        assert code == 0
+        # four quadratic presets, ranges-coarse and ranges-fine, two countries
+        assert calls == {"apply_filter": 6 * 2, "fit_wls": 6 * 2}
+
+
+class TestSingleRoundCountry:
+    @pytest.fixture
+    def one_round_csv(self, tmp_path):
+        records = synth_survey(
+            n=400, seed=101, country="AA", with_controls=True,
+            happiness_fn=ushape, noise_sd=0.6,
+        ) + synth_survey(
+            n=200, seed=107, country="ONE", rounds=(2,), with_controls=True,
+            happiness_fn=ushape, noise_sd=0.6,
+        )
+        path = tmp_path / "one_round.csv"
+        save_csv(records, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "command,spec,output",
+        [
+            (["fit", "--spec", "ranges-coarse"], "ranges-coarse", "fit_ranges-coarse.csv"),
+            (["fit", "--spec", "ranges-fine"], "ranges-fine", "fit_ranges-fine.csv"),
+            (["detect", "--rule", "range_t1"], "ranges-coarse", "detect_range_t1.csv"),
+            (["detect", "--rule", "curve_heuristic"], "ranges-fine", "detect_curve_heuristic.csv"),
+            (["curves", "--scheme", "fine"], "ranges-fine", "curves_fine.csv"),
+            (["curves", "--scheme", "coarse"], "ranges-coarse", "curves_coarse.csv"),
+        ],
+    )
+    def test_refused_under_cohort_specs(self, one_round_csv, tmp_path, capsys, command, spec, output):
+        out = tmp_path / "out"
+        code = main([*command, "--input", str(one_round_csv), "--out", str(out), "--format", "csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"FAILED ONE [{spec}]: only 1 distinct survey round(s); cohort-controlled fit skipped" in err
+        _, rows = read_csv(out / output)
+        assert {row[0] for row in rows} == {"AA"}
+
+    def test_quadratic_rule_has_no_cohort_block(self, one_round_csv, tmp_path, capsys):
+        code = main([
+            "detect", "--rule", "quad_t15", "--input", str(one_round_csv),
+            "--out", str(tmp_path / "out"), "--format", "csv",
+        ])
+        assert code == 0
+        assert "of 2 countries" in capsys.readouterr().out

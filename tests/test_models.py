@@ -5,6 +5,7 @@ import pytest
 
 from agecurve import (
     AgeCurve,
+    DesignError,
     EmptySampleError,
     FitResult,
     ModelSpec,
@@ -48,8 +49,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ModelSpec(name="x", form="ranges", scheme="tiny")
         with pytest.raises(ValueError):
-            ModelSpec(name="x", form="quadratic", period_control=False)
-        with pytest.raises(ValueError):
             ModelSpec(name="x", form="quadratic", age_cap=10)
 
     def test_terms_for(self):
@@ -80,7 +79,7 @@ class TestFitSpec:
         capped = fit_spec(records, get_spec("quad-nocontrols-cap"))
         full = fit_spec(records, get_spec("quad-nocontrols-nocap"))
         assert capped.n_obs < full.n_obs
-        assert capped.design.column("age").max() <= 69
+        assert capped.n_obs == sum(r.age <= 69 for r in records)
 
     def test_controls_add_columns(self):
         records = synth_survey(n=300, seed=3, with_controls=True)
@@ -99,6 +98,14 @@ class TestFitSpec:
         )
         fit = fit_spec(records, get_spec("quad-nocontrols-nocap"), country="BB")
         assert fit.n_obs == 100
+
+    def test_single_round_refused_under_cohort_spec(self):
+        records = synth_survey(n=150, seed=19, rounds=(3,))
+        for name in ("ranges-coarse", "ranges-fine"):
+            with pytest.raises(DesignError, match="cohort-controlled fit skipped"):
+                fit_spec(records, get_spec(name))
+        with pytest.raises(DesignError, match="cohort-controlled fit skipped"):
+            adjusted_means(records, "A", scheme="fine")
 
     def test_few_rounds_warning(self):
         records = synth_survey(n=120, seed=7, rounds=(1, 2))
@@ -161,6 +168,7 @@ class TestCurveHelpers:
             dof=7,
             rank=3,
             weighted_rss=1.0,
+            column_means=np.array([1.0, 40.0, 1800.0]),
         )
         with pytest.raises(ValueError, match="stationary"):
             quad_vertex(flat)
@@ -201,11 +209,8 @@ class TestAdjustedMeans:
 
 
 class TestAgeCurve:
-    def test_extremes_and_lookup(self):
+    def test_lookup(self):
         curve = AgeCurve("X", ("a", "b", "c"), (7.1, 6.9, 7.4))
-        assert curve.max_level == 7.4
-        assert curve.min_level == 6.9
-        assert curve.depth == pytest.approx(0.5)
         assert curve.level("b") == 6.9
         with pytest.raises(KeyError):
             curve.level("d")

@@ -199,10 +199,13 @@ class TestFitResult:
         with pytest.raises(KeyError, match="fitted columns"):
             fit.coef("nope")
 
-    def test_without_design(self):
+    def test_column_means(self):
         rng = np.random.default_rng(10)
-        fit = fit_wls(random_design(rng))
-        assert fit.design is not None
-        slim = fit.without_design()
-        assert slim.design is None
-        np.testing.assert_array_equal(slim.coefficients, fit.coefficients)
+        design = random_design(rng)
+        fit = fit_wls(design)
+        assert fit.column_means.shape == (design.p,)
+        np.testing.assert_allclose(
+            fit.column_means, design.weighted_column_means(), rtol=0, atol=1e-12
+        )
+        naive = np.average(design.values, axis=0, weights=design.row_weights)
+        np.testing.assert_allclose(fit.column_means, naive, rtol=0, atol=1e-12)
