@@ -29,6 +29,7 @@ from .dataset import (
     DataError,
     ESS_SCHEMA,
     IDENTITY_SCHEMA,
+    Survey,
     load_csv,
 )
 from .design import DesignError, FINE_BINS, scheme_bin_labels
@@ -130,20 +131,20 @@ def _resolve_schema(args, config: configparser.ConfigParser, input_path: Path) -
     return schema
 
 
-def _load_records(args, config: configparser.ConfigParser):
+def _load_survey(args, config: configparser.ConfigParser) -> Survey:
     if not getattr(args, "input", None):
         raise FatalError("this command needs --input (a survey CSV)")
     path = Path(args.input)
     if not path.is_file():
         raise FatalError(f"input file not found: {path}")
     schema = _resolve_schema(args, config, path)
-    records, report = load_csv(path, schema)
+    survey, report = load_csv(path, schema)
     if report.dropped:
         drops = ", ".join(f"{r}: {c}" for r, c in sorted(report.dropped.items()))
         print(f"loaded {report.rows_kept} of {report.rows_read} rows (dropped {drops})")
     else:
         print(f"loaded {report.rows_kept} rows")
-    return records
+    return survey
 
 
 def _countries_arg(args, config: configparser.ConfigParser) -> list[str] | None:
@@ -183,14 +184,14 @@ class _Fits(dict):
     (country, spec). ``unusable`` lists ``"<country> [<rule>]: <reason>"``
     for fitted countries that a detection rule cannot read."""
 
-    def __init__(self, records, countries: list[str] | None):
+    def __init__(self, survey: Survey, countries: list[str] | None):
         super().__init__()
-        self.records = records
+        self.survey = survey
         self.countries = countries
         self.unusable: list[str] = []
 
     def __missing__(self, name: str) -> list[CountryResult]:
-        self[name] = batch_fit(self.records, get_spec(name), self.countries)
+        self[name] = batch_fit(self.survey, get_spec(name), self.countries)
         return self[name]
 
 
@@ -198,7 +199,7 @@ def _survey_run(args) -> tuple[_Fits, Path, set[str]]:
     """Load the survey once and set up the shared fits, the output
     directory and the formats of a survey command."""
     config = _read_config(args.config)
-    fits = _Fits(_load_records(args, config), _countries_arg(args, config))
+    fits = _Fits(_load_survey(args, config), _countries_arg(args, config))
     formats = _formats(args, config)
     return fits, _out_dir(args, config), formats
 

@@ -1,19 +1,28 @@
-"""Survey microdata: records, CSV loading, filtering, and cohort bins.
+"""Survey microdata: the columnar :class:`Survey`, its row type
+:class:`SurveyRecord`, CSV loading, filtering, and cohort bins.
 
-Records are immutable and every operation returns new objects, so lists of
-records can be shared freely between model fits. Loading is tolerant of
-messy input (rows are dropped with a counted reason, never silently) while
-filtering is strict: an empty result raises, because every downstream
-consumer needs at least one row.
+A survey keeps one numpy array per field and is never changed in place:
+every operation returns a new survey, so one survey can be shared freely
+between model fits. It is split by country once and the parts are kept.
+Loading is tolerant of messy input (rows are dropped with a counted
+reason, never silently) while filtering is strict: an empty result
+raises, because every downstream consumer needs at least one row.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "CONTROL_VARS",
@@ -26,6 +35,7 @@ __all__ = [
     "DataError",
     "EmptySampleError",
     "SurveyRecord",
+    "Survey",
     "LoadReport",
     "FilterSpec",
     "FilterReport",
@@ -111,7 +121,8 @@ DEFAULT_ROUND_MAP = RoundYearMap()
 
 @dataclass(frozen=True)
 class SurveyRecord:
-    """One survey response.
+    """One survey response: the row type of :class:`Survey`, and a
+    constructor for small samples built by hand.
 
     ``birth_year`` is derived, not stored: it always equals
     ``period_year - age``, so the three fields can never disagree.
@@ -149,6 +160,179 @@ class SurveyRecord:
         if name not in CONTROL_VARS:
             raise KeyError(f"unknown control variable {name!r}")
         return getattr(self, name)
+
+
+_RECORD_FIELDS = (*IDENTITY_SCHEMA, "mediator")
+
+
+def _factor(values: Iterable[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Int codes of ``values`` (-1 for ``None``) into a level tuple in
+    first-appearance order."""
+    values = list(values)
+    index: dict[str, int] = {}
+    code = {
+        value: -1 if value is None else index.setdefault(value, len(index))
+        for value in dict.fromkeys(values)
+    }
+    return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), tuple(index)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``; an array of that
+    dtype is viewed, not copied, and the caller's array keeps its flags."""
+    column = np.asarray(values, dtype=dtype).view()
+    column.setflags(write=False)
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class Survey:
+    """Survey responses as numpy columns, one entry per row.
+
+    ``country`` is an object array of ``str``, so one long cell costs
+    only its own length; ``round``, ``period_year`` and ``age`` are
+    int64; ``happiness`` and ``weight`` are float64. Each
+    control variable is stored as ``(codes, levels)``: int64 codes into
+    the ``levels`` tuple, with -1 for a missing value. Controls left out
+    of ``controls`` are missing on every row. ``mediator`` is the
+    optional synthetic-data column of :class:`SurveyRecord`, NaN where a
+    row has none. ``birth_year`` is derived as ``period_year - age``.
+    The rows obey the same rules as :class:`SurveyRecord`. Every column
+    is a read-only array.
+
+    A survey reads as a sequence of :class:`SurveyRecord`: ``len``, an
+    int index, iteration, and ``==`` against another survey or a record
+    sequence all work row by row. Use :meth:`from_records` to build one
+    from records and :meth:`take` to select rows.
+    """
+
+    country: np.ndarray
+    round: np.ndarray
+    period_year: np.ndarray
+    age: np.ndarray
+    happiness: np.ndarray
+    weight: np.ndarray
+    controls: Mapping[str, tuple[np.ndarray, tuple[str, ...]]] = field(default_factory=dict)
+    mediator: np.ndarray | None = None
+    birth_year: np.ndarray = field(init=False, repr=False)
+    _countries: Mapping[str, "Survey"] | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        put = functools.partial(object.__setattr__, self)
+        put("country", _frozen(self.country, object))
+        for name in ("round", "period_year", "age"):
+            put(name, _frozen(getattr(self, name), np.int64))
+        for name in ("happiness", "weight"):
+            put(name, _frozen(getattr(self, name), np.float64))
+        n = len(self.country)
+        unknown = set(self.controls) - set(CONTROL_VARS)
+        if unknown:
+            raise ValueError(f"unknown control variables: {sorted(unknown)}")
+        controls = {}
+        for name in CONTROL_VARS:
+            codes, levels = self.controls.get(name, (np.full(n, -1), ()))
+            controls[name] = (_frozen(codes, np.int64), tuple(levels))
+        put("controls", controls)
+        if self.mediator is not None:
+            put("mediator", _frozen(self.mediator, np.float64))
+        columns = [
+            self.country, self.round, self.period_year, self.age, self.happiness, self.weight,
+            *(codes for codes, _ in self.controls.values()),
+            *([] if self.mediator is None else [self.mediator]),
+        ]
+        if any(column.shape != (n,) for column in columns):
+            raise ValueError("every survey column needs one entry per row")
+        if n and self.age.min() < 15:
+            raise ValueError(f"age {self.age.min()} below the survey minimum of 15")
+        if n and not np.all(self.weight > 0):
+            raise ValueError("weights must be positive")
+        if n and self.round.min() < 1:
+            raise ValueError(f"round must be a positive integer, got {self.round.min()}")
+        put("birth_year", _frozen(self.period_year - self.age, np.int64))
+
+    @classmethod
+    def from_records(cls, records: Survey | Iterable[SurveyRecord]) -> Survey:
+        """The survey holding ``records`` in order; a survey is returned
+        as it is."""
+        if isinstance(records, Survey):
+            return records
+        records = list(records)
+        mediators = [rec.mediator for rec in records]
+        return cls(
+            country=[rec.country for rec in records],
+            round=[rec.round for rec in records],
+            period_year=[rec.period_year for rec in records],
+            age=[rec.age for rec in records],
+            happiness=[rec.happiness for rec in records],
+            weight=[rec.weight for rec in records],
+            controls={
+                name: _factor(getattr(rec, name) for rec in records)
+                for name in CONTROL_VARS
+            },
+            mediator=(
+                [np.nan if m is None else m for m in mediators]
+                if any(m is not None for m in mediators)
+                else None
+            ),
+        )
+
+    def _column(self, name: str) -> list:
+        """One :class:`SurveyRecord` field of every row as Python values,
+        with ``None`` for a missing control or mediator."""
+        if name in self.controls:
+            codes, levels = self.controls[name]
+            return [levels[code] if code >= 0 else None for code in codes.tolist()]
+        if name == "mediator":
+            if self.mediator is None:
+                return [None] * len(self)
+            return [None if value != value else value for value in self.mediator.tolist()]
+        return getattr(self, name).tolist()
+
+    def take(self, rows) -> Survey:
+        """The rows selected by a boolean mask or an index array, in the
+        order the index gives."""
+        rows = np.asarray(rows)
+        if rows.dtype != bool:
+            rows = rows.astype(np.intp)
+        return Survey(
+            country=self.country[rows],
+            round=self.round[rows],
+            period_year=self.period_year[rows],
+            age=self.age[rows],
+            happiness=self.happiness[rows],
+            weight=self.weight[rows],
+            controls={name: (codes[rows], levels) for name, (codes, levels) in self.controls.items()},
+            mediator=None if self.mediator is None else self.mediator[rows],
+        )
+
+    def by_country(self) -> Mapping[str, Survey]:
+        """One survey per country, in first-appearance order, each with
+        its rows in survey order. Computed on the first call and kept."""
+        if self._countries is None:
+            codes, names = _factor(self.country.tolist())
+            rows = np.argsort(codes, kind="stable")
+            parts = np.split(rows, np.cumsum(np.bincount(codes, minlength=len(names)))[:-1])
+            countries = {name: self.take(part) for name, part in zip(names, parts)}
+            object.__setattr__(self, "_countries", MappingProxyType(countries))
+        return self._countries
+
+    def __len__(self) -> int:
+        return len(self.country)
+
+    def __getitem__(self, index: int) -> SurveyRecord:
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"row {i} out of range for a survey of {len(self)} rows")
+        return next(iter(self.take([i])))
+
+    def __iter__(self) -> Iterator[SurveyRecord]:
+        columns = [self._column(name) for name in _RECORD_FIELDS]
+        return (SurveyRecord(*values) for values in zip(*columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Survey, Sequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
@@ -200,13 +384,61 @@ class FilterReport:
 
 
 def _parse_number(text: str, missing: frozenset[str]) -> float | None:
+    """The finite number in a cell, or ``None`` for a missing token, text
+    that ``float`` rejects, or an infinite or NaN value."""
     s = text.strip()
     if s in missing:
         return None
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
+
+
+def _numbers(cells: Sequence[str], missing: frozenset[str]) -> np.ndarray:
+    """:func:`_parse_number` over a column, NaN where it gives ``None``.
+    Each distinct cell text is parsed once."""
+    value = {}
+    for text in set(cells):
+        number = _parse_number(text, missing)
+        value[text] = math.nan if number is None else number
+    return np.fromiter(map(value.__getitem__, cells), np.float64, len(cells))
+
+
+def _control(
+    cells: Sequence[str], missing: frozenset[str], merge: Mapping[str, str]
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """:func:`_factor` of a control column, whose cells are ``None`` for
+    a missing token and otherwise their level after ``merge``."""
+    level = {}
+    for text in set(cells):
+        value = text.strip()
+        level[text] = None if value in missing else merge.get(value, value)
+    return _factor(map(level.__getitem__, cells))
+
+
+def _not_whole(values: np.ndarray) -> np.ndarray:
+    """Mask of values that are NaN or not integers."""
+    return ~(values == np.floor(values))
+
+
+# Beyond 2**53 a float64 no longer holds every integer, and int64 year
+# arithmetic would overflow; such rounds and years are unparseable.
+_INT_LIMIT = 2.0**53
+
+
+def _tally(n: int, rules: Iterable[tuple[str, np.ndarray]]) -> tuple[np.ndarray, Counter]:
+    """Rows that pass every ``(reason, fails)`` rule, and the count of
+    rows dropped per reason, each row under the first rule it fails."""
+    keep = np.ones(n, dtype=bool)
+    dropped: Counter = Counter()
+    for reason, fails in rules:
+        count = int(np.count_nonzero(keep & fails))
+        if count:
+            dropped[reason] += count
+        keep &= ~fails
+    return keep, dropped
 
 
 def load_csv(
@@ -216,25 +448,28 @@ def load_csv(
     missing: Iterable[str] = DEFAULT_MISSING,
     round_map: RoundYearMap = DEFAULT_ROUND_MAP,
     labor_merge: Mapping[str, str] = DEFAULT_LABOR_MERGE,
-) -> tuple[list[SurveyRecord], LoadReport]:
-    """Read survey rows from a CSV file.
+) -> tuple[Survey, LoadReport]:
+    """Read survey rows from a CSV file into a :class:`Survey`.
 
     ``schema`` maps the logical field names (keys of
     :data:`IDENTITY_SCHEMA`) to the file's column names; omitted control
-    variables are simply left unset on the records. The file must supply
+    variables are simply left missing. The file must supply
     ``country``, ``age``, ``happiness``, ``weight``, and at least one of
     ``round`` / ``period_year``. When only years are present, rounds are
     recovered through ``round_map``; if any observed year is off that
     grid, all years are instead ranked and the ranks used as synthetic
     round numbers (the year values themselves stay untouched).
 
-    Rows that cannot be used are dropped and tallied by reason in the
-    returned :class:`LoadReport`; the row order of the file is preserved.
-    Raises :class:`DataError` if mapped columns are absent from the
-    header or no usable rows remain. When ``schema`` is ``None``, the
-    canonical names of :data:`IDENTITY_SCHEMA` are assumed and optional
-    columns (controls, and one of round / period_year) may simply be
-    absent from the file; an explicit schema is enforced exactly.
+    A numeric cell counts as parseable when ``float`` reads it as a
+    finite number, so ``inf`` and ``NaN`` are unparseable. Rows that
+    cannot be used are dropped and tallied, each under the first rule it
+    fails, in the returned :class:`LoadReport`; the row order of the
+    file is preserved. Raises :class:`DataError` if mapped columns are
+    absent from the header or no usable rows remain. When ``schema`` is
+    ``None``, the canonical names of :data:`IDENTITY_SCHEMA` are assumed
+    and optional columns (controls, and one of round / period_year) may
+    simply be absent from the file; an explicit schema is enforced
+    exactly.
     """
     explicit_schema = schema is not None
     schema = dict(schema or IDENTITY_SCHEMA)
@@ -249,8 +484,8 @@ def load_csv(
 
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
         if not explicit_schema:
             optional = set(CONTROL_VARS) | {"round", "period_year"}
             schema = {
@@ -265,169 +500,121 @@ def load_csv(
         absent = [col for col in schema.values() if col not in header]
         if absent:
             raise DataError(f"columns not in file header: {absent}")
-        raw_rows = list(reader)
-
-    report = LoadReport(rows_read=len(raw_rows))
-
-    def cell(row: Mapping[str, str], logical: str) -> str:
-        return (row.get(schema[logical]) or "").strip()
-
-    # First pass: parse and validate, keeping provisional tuples so that
-    # synthetic rounds (a rank over all observed years) can be assigned
-    # after every year has been seen.
-    parsed: list[dict] = []
-    years_seen: set[int] = set()
-    need_synthetic = False
-    for row in raw_rows:
-        age_val = _parse_number(cell(row, "age"), missing)
-        if age_val is None or age_val != int(age_val):
-            report.dropped["unparseable age"] += 1
-            continue
-        age = int(age_val)
-        if age < 15 or age > 120:
-            report.dropped["age out of range"] += 1
-            continue
-
-        happy = _parse_number(cell(row, "happiness"), missing)
-        if happy is None:
-            report.dropped["unparseable happiness"] += 1
-            continue
-        if not 0.0 <= happy <= 10.0:
-            report.dropped["happiness out of range"] += 1
-            continue
-
-        weight = _parse_number(cell(row, "weight"), missing)
-        if weight is None:
-            report.dropped["unparseable weight"] += 1
-            continue
-        if weight <= 0:
-            report.dropped["nonpositive weight"] += 1
-            continue
-
-        rnd: int | None = None
-        year: int | None = None
-        if "round" in schema:
-            rnd_val = _parse_number(cell(row, "round"), missing)
-            if rnd_val is None or rnd_val != int(rnd_val) or int(rnd_val) < 1:
-                report.dropped["unparseable round"] += 1
-                continue
-            rnd = int(rnd_val)
-        if "period_year" in schema:
-            year_val = _parse_number(cell(row, "period_year"), missing)
-            if year_val is None or year_val != int(year_val):
-                report.dropped["unparseable survey year"] += 1
-                continue
-            year = int(year_val)
-        if rnd is None and year is not None:
-            years_seen.add(year)
-            if round_map.round_for(year) is None:
-                need_synthetic = True
-
-        controls: dict[str, str | None] = {}
-        for name in CONTROL_VARS:
-            if name in schema:
-                value = cell(row, name)
-                if value in missing:
-                    controls[name] = None
-                else:
-                    if name == "labor_status":
-                        value = labor_merge.get(value, value)
-                    controls[name] = value
-            else:
-                controls[name] = None
-
-        parsed.append(
-            {
-                "country": cell(row, "country"),
-                "round": rnd,
-                "year": year,
-                "age": age,
-                "happiness": happy,
-                "weight": weight,
-                "controls": controls,
-            }
-        )
-
-    year_rank: dict[int, int] = {}
-    if need_synthetic:
-        year_rank = {y: i + 1 for i, y in enumerate(sorted(years_seen))}
-        report.notes.append(
-            "survey years do not follow the round-year grid; "
-            "rounds assigned by rank over observed years"
-        )
-
-    records: list[SurveyRecord] = []
-    for item in parsed:
-        rnd, year = item["round"], item["year"]
-        if rnd is None:
-            rnd = year_rank[year] if need_synthetic else round_map.round_for(year)
-        if year is None:
-            year = round_map.year(rnd)
-        records.append(
-            SurveyRecord(
-                country=item["country"],
-                round=rnd,
-                period_year=year,
-                age=item["age"],
-                happiness=item["happiness"],
-                weight=item["weight"],
-                **item["controls"],
-            )
-        )
-
-    report.rows_kept = len(records)
-    if not records:
+        # A blank line is not a row.
+        rows = [row for row in reader if row]
+    if not rows:
         raise DataError(f"no usable rows in {path}")
-    return records, report
+    # A repeated column name refers to its last occurrence and a short
+    # row reads as empty cells, as with csv.DictReader.
+    position = {name: j for j, name in enumerate(header)}
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))
+    columns += [("",) * len(rows)] * (len(header) - len(columns))
+    column = {}
+    for logical, col in schema.items():
+        cells = columns[position[col]]
+        if logical == "country":
+            column[logical] = np.array([text.strip() for text in cells], dtype=object)
+        elif logical in CONTROL_VARS:
+            merge = labor_merge if logical == "labor_status" else {}
+            column[logical] = _control(cells, missing, merge)
+        else:
+            column[logical] = _numbers(cells, missing)
+
+    age, happy, weight = column["age"], column["happiness"], column["weight"]
+    rules = [
+        ("unparseable age", _not_whole(age)),
+        ("age out of range", (age < 15) | (age > 120)),
+        ("unparseable happiness", np.isnan(happy)),
+        ("happiness out of range", ~((happy >= 0.0) & (happy <= 10.0))),
+        ("unparseable weight", np.isnan(weight)),
+        ("nonpositive weight", ~(weight > 0)),
+    ]
+    if "round" in schema:
+        rnd = column["round"]
+        rules.append(
+            ("unparseable round", _not_whole(rnd) | (rnd < 1) | (rnd >= _INT_LIMIT))
+        )
+    if "period_year" in schema:
+        year = column["period_year"]
+        rules.append(
+            ("unparseable survey year", _not_whole(year) | (np.abs(year) >= _INT_LIMIT))
+        )
+    keep, dropped = _tally(len(age), rules)
+    report = LoadReport(rows_read=len(age), rows_kept=int(keep.sum()), dropped=dropped)
+    if not report.rows_kept:
+        raise DataError(f"no usable rows in {path}")
+
+    rounds = rnd[keep].astype(np.int64) if "round" in schema else None
+    years = year[keep].astype(np.int64) if "period_year" in schema else None
+    if rounds is None:
+        offset, remainder = np.divmod(years - round_map.base, round_map.step)
+        if np.any((remainder != 0) | (offset < 1)):
+            rounds = np.unique(years, return_inverse=True)[1] + 1
+            report.notes.append(
+                "survey years do not follow the round-year grid; "
+                "rounds assigned by rank over observed years"
+            )
+        else:
+            rounds = offset
+    if years is None:
+        years = round_map.base + round_map.step * rounds
+
+    survey = Survey(
+        country=column["country"][keep],
+        round=rounds,
+        period_year=years,
+        age=age[keep].astype(np.int64),
+        happiness=happy[keep],
+        weight=weight[keep],
+        controls={
+            name: (column[name][0][keep], column[name][1])
+            for name in CONTROL_VARS
+            if name in schema
+        },
+    )
+    return survey, report
 
 
-def save_csv(records: Sequence[SurveyRecord], path: str | Path) -> None:
-    """Write records with canonical column names; round-trips with
+def save_csv(records: Survey | Sequence[SurveyRecord], path: str | Path) -> None:
+    """Write a survey with canonical column names; round-trips with
     :func:`load_csv` under the identity schema."""
-    columns = list(IDENTITY_SCHEMA)
+    survey = Survey.from_records(records)
+    columns = [
+        ["" if value is None else value for value in survey._column(name)]
+        for name in IDENTITY_SCHEMA
+    ]
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow(
-                [
-                    getattr(rec, name) if getattr(rec, name) is not None else ""
-                    for name in columns
-                ]
-            )
+        writer.writerow(list(IDENTITY_SCHEMA))
+        writer.writerows(zip(*columns))
 
 
 def apply_filter(
-    records: Sequence[SurveyRecord], spec: FilterSpec
-) -> tuple[list[SurveyRecord], FilterReport]:
+    records: Survey | Sequence[SurveyRecord], spec: FilterSpec
+) -> tuple[Survey, FilterReport]:
     """Restrict a sample, preserving order.
 
-    Each dropped record is tallied under the first rule it fails.
-    Raises :class:`EmptySampleError` when nothing survives, since an
-    empty sample cannot support any fit.
+    Each dropped row is tallied under the first rule it fails: age below
+    the minimum, age above the maximum, country excluded, then a missing
+    listwise variable in name order. Raises :class:`EmptySampleError`
+    when nothing survives, since an empty sample cannot support any fit.
     """
-    report = FilterReport(n_in=len(records))
-    listwise = sorted(spec.listwise_vars)
-    kept: list[SurveyRecord] = []
-    for rec in records:
-        if rec.age < spec.min_age:
-            report.dropped["age below minimum"] += 1
-            continue
-        if spec.max_age is not None and rec.age > spec.max_age:
-            report.dropped["age above maximum"] += 1
-            continue
-        if spec.countries is not None and rec.country not in spec.countries:
-            report.dropped["country excluded"] += 1
-            continue
-        missing_var = next((v for v in listwise if rec.control(v) is None), None)
-        if missing_var is not None:
-            report.dropped[f"missing {missing_var}"] += 1
-            continue
-        kept.append(rec)
-    report.n_kept = len(kept)
-    if not kept:
-        raise EmptySampleError(f"filter removed all {len(records)} records")
-    return kept, report
+    survey = Survey.from_records(records)
+    rules = [("age below minimum", survey.age < spec.min_age)]
+    if spec.max_age is not None:
+        rules.append(("age above maximum", survey.age > spec.max_age))
+    if spec.countries is not None:
+        allowed = np.array(sorted(spec.countries), dtype=object)
+        rules.append(("country excluded", ~np.isin(survey.country, allowed)))
+    rules.extend(
+        (f"missing {name}", survey.controls[name][0] < 0)
+        for name in sorted(spec.listwise_vars)
+    )
+    keep, dropped = _tally(len(survey), rules)
+    report = FilterReport(n_in=len(survey), n_kept=int(keep.sum()), dropped=dropped)
+    if not report.n_kept:
+        raise EmptySampleError(f"filter removed all {len(survey)} records")
+    return survey.take(keep), report
 
 
 def cohort_bin(birth_year: int, width: int = 5) -> str:

@@ -2,8 +2,8 @@
 
 Each term declares what it contributes (an intercept, age as a polynomial
 or as range indicators, period and birth-cohort factors, categorical
-controls) and :func:`build_design` turns a record list plus a term list
-into a dense float matrix with one human-readable label per column.
+controls) and :func:`build_design` turns a :class:`Survey` plus a term
+list into a dense float matrix with one human-readable label per column.
 Factor encoding is dummy coding against a named reference level; levels
 that are declared but unobserved are dropped and logged, never silently
 absorbed.
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CONTROL_VARS, EmptySampleError, SurveyRecord, cohort_bin
+from .dataset import CONTROL_VARS, EmptySampleError, Survey, SurveyRecord, cohort_bin
 
 __all__ = [
     "COARSE_BINS",
@@ -204,14 +204,52 @@ class DesignMatrix:
 
 
 def _level_sort_key(level: str) -> tuple[int, float, str]:
+    """Numeric levels by value, then the rest alphabetically; the text
+    breaks ties between spellings of one number ("9", "9.0")."""
     try:
-        return (0, float(level), "")
+        return (0, float(level), level)
     except ValueError:
         return (1, 0.0, level)
 
 
+def _encode_factor(
+    term: str,
+    codes: np.ndarray,
+    levels: Sequence[str],
+    reference: str,
+    prefix: str,
+    one_level_note: str | None,
+    unobserved_reference: str,
+) -> tuple[np.ndarray, list[str], list[tuple[str, str, str]]]:
+    """Dummy-code one factor against ``reference``.
+
+    ``codes`` index ``levels``, whose order is the column order. Every
+    non-reference level that is observed gets an indicator column
+    labelled ``prefix + level``; one that is not is logged as
+    ``(term, level, "no observations")``, and when only one level is
+    observed ``(term, reference, one_level_note)`` follows, if a note is
+    given. Raises :class:`DesignError` with ``unobserved_reference`` when
+    the reference level has no rows.
+    """
+    counts = np.bincount(codes, minlength=len(levels))
+    if reference not in levels or not counts[levels.index(reference)]:
+        raise DesignError(unobserved_reference)
+    others = [j for j, level in enumerate(levels) if level != reference]
+    contrast = [j for j in others if counts[j]]
+    dropped = [(term, levels[j], "no observations") for j in others if not counts[j]]
+    if one_level_note is not None and np.count_nonzero(counts) == 1:
+        dropped.append((term, reference, one_level_note))
+    column_of = np.full(len(levels), -1)
+    column_of[contrast] = np.arange(len(contrast))
+    row_columns = column_of[codes]
+    rows = np.flatnonzero(row_columns >= 0)
+    columns = np.zeros((len(codes), len(contrast)), dtype=np.float64)
+    columns[rows, row_columns[rows]] = 1.0
+    return columns, [f"{prefix}{levels[j]}" for j in contrast], dropped
+
+
 def encode_categorical(
-    records: Sequence[SurveyRecord],
+    records: Survey | Sequence[SurveyRecord],
     variable: str,
     reference: str | None = None,
     declared_levels: Sequence[str] | None = None,
@@ -225,19 +263,20 @@ def encode_categorical(
     then the rest alphabetically). Missing values are an error here:
     callers decide on listwise deletion before encoding, not during.
     """
-    values: list[str] = []
-    for i, rec in enumerate(records):
-        value = rec.control(variable)
-        if value is None:
-            raise DesignError(
-                f"record {i} has no {variable!r}; apply listwise deletion "
-                f"(FilterSpec.listwise_vars) before building the design"
-            )
-        values.append(value)
-
-    observed = sorted(set(values), key=_level_sort_key)
+    survey = Survey.from_records(records)
+    if variable not in CONTROL_VARS:
+        raise KeyError(f"unknown control variable {variable!r}")
+    codes, levels = survey.controls[variable]
+    missing = np.flatnonzero(codes < 0)
+    if missing.size:
+        raise DesignError(
+            f"record {missing[0]} has no {variable!r}; apply listwise deletion "
+            f"(FilterSpec.listwise_vars) before building the design"
+        )
+    present = np.unique(codes).tolist()
+    observed = sorted((levels[code] for code in present), key=_level_sort_key)
     if declared_levels is None:
-        declared = list(observed)
+        declared = observed
     else:
         declared = list(declared_levels)
         stray = set(observed) - set(declared)
@@ -249,76 +288,33 @@ def encode_categorical(
         reference = observed[0]
     if reference not in declared:
         raise DesignError(f"reference level {reference!r} is not a declared level")
-    if reference not in observed:
-        raise DesignError(f"reference level {reference!r} has no observations")
-
-    dropped: list[tuple[str, str, str]] = []
-    kept_levels: list[str] = []
-    for level in declared:
-        if level == reference:
-            continue
-        if level in set(observed):
-            kept_levels.append(level)
-        else:
-            dropped.append((variable, level, "no observations"))
-    if len(observed) == 1:
-        dropped.append((variable, reference, "only one observed level"))
-
-    n = len(records)
-    columns = np.zeros((n, len(kept_levels)), dtype=np.float64)
-    index = {level: j for j, level in enumerate(kept_levels)}
-    for i, value in enumerate(values):
-        j = index.get(value)
-        if j is not None:
-            columns[i, j] = 1.0
-    labels = [f"{variable}={level}" for level in kept_levels]
-    return columns, labels, dropped
-
-
-def _encode_simple_factor(
-    term_name: str,
-    row_levels: list[str],
-    ordered_levels: list[str],
-    reference: str | None,
-    label_prefix: str,
-) -> tuple[np.ndarray, list[str], list[tuple[str, str, str]]]:
-    """Shared dummy coding for period and cohort factors, whose levels
-    come straight from the data."""
-    if reference is None:
-        reference = ordered_levels[0]
-    if reference not in ordered_levels:
-        raise DesignError(
-            f"{term_name} reference level {reference!r} not observed; "
-            f"observed levels: {ordered_levels}"
-        )
-    dropped: list[tuple[str, str, str]] = []
-    contrast = [lvl for lvl in ordered_levels if lvl != reference]
-    if not contrast:
-        dropped.append(
-            (term_name, reference, "only one observed level; no contrast columns")
-        )
-    n = len(row_levels)
-    columns = np.zeros((n, len(contrast)), dtype=np.float64)
-    index = {lvl: j for j, lvl in enumerate(contrast)}
-    for i, lvl in enumerate(row_levels):
-        j = index.get(lvl)
-        if j is not None:
-            columns[i, j] = 1.0
-    labels = [f"{label_prefix}:{lvl}" for lvl in contrast]
-    return columns, labels, dropped
+    declared_code = np.zeros(len(levels), dtype=np.int64)
+    declared_code[present] = [declared.index(levels[code]) for code in present]
+    return _encode_factor(
+        variable,
+        declared_code[codes],
+        declared,
+        reference,
+        f"{variable}=",
+        "only one observed level",
+        f"reference level {reference!r} has no observations",
+    )
 
 
 def build_design(
-    records: Sequence[SurveyRecord], terms: Sequence[TermSpec]
+    records: Survey | Sequence[SurveyRecord], terms: Sequence[TermSpec]
 ) -> DesignMatrix:
     """Assemble the design matrix for a term list.
 
     Exactly one intercept is required; ``age_linear`` and ``age_bins``
     are mutually exclusive (they answer the same question two ways);
     duplicate terms of any kind are rejected. Columns appear in term
-    order, with factor levels in their natural order.
+    order, with factor levels in their natural order: age bins in scheme
+    order, periods by year, cohorts by start year, and control levels in
+    natural sort order over the levels the sample holds.
     """
-    if not records:
+    survey = Survey.from_records(records)
+    if not len(survey):
         raise EmptySampleError("cannot build a design from zero records")
 
     kinds = [t.kind for t in terms]
@@ -333,84 +329,55 @@ def build_design(
     if "age_squared" in kinds and "age_bins" in kinds:
         raise DesignError("age_squared and age_bins are mutually exclusive")
 
-    n = len(records)
-    ages = np.array([rec.age for rec in records], dtype=np.float64)
+    n = len(survey)
+    ages = survey.age.astype(np.float64)
     blocks: list[np.ndarray] = []
     labels: list[str] = []
     dropped: list[tuple[str, str, str]] = []
 
     for term in terms:
         if term.kind == "intercept":
-            blocks.append(np.ones((n, 1)))
-            labels.append("const")
+            cols, labs, drops = np.ones((n, 1)), ["const"], []
         elif term.kind == "age_linear":
-            blocks.append(ages[:, None])
-            labels.append("age")
+            cols, labs, drops = ages[:, None], ["age"], []
         elif term.kind == "age_squared":
-            blocks.append((ages**2)[:, None])
-            labels.append("age_sq")
+            cols, labs, drops = (ages**2)[:, None], ["age_sq"], []
         elif term.kind == "age_bins":
             scheme = term.scheme or "coarse"
-            scheme_levels = [b[0] for b in _SCHEMES[scheme]]
-            row_levels = [age_bin_label(rec.age, scheme) for rec in records]
-            observed = set(row_levels)
+            bins = _SCHEMES[scheme]
             reference = term.reference_level or _SCHEME_REFERENCES[scheme]
-            if reference not in observed:
-                raise DesignError(
-                    f"reference bin {reference!r} has no observations"
+            codes = np.searchsorted([low for _, low, _ in bins], survey.age, side="right") - 1
+            cols, labs, drops = _encode_factor(
+                "age_bins", codes, [label for label, _, _ in bins], reference, "bin:",
+                None, f"reference bin {reference!r} has no observations",
+            )
+        elif term.kind in ("period_factor", "cohort_factor"):
+            if term.kind == "period_factor":
+                starts, codes = np.unique(survey.period_year, return_inverse=True)
+                levels = [str(year) for year in starts.tolist()]
+                prefix = "period:"
+            else:
+                width = term.width or 5
+                starts, codes = np.unique(
+                    (survey.birth_year // width) * width, return_inverse=True
                 )
-            contrast = []
-            for level in scheme_levels:
-                if level == reference:
-                    continue
-                if level in observed:
-                    contrast.append(level)
-                else:
-                    dropped.append(("age_bins", level, "no observations"))
-            cols = np.zeros((n, len(contrast)))
-            index = {lvl: j for j, lvl in enumerate(contrast)}
-            for i, lvl in enumerate(row_levels):
-                j = index.get(lvl)
-                if j is not None:
-                    cols[i, j] = 1.0
-            blocks.append(cols)
-            labels.extend(f"bin:{lvl}" for lvl in contrast)
-        elif term.kind == "period_factor":
-            row_levels = [str(rec.period_year) for rec in records]
-            ordered = sorted(set(row_levels), key=int)
-            cols, labs, drops = _encode_simple_factor(
-                "period_factor", row_levels, ordered, term.reference_level, "period"
+                levels = [cohort_bin(start, width) for start in starts.tolist()]
+                prefix = "cohort:"
+            reference = term.reference_level or levels[0]
+            cols, labs, drops = _encode_factor(
+                term.kind, codes, levels, reference, prefix,
+                "only one observed level; no contrast columns",
+                f"{term.kind} reference level {reference!r} not observed; "
+                f"observed levels: {levels}",
             )
-            blocks.append(cols)
-            labels.extend(labs)
-            dropped.extend(drops)
-        elif term.kind == "cohort_factor":
-            width = term.width or 5
-            starts: dict[str, int] = {}
-            row_levels = []
-            for rec in records:
-                label = cohort_bin(rec.birth_year, width)
-                starts[label] = (rec.birth_year // width) * width
-                row_levels.append(label)
-            ordered = sorted(starts, key=starts.__getitem__)
-            cols, labs, drops = _encode_simple_factor(
-                "cohort_factor", row_levels, ordered, term.reference_level, "cohort"
-            )
-            blocks.append(cols)
-            labels.extend(labs)
-            dropped.extend(drops)
         elif term.kind == "control_factor":
             assert term.name is not None
-            cols, labs, drops = encode_categorical(
-                records, term.name, term.reference_level
-            )
-            blocks.append(cols)
-            labels.extend(labs)
-            dropped.extend(drops)
+            cols, labs, drops = encode_categorical(survey, term.name, term.reference_level)
         else:
             raise DesignError(f"unknown term kind {term.kind!r}")
+        blocks.append(cols)
+        labels.extend(labs)
+        dropped.extend(drops)
 
     values = np.hstack(blocks)
-    weights = np.array([rec.weight for rec in records], dtype=np.float64)
-    response = np.array([rec.happiness for rec in records], dtype=np.float64)
-    return DesignMatrix(values, labels, weights, response, dropped)
+    return DesignMatrix(values, labels, survey.weight, survey.happiness, dropped)

@@ -22,7 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .dataset import CONTROL_VARS, FilterSpec, SurveyRecord, apply_filter
+import numpy as np
+
+from .dataset import CONTROL_VARS, FilterSpec, Survey, SurveyRecord, apply_filter
 from .design import (
     COARSE_REFERENCE,
     FINE_REFERENCE,
@@ -150,7 +152,9 @@ def _filter_for(spec: ModelSpec, country: str | None) -> FilterSpec:
 
 
 def fit_spec(
-    records: Sequence[SurveyRecord], spec: ModelSpec, country: str | None = None
+    records: Survey | Sequence[SurveyRecord],
+    spec: ModelSpec,
+    country: str | None = None,
 ) -> FitResult:
     """Fit one spec for one country (or the pooled sample when ``country``
     is None).
@@ -163,7 +167,7 @@ def fit_spec(
     and returns the WLS fit.
     """
     kept, _ = apply_filter(records, _filter_for(spec, country))
-    n_periods = len({rec.period_year for rec in kept})
+    n_periods = len(np.unique(kept.period_year))
     if spec.cohort_control and n_periods < 2:
         raise DesignError(
             f"only {n_periods} distinct survey round(s); "
@@ -277,7 +281,7 @@ def curve_from_fit(fit: FitResult, country: str, scheme: str) -> AgeCurve:
 
 
 def adjusted_means(
-    records: Sequence[SurveyRecord],
+    records: Survey | Sequence[SurveyRecord],
     country: str,
     scheme: str = "fine",
     spec: ModelSpec | None = None,
@@ -310,28 +314,34 @@ class CountryResult:
 
 
 def batch_fit(
-    records: Sequence[SurveyRecord],
+    records: Survey | Sequence[SurveyRecord],
     spec: ModelSpec,
     countries: Sequence[str] | None = None,
 ) -> list[CountryResult]:
     """Fit one spec across countries with :func:`fit_spec`, isolating
     failures.
 
-    ``countries`` defaults to first-appearance order in ``records``.
-    A country whose data cannot support the spec (no rows after
-    filtering, rank deficiency, a single survey round under a cohort
-    spec) yields an error entry; other countries are unaffected.
-    Warnings become the result's notes.
+    Each country is fitted on its own part of
+    :meth:`Survey.by_country`. ``countries`` defaults to
+    first-appearance order in ``records``. A country whose data cannot
+    support the spec (no rows after filtering, rank deficiency, a single
+    survey round under a cohort spec) yields an error entry; other
+    countries are unaffected. Warnings become the result's notes.
     """
+    survey = Survey.from_records(records)
+    parts = survey.by_country()
     if countries is None:
-        countries = list(dict.fromkeys(rec.country for rec in records))
+        countries = list(parts)
     results: list[CountryResult] = []
     for country in countries:
         result = CountryResult(country=country)
+        # A country absent from the survey is fitted on the whole survey,
+        # so that the filter reports how many rows it removed.
+        sample = parts.get(country, survey)
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result.fit = fit_spec(records, spec, country)
+                result.fit = fit_spec(sample, spec, country)
             result.notes.extend(str(w.message) for w in caught)
         except ValueError as exc:
             result.error = str(exc)

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_ROUND_MAP, SurveyRecord
+from .dataset import DEFAULT_ROUND_MAP, Survey
 from .design import FINE_BINS, DesignMatrix, TermSpec, build_design
 from .models import adjusted_means
 from .wls import fit_wls
@@ -184,13 +184,14 @@ class DgpConfig:
             raise ValueError("rounds must be a nonempty tuple of positive integers")
 
 
-def generate(config: DgpConfig) -> list[SurveyRecord]:
+def generate(config: DgpConfig) -> Survey:
     """Draw one synthetic sample.
 
     Deterministic in the config: identical configs give identical
-    records. Attrition removes rows but never changes the surviving
-    ones, because its uniforms come from a separate child stream of the
-    seed (so ``attrition=None`` and ``strength=0`` produce byte-identical
+    surveys. Every row has weight 1 and no control values. Attrition
+    removes rows but never changes the surviving ones, because its
+    uniforms come from a separate child stream of the seed (so
+    ``attrition=None`` and ``strength=0`` produce byte-identical
     samples, and any positive strength keeps a subset of exactly those
     rows).
     """
@@ -229,7 +230,15 @@ def generate(config: DgpConfig) -> list[SurveyRecord]:
     if config.clamp:
         happiness = np.clip(np.rint(happiness), 0.0, 10.0)
 
-    keep = np.ones(config.n, dtype=bool)
+    survey = Survey(
+        country=np.full(config.n, config.country),
+        round=rounds,
+        period_year=years,
+        age=ages,
+        happiness=happiness,
+        weight=np.ones(config.n),
+        mediator=mediator_values,
+    )
     if config.attrition is not None and config.attrition.strength > 0.0:
         att_rng = np.random.default_rng(attrition_stream)
         uniforms = att_rng.random(config.n)
@@ -238,26 +247,8 @@ def generate(config: DgpConfig) -> list[SurveyRecord]:
             & (stochastic < 0.0)
             & (uniforms < config.attrition.strength)
         )
-        keep = ~drop
-
-    records: list[SurveyRecord] = []
-    for i in range(config.n):
-        if not keep[i]:
-            continue
-        records.append(
-            SurveyRecord(
-                country=config.country,
-                round=int(rounds[i]),
-                period_year=int(years[i]),
-                age=int(ages[i]),
-                happiness=float(happiness[i]),
-                weight=1.0,
-                mediator=(
-                    float(mediator_values[i]) if mediator_values is not None else None
-                ),
-            )
-        )
-    return records
+        survey = survey.take(~drop)
+    return survey
 
 
 def _with_mediator_column(design: DesignMatrix, values: np.ndarray) -> DesignMatrix:
@@ -415,11 +406,10 @@ def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> Sim
     mediator_coefs = np.empty(reps)
     seeds = [derive_replicate_seed(config.seed, i) for i in range(reps)]
     for i, seed in enumerate(seeds):
-        records = generate(replace(config, seed=seed))
-        design = build_design(records, terms)
+        survey = generate(replace(config, seed=seed))
+        design = build_design(survey, terms)
         totals[i] = fit_wls(design).coef("age")
-        med_values = np.array([rec.mediator for rec in records], dtype=np.float64)
-        with_mediator = fit_wls(_with_mediator_column(design, med_values))
+        with_mediator = fit_wls(_with_mediator_column(design, survey.mediator))
         directs[i] = with_mediator.coef("age")
         mediator_coefs[i] = with_mediator.coef("mediator")
 
@@ -479,10 +469,9 @@ def experiment_truncation(
     capped_age = np.empty(reps)
     seeds = [derive_replicate_seed(config.seed, i) for i in range(reps)]
     for i, seed in enumerate(seeds):
-        records = generate(replace(config, seed=seed))
-        fit_full = fit_wls(build_design(records, terms))
-        capped_records = [rec for rec in records if rec.age <= cap_age]
-        fit_capped = fit_wls(build_design(capped_records, terms))
+        survey = generate(replace(config, seed=seed))
+        fit_full = fit_wls(build_design(survey, terms))
+        fit_capped = fit_wls(build_design(survey.take(survey.age <= cap_age), terms))
         full_sq[i] = fit_full.coef("age_sq")
         capped_sq[i] = fit_capped.coef("age_sq")
         full_age[i] = fit_full.coef("age")
@@ -521,6 +510,9 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     bin at or above the knee. With positive strength the difference must
     be positive in at least 95 percent of replicates per late bin; with
     strength zero it must be within three MC standard errors of zero.
+    At strength zero the attrited sample is the full one (see
+    :func:`generate`), so each replicate draws and fits it once and
+    every difference is exactly zero.
     """
     if config is None:
         config = default_attrition_config()
@@ -542,7 +534,11 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
             full_curve = adjusted_means(
                 generate(replace(cfg, attrition=None)), cfg.country, "fine"
             )
-            attrited_curve = adjusted_means(generate(cfg), cfg.country, "fine")
+            attrited_curve = (
+                full_curve
+                if strength == 0.0
+                else adjusted_means(generate(cfg), cfg.country, "fine")
+            )
         for label in late_bins:
             if label in full_curve.bin_labels and label in attrited_curve.bin_labels:
                 inflations[label][i] = attrited_curve.level(label) - full_curve.level(

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 import agecurve.cli
@@ -389,12 +391,16 @@ class TestSharedFits:
         self, survey_csv, tmp_path, monkeypatch
     ):
         calls = {"apply_filter": 0, "fit_wls": 0}
+        rows_filtered = []
         for name in calls:
             original = getattr(agecurve.models, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(*args, **kwargs)
+                result = _original(*args, **kwargs)
+                if _name == "apply_filter":
+                    rows_filtered.append(result[1].n_in)
+                return result
 
             monkeypatch.setattr(agecurve.models, name, counted)
         code = main([
@@ -404,6 +410,11 @@ class TestSharedFits:
         assert code == 0
         # four quadratic presets, ranges-coarse and ranges-fine, two countries
         assert calls == {"apply_filter": 6 * 2, "fit_wls": 6 * 2}
+        # each spec filters every country's own rows once: every row of
+        # the file is filtered once per spec
+        with survey_csv.open(newline="", encoding="utf-8") as handle:
+            file_rows = sum(1 for _ in csv.reader(handle)) - 1
+        assert sum(rows_filtered) == 6 * file_rows
 
 
 class TestSingleRoundCountry:

@@ -7,8 +7,11 @@ from agecurve import (
     DataError,
     EmptySampleError,
     FilterSpec,
+    Survey,
     SurveyRecord,
+    TermSpec,
     apply_filter,
+    build_design,
     cohort_bin,
     load_csv,
     save_csv,
@@ -158,6 +161,55 @@ class TestLoadCsv:
         assert (r.country, r.round, r.period_year) == ("DE", 4, 2008)
         assert r.labor_status == "other"
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "NAN", "1e999"])
+    @pytest.mark.parametrize(
+        "field,reason",
+        [
+            ("age", "unparseable age"),
+            ("round", "unparseable round"),
+            ("period_year", "unparseable survey year"),
+            ("happiness", "unparseable happiness"),
+            ("weight", "unparseable weight"),
+        ],
+    )
+    def test_non_finite_cell_is_unparseable(self, tmp_path, field, reason, value):
+        header = ["country", "round", "period_year", "age", "happiness", "weight"]
+        good = {"country": "DE", "round": 1, "period_year": 2002, "age": 40,
+                "happiness": 7, "weight": 1.0}
+        bad = dict(good, **{field: value})
+        path = tmp_path / "d.csv"
+        write_rows(path, header, [[row[c] for c in header] for row in (good, bad)])
+        survey, report = load_csv(path)
+        assert len(survey) == 1 and survey[0].age == 40
+        assert report.dropped == {reason: 1}
+
+    def test_blank_lines_and_short_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "country,round,age,happiness,weight,sex\n"
+            "DE,1,40,7,1.0\n"
+            "\n"
+            "DE,2,41,6\n",
+            encoding="utf-8",
+        )
+        survey, report = load_csv(path)
+        assert report.rows_read == 2 and report.dropped == {"unparseable weight": 1}
+        assert list(survey) == [rec(age=40)]
+
+    def test_long_country_cell_costs_only_its_row(self, tmp_path):
+        long_name = "X" * 10_000
+        rows = [[long_name, 1, 40, 7, 1.0]] + [["DE", 1, 41, 7, 1.0]] * 2_000
+        path = tmp_path / "d.csv"
+        write_rows(path, self.HEADER, rows)
+        survey, _ = load_csv(path)
+        # Padding every row to the longest cell would cost 40,000 bytes a row.
+        assert survey.country.nbytes < 100 * len(survey)
+        parts = survey.by_country()
+        assert list(parts) == [long_name, "DE"]
+        assert [len(part) for part in parts.values()] == [1, 2_000]
+        kept, _ = apply_filter(survey, FilterSpec(countries=frozenset({long_name})))
+        assert list(kept) == [rec(country=long_name, age=40)]
+
     def test_missing_control_becomes_none(self, tmp_path):
         path = tmp_path / "d.csv"
         write_rows(
@@ -179,6 +231,16 @@ def test_save_load_round_trip(tmp_path):
     loaded, report = load_csv(path)
     assert report.rows_kept == 2
     assert loaded == records
+
+
+def test_survey_columns_are_read_only():
+    survey = Survey.from_records([rec(age=40), rec(age=50, sex="male")])
+    design = build_design(survey, [TermSpec.intercept(), TermSpec.age_linear()])
+    for column in (design.response, design.row_weights, survey.age, survey.country,
+                   survey.controls["sex"][0], survey.birth_year):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    assert list(survey) == [rec(age=40), rec(age=50, sex="male")]
 
 
 class TestApplyFilter:
