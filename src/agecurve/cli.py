@@ -81,6 +81,7 @@ FORMATS = ("csv", "text", "svg")
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
+EXIT_CHECK_FAILED = 3
 
 
 class FatalError(Exception):
@@ -496,7 +497,7 @@ def cmd_simulate(args) -> int:
         path.write_text(summary + "\n", encoding="utf-8")
         print(f"wrote {path}")
     print(summary)
-    return EXIT_OK if result.passed else EXIT_FATAL
+    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
 def cmd_report(args) -> int:

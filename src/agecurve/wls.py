@@ -1,4 +1,14 @@
-"""Weighted least squares through a pivoted QR factorization.
+"""Weighted least squares through a two-stage QR factorization.
+
+One unpivoted Householder QR of the n×(p+1) array ``[√w·X | √w·y]``
+yields a small triangle and no Q: its last column is Qᵀ(√w·y) and its
+corner entry is the norm of the weighted residual. A column-pivoted QR
+of the leading p×p block (which has the same column norms and RᵀR as
+√w·X) then reveals the rank with the usual rule, a column counting when
+``|r_ii| > rank_tol·|r_11|``. Coefficients come from one triangular
+solve and the covariance from (RᵀR)⁻¹. A residual norm at or below
+``rank_tol·‖√w·y‖`` is rounding: the fit is exact, with a weighted RSS
+of 0, zero standard errors and NaN t statistics.
 
 The solver is deterministic (no iteration, no randomness) and refuses to
 guess on rank-deficient designs: instead of silently dropping a column it
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .design import DesignMatrix
 
@@ -85,10 +95,36 @@ class FitResult:
         return float(self.t_stats[self._index(label)])
 
 
-def _qr(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    scaled = design.values * np.sqrt(design.row_weights)[:, None]
-    q, r, piv = linalg.qr(scaled, mode="economic", pivoting=True)
-    return q, r, piv
+def _lapack(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed (info={info})")
+
+
+def _factor(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor ``[√w·X | √w·y]`` and reveal the rank of its design part.
+
+    Returns ``r``, the upper triangle of one unpivoted Householder QR of
+    the n×(p+1) augmented array (Q is never formed), and ``r_piv`` and
+    ``piv`` from a column-pivoted QR of its leading p×p block. That
+    block has the same column norms and the same RᵀR as √w·X, so the
+    pivots and the diagonal of ``r_piv`` are those a pivoted QR of the
+    whole design would give, up to rounding and the order of exact ties.
+    """
+    n, p = design.n, design.p
+    sqrt_w = np.sqrt(design.row_weights)
+    scaled = np.empty((n, p + 1), order="F")
+    np.multiply(design.values, sqrt_w[:, None], out=scaled[:, :p])
+    np.multiply(design.response, sqrt_w, out=scaled[:, p])
+    # workspace query; it leaves ``scaled`` as it is
+    lwork = int(lapack.dgeqrf(scaled, lwork=-1, overwrite_a=True)[2][0])
+    qr, _, _, info = lapack.dgeqrf(scaled, lwork=lwork, overwrite_a=True)
+    _lapack("dgeqrf", info)
+    r = np.triu(qr[: p + 1])
+    if p == 0:
+        return r, r[:0, :0], np.empty(0, dtype=int)
+    qr_piv, jpvt, _, _, info = lapack.dgeqp3(r[:p, :p])
+    _lapack("dgeqp3", info)
+    return r, np.triu(qr_piv), jpvt - 1
 
 
 def _rank_from_r(r: np.ndarray, tol: float) -> int:
@@ -110,7 +146,8 @@ def _suspect_labels(
     """
     if rank == 0:
         return list(labels)
-    coefs = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank])
+    coefs, info = lapack.dtrtrs(r[:rank, :rank], r[:rank, rank])
+    _lapack("dtrtrs", info)
     cutoff = 1e-8 * max(1.0, float(np.max(np.abs(coefs))))
     involved = [int(piv[i]) for i in range(rank) if abs(coefs[i]) > cutoff]
     involved.append(int(piv[rank]))
@@ -119,11 +156,11 @@ def _suspect_labels(
 
 def rank_check(design: DesignMatrix, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Report the numerical rank of a design without fitting it."""
-    _, r, piv = _qr(design)
-    rank = _rank_from_r(r, tol)
+    _, r_piv, piv = _factor(design)
+    rank = _rank_from_r(r_piv, tol)
     deficient = rank < design.p
     suspects = (
-        tuple(_suspect_labels(r, piv, rank, design.column_labels))
+        tuple(_suspect_labels(r_piv, piv, rank, design.column_labels))
         if deficient
         else ()
     )
@@ -150,10 +187,10 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
     if n < p:
         raise ValueError(f"{n} observations cannot identify {p} coefficients")
 
-    q, r, piv = _qr(design)
-    rank = _rank_from_r(r, rank_tol)
+    r, r_piv, piv = _factor(design)
+    rank = _rank_from_r(r_piv, rank_tol)
     if rank < p:
-        suspects = _suspect_labels(r, piv, rank, design.column_labels)
+        suspects = _suspect_labels(r_piv, piv, rank, design.column_labels)
         raise RankDeficientError(
             f"design is rank deficient (rank {rank} of {p}); "
             f"dependent columns: {suspects}",
@@ -166,24 +203,24 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
             "standard errors are undefined"
         )
 
-    sqrt_w = np.sqrt(design.row_weights)
-    qty = q.T @ (design.response * sqrt_w)
-    beta_pivoted = linalg.solve_triangular(r, qty)
-    beta = np.empty(p)
-    beta[piv] = beta_pivoted
+    r_x = r[:p, :p]
+    beta, info = lapack.dtrtrs(r_x, r[:p, p])
+    _lapack("dtrtrs", info)
 
-    residuals = design.response - design.values @ beta
-    weighted_rss = float(np.sum(design.row_weights * residuals**2))
+    # r[p, p] is the norm of the weighted residual; at or below the
+    # rank tolerance relative to ‖√w·y‖ it is rounding, and the fit is exact
+    residual_norm = abs(float(r[p, p]))
+    if residual_norm <= rank_tol * float(np.linalg.norm(r[:, p])):
+        residual_norm = 0.0
+    weighted_rss = residual_norm**2
     sigma2 = weighted_rss / dof
 
-    r_inv = linalg.solve_triangular(r, np.eye(p))
-    cov_pivoted = r_inv @ r_inv.T
-    covariance = np.empty((p, p))
-    covariance[np.ix_(piv, piv)] = cov_pivoted
+    inverse, info = lapack.dpotri(r_x)  # upper triangle of (RᵀR)⁻¹
+    _lapack("dpotri", info)
+    covariance = np.triu(inverse) + np.triu(inverse, 1).T
     covariance *= sigma2
-    covariance = 0.5 * (covariance + covariance.T)
 
-    std_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    std_errors = np.sqrt(np.diag(covariance))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(
             std_errors > 0, np.abs(beta) / std_errors, np.nan

@@ -5,7 +5,7 @@ import pytest
 import agecurve.cli
 import agecurve.models
 from agecurve import save_csv
-from agecurve.cli import RULES, main
+from agecurve.cli import EXIT_CHECK_FAILED, RULES, main
 from agecurve.render import read_csv
 from conftest import synth_survey
 
@@ -332,6 +332,20 @@ class TestSimulate:
         ])
         assert code == 0
         assert "late_bin_inflated" in capsys.readouterr().out
+
+    def test_failed_check_has_its_own_exit_code(self, tmp_path, capsys):
+        """Attrition this weak removes too few late respondents for the
+        inflation check, so the run writes its files and reports FAIL."""
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--experiment", "attrition",
+            "--reps", "3", "--n", "900", "--seed", "17", "--strength", "0.01",
+            "--out", str(out), "--format", "csv,text",
+        ])
+        assert code == EXIT_CHECK_FAILED == 3
+        assert capsys.readouterr().out.rstrip().endswith("overall: FAIL")
+        assert (out / "simulate_attrition.csv").is_file()
+        assert (out / "simulate_attrition.txt").is_file()
 
 
 class TestReport:

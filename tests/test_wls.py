@@ -48,6 +48,27 @@ class TestExactFits:
         assert np.isnan(fit.t_stats).all()
         assert fit.weighted_rss == pytest.approx(0.0, abs=1e-20)
 
+    @staticmethod
+    def weighted_quadratic(noise_sd):
+        rng = np.random.default_rng(17)
+        age = rng.integers(15, 91, size=5_000).astype(float)
+        x = np.column_stack([np.ones_like(age), age, age**2])
+        y = 8.0 - 0.06 * age + 0.0006 * age**2 + rng.normal(0.0, noise_sd, size=age.size)
+        return make_design(x, y, rng.uniform(0.2, 3.0, size=age.size))
+
+    def test_tall_noiseless_fit_is_exact(self):
+        """The residual is rounding, not signal: no SE, no t."""
+        fit = fit_wls(self.weighted_quadratic(0.0))
+        np.testing.assert_allclose(fit.coefficients, [8.0, -0.06, 0.0006], rtol=1e-9)
+        assert fit.weighted_rss == 0.0
+        assert np.all(fit.std_errors == 0.0)
+        assert np.isnan(fit.t_stats).all()
+
+    def test_tall_nearly_noiseless_fit_keeps_its_t(self):
+        fit = fit_wls(self.weighted_quadratic(1e-6))
+        assert fit.weighted_rss > 0.0
+        assert np.all(np.isfinite(fit.t_stats)) and np.all(fit.std_errors > 0.0)
+
     def test_t_stats_are_absolute(self):
         rng = np.random.default_rng(11)
         design = random_design(rng)
