@@ -11,7 +11,7 @@ most once; every table they write is a view of those shared fits.
 
 Exit codes: 0 success, 1 fatal error, 2 partial failure (some countries
 failed; failures are listed on stderr and the rest of the output is
-written normally).
+written normally), 3 ``simulate`` ran but a hypothesis check failed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import configparser
 import csv
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -78,6 +79,13 @@ RULES = ("quad_t15", "range_t1", "curve_heuristic")
 RULE_FIXTURES = {"quad_t15": "table2", "range_t1": "table3", "curve_heuristic": "table4"}
 FORMATS = ("csv", "text", "svg")
 
+# The default configuration and the runner of each simulation experiment.
+EXPERIMENTS = {
+    "mediator": (default_mediator_config, experiment_mediator),
+    "truncation": (default_truncation_config, experiment_truncation),
+    "attrition": (default_attrition_config, experiment_attrition),
+}
+
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
@@ -114,21 +122,15 @@ def _resolve_schema(args, config: configparser.ConfigParser, input_path: Path) -
     # Explicit --map entries are always kept: if the column is missing the
     # loader reports it instead of silently ignoring the user.
     with input_path.open(newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle))
+        header = next(csv.reader(handle), [])
     required = {"country", "age", "happiness", "weight"}
-    timing = {"round", "period_year"}
     schema = {}
     for logical, column in base.items():
         if logical in required or logical in explicit or column in header:
             schema[logical] = column
-    present_timing = {k for k in timing if k in schema and schema[k] in header}
-    if not present_timing:
+    if not any(schema.get(k) in header for k in ("round", "period_year")):
         # keep one so load_csv reports the real problem
         schema.setdefault("round", base.get("round", "round"))
-    else:
-        for k in timing - present_timing:
-            if k not in explicit:
-                schema.pop(k, None)
     return schema
 
 
@@ -190,10 +192,25 @@ class _Fits(dict):
         self.survey = survey
         self.countries = countries
         self.unusable: list[str] = []
+        self._curves: dict[str, list[AgeCurve]] = {}
 
     def __missing__(self, name: str) -> list[CountryResult]:
         self[name] = batch_fit(self.survey, get_spec(name), self.countries)
         return self[name]
+
+    def curves(self, scheme: str) -> list[AgeCurve]:
+        """The adjusted curve of every ``ranges-<scheme>`` fit, computed
+        on first use; a bin a country has no respondent in becomes a
+        note of that fit."""
+        if scheme not in self._curves:
+            self._curves[scheme] = []
+            for res in self[f"ranges-{scheme}"]:
+                if res.ok:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        self._curves[scheme].append(curve_from_fit(res.fit, res.country, scheme))
+                    res.notes.extend(str(w.message) for w in caught)
+        return self._curves[scheme]
 
 
 def _survey_run(args) -> tuple[_Fits, Path, set[str]]:
@@ -269,16 +286,8 @@ def _write_reductions(fits: _Fits, out: Path, formats: set[str]) -> None:
                  ["%s", "%s", "%.5f", "%.5f", "%.1f", "%s"])
 
 
-def _curves(fits: _Fits, scheme: str) -> list[AgeCurve]:
-    return [
-        curve_from_fit(res.fit, res.country, scheme)
-        for res in fits[f"ranges-{scheme}"]
-        if res.ok
-    ]
-
-
 def _write_curves(fits: _Fits, out: Path, formats: set[str], scheme: str, autoscale: bool) -> None:
-    curves = _curves(fits, scheme)
+    curves = fits.curves(scheme)
     bin_order = scheme_bin_labels(scheme)
     header = ["country", *bin_order, "max", "min", "difference"]
     rows = []
@@ -313,7 +322,7 @@ def _verdicts(fits: _Fits, rule: str) -> list[ShapeVerdict]:
     if rule == "quad_t15":
         return [detect_quad(r.fit, r.country) for r in fits["quad-nocontrols-nocap"] if r.ok]
     if rule == "curve_heuristic":
-        return [classify_curve(curve) for curve in _curves(fits, "fine")]
+        return [classify_curve(curve) for curve in fits.curves("fine")]
     verdicts = []
     for res in fits["ranges-coarse"]:
         if res.ok:
@@ -441,46 +450,33 @@ def _simulate_config(args, config: configparser.ConfigParser) -> tuple[DgpConfig
     def pick(name, cast, fallback):
         value = getattr(args, name, None)
         if value is None:
-            value = section.get(name) if hasattr(section, "get") else None
+            value = section.get(name)
             if value is not None:
                 value = cast(value)
         return fallback if value is None else value
 
-    experiment = args.experiment
+    default_config = EXPERIMENTS[args.experiment][0]
     seed = pick("seed", int, None)
-    reps = pick("reps", int, 200)
+    base = default_config() if seed is None else default_config(seed)
+    if base.attrition is not None:
+        strength = pick("strength", float, base.attrition.strength)
+        knee = pick("knee", int, base.attrition.knee)
+        base = replace(base, attrition=AttritionConfig(knee=knee, strength=strength))
     n = pick("n", int, None)
-    if experiment == "mediator":
-        base = default_mediator_config() if seed is None else default_mediator_config(seed)
-    elif experiment == "truncation":
-        base = default_truncation_config() if seed is None else default_truncation_config(seed)
-    else:
-        strength = pick("strength", float, 0.5)
-        base = (
-            default_attrition_config(strength=strength)
-            if seed is None
-            else default_attrition_config(seed, strength=strength)
-        )
-        knee = pick("knee", int, None)
-        if knee is not None:
-            base = replace(base, attrition=AttritionConfig(knee=knee, strength=strength))
     if n is not None:
         base = replace(base, n=n)
-    return base, reps
+    return base, pick("reps", int, 200)
 
 
 def cmd_simulate(args) -> int:
     config = _read_config(args.config)
     formats = _formats(args, config)
     out = _out_dir(args, config)
-    dgp, reps = _simulate_config(args, config)
-
-    runner = {
-        "mediator": experiment_mediator,
-        "truncation": experiment_truncation,
-        "attrition": experiment_attrition,
-    }[args.experiment]
-    result = runner(dgp, reps=reps)
+    try:
+        dgp, reps = _simulate_config(args, config)
+        result = EXPERIMENTS[args.experiment][1](dgp, reps=reps)
+    except ValueError as exc:  # a parameter the experiment cannot run with
+        raise FatalError(str(exc)) from None
 
     if "csv" in formats:
         header = ["replicate", "seed", *result.estimates.keys()]
@@ -571,9 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo bias experiment")
     common(p_sim, needs_input=False)
-    p_sim.add_argument(
-        "--experiment", choices=("mediator", "truncation", "attrition"), required=True
-    )
+    p_sim.add_argument("--experiment", choices=tuple(EXPERIMENTS), required=True)
     p_sim.add_argument("--reps", type=int, help="number of replicates (default 200)")
     p_sim.add_argument("--n", type=int, help="sample size per replicate")
     p_sim.add_argument("--seed", type=int, help="master seed")

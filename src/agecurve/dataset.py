@@ -1,5 +1,5 @@
-"""Survey microdata: the columnar :class:`Survey`, its row type
-:class:`SurveyRecord`, CSV loading, filtering, and cohort bins.
+"""Survey microdata: the columnar :class:`Survey`, CSV loading,
+filtering, and cohort bins.
 
 A survey keeps one numpy array per field and is never changed in place:
 every operation returns a new survey, so one survey can be shared freely
@@ -15,14 +15,15 @@ import csv
 import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .render import write_csv
 
 __all__ = [
     "CONTROL_VARS",
@@ -34,7 +35,6 @@ __all__ = [
     "DEFAULT_ROUND_MAP",
     "DataError",
     "EmptySampleError",
-    "SurveyRecord",
     "Survey",
     "LoadReport",
     "FilterSpec",
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 # Categorical respondent attributes that models may condition on. These are
-# the only fields allowed to be missing on a record.
+# the only fields allowed to be missing on a row.
 CONTROL_VARS = ("sex", "education", "marital", "labor_status")
 
 DEFAULT_MISSING = frozenset({"", "NA", "NaN", "nan", "na", "."})
@@ -58,19 +58,11 @@ DEFAULT_LABOR_MERGE: Mapping[str, str] = {
     "community/military service": "other",
 }
 
+# The fields every row has, as :class:`Survey` columns of their own.
+_FIELDS = ("country", "round", "period_year", "age", "happiness", "weight")
+
 #: Canonical column names, for files written by :func:`save_csv`.
-IDENTITY_SCHEMA: Mapping[str, str] = {
-    name: name
-    for name in (
-        "country",
-        "round",
-        "period_year",
-        "age",
-        "happiness",
-        "weight",
-        *CONTROL_VARS,
-    )
-}
+IDENTITY_SCHEMA: Mapping[str, str] = {name: name for name in (*_FIELDS, *CONTROL_VARS)}
 
 #: Column mapping for European Social Survey integrated files.
 ESS_SCHEMA: Mapping[str, str] = {
@@ -91,7 +83,7 @@ class DataError(ValueError):
 
 
 class EmptySampleError(DataError):
-    """A filter removed every record, so no model could be fit."""
+    """A filter removed every row, so no model could be fit."""
 
 
 @dataclass(frozen=True)
@@ -119,50 +111,7 @@ class RoundYearMap:
 DEFAULT_ROUND_MAP = RoundYearMap()
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
-    """One survey response: the row type of :class:`Survey`, and a
-    constructor for small samples built by hand.
-
-    ``birth_year`` is derived, not stored: it always equals
-    ``period_year - age``, so the three fields can never disagree.
-    ``happiness`` is kept as a float; the 0..10 integer scale of real
-    survey data is enforced at load time, while synthetic generators are
-    free to produce continuous values.
-
-    ``mediator`` is a synthetic-data channel used by the simulation
-    experiments. It is never read from CSV files.
-    """
-
-    country: str
-    round: int
-    period_year: int
-    age: int
-    happiness: float
-    weight: float
-    sex: str | None = None
-    education: str | None = None
-    marital: str | None = None
-    labor_status: str | None = None
-    mediator: float | None = None
-    birth_year: int = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.age < 15:
-            raise ValueError(f"age {self.age} below the survey minimum of 15")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.round < 1:
-            raise ValueError(f"round must be a positive integer, got {self.round}")
-        object.__setattr__(self, "birth_year", self.period_year - self.age)
-
-    def control(self, name: str) -> str | None:
-        if name not in CONTROL_VARS:
-            raise KeyError(f"unknown control variable {name!r}")
-        return getattr(self, name)
-
-
-_RECORD_FIELDS = (*IDENTITY_SCHEMA, "mediator")
+_ROW_KEYS = frozenset({*IDENTITY_SCHEMA, "mediator"})
 
 
 def _factor(values: Iterable[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -194,16 +143,17 @@ class Survey:
     int64; ``happiness`` and ``weight`` are float64. Each
     control variable is stored as ``(codes, levels)``: int64 codes into
     the ``levels`` tuple, with -1 for a missing value. Controls left out
-    of ``controls`` are missing on every row. ``mediator`` is the
-    optional synthetic-data column of :class:`SurveyRecord`, NaN where a
-    row has none. ``birth_year`` is derived as ``period_year - age``.
-    The rows obey the same rules as :class:`SurveyRecord`. Every column
-    is a read-only array.
+    of ``controls`` are missing on every row. ``mediator`` is an optional
+    synthetic-data column, never read from CSV files, NaN where a row
+    has none. ``birth_year`` is derived as ``period_year - age``, so the
+    three can never disagree. Every age is at least 15, every weight
+    positive and every round at least 1. Every column is a read-only
+    array.
 
-    A survey reads as a sequence of :class:`SurveyRecord`: ``len``, an
-    int index, iteration, and ``==`` against another survey or a record
-    sequence all work row by row. Use :meth:`from_records` to build one
-    from records and :meth:`take` to select rows.
+    ``happiness`` is a float: the 0..10 integer scale of real survey
+    data is enforced at load time, while synthetic generators are free
+    to produce continuous values. Use :meth:`from_rows` to build a small
+    survey by hand and :meth:`take` to select rows.
     """
 
     country: np.ndarray
@@ -251,42 +201,25 @@ class Survey:
         put("birth_year", _frozen(self.period_year - self.age, np.int64))
 
     @classmethod
-    def from_records(cls, records: Survey | Iterable[SurveyRecord]) -> Survey:
-        """The survey holding ``records`` in order; a survey is returned
-        as it is."""
-        if isinstance(records, Survey):
-            return records
-        records = list(records)
-        mediators = [rec.mediator for rec in records]
+    def from_rows(cls, rows: Iterable[Mapping[str, object]]) -> Survey:
+        """The survey holding ``rows`` in order. Each row maps the
+        :data:`IDENTITY_SCHEMA` names, and optionally ``mediator``, to
+        its values; an absent or ``None`` control or mediator is
+        missing."""
+        rows = list(rows)
+        unknown = set().union(*rows) - _ROW_KEYS
+        if unknown:
+            raise ValueError(f"unknown survey fields: {sorted(unknown)}")
+        mediators = [row.get("mediator") for row in rows]
         return cls(
-            country=[rec.country for rec in records],
-            round=[rec.round for rec in records],
-            period_year=[rec.period_year for rec in records],
-            age=[rec.age for rec in records],
-            happiness=[rec.happiness for rec in records],
-            weight=[rec.weight for rec in records],
-            controls={
-                name: _factor(getattr(rec, name) for rec in records)
-                for name in CONTROL_VARS
-            },
+            **{name: [row[name] for row in rows] for name in _FIELDS},
+            controls={name: _factor(row.get(name) for row in rows) for name in CONTROL_VARS},
             mediator=(
                 [np.nan if m is None else m for m in mediators]
                 if any(m is not None for m in mediators)
                 else None
             ),
         )
-
-    def _column(self, name: str) -> list:
-        """One :class:`SurveyRecord` field of every row as Python values,
-        with ``None`` for a missing control or mediator."""
-        if name in self.controls:
-            codes, levels = self.controls[name]
-            return [levels[code] if code >= 0 else None for code in codes.tolist()]
-        if name == "mediator":
-            if self.mediator is None:
-                return [None] * len(self)
-            return [None if value != value else value for value in self.mediator.tolist()]
-        return getattr(self, name).tolist()
 
     def take(self, rows) -> Survey:
         """The rows selected by a boolean mask or an index array, in the
@@ -295,12 +228,7 @@ class Survey:
         if rows.dtype != bool:
             rows = rows.astype(np.intp)
         return Survey(
-            country=self.country[rows],
-            round=self.round[rows],
-            period_year=self.period_year[rows],
-            age=self.age[rows],
-            happiness=self.happiness[rows],
-            weight=self.weight[rows],
+            **{name: getattr(self, name)[rows] for name in _FIELDS},
             controls={name: (codes[rows], levels) for name, (codes, levels) in self.controls.items()},
             mediator=None if self.mediator is None else self.mediator[rows],
         )
@@ -318,21 +246,6 @@ class Survey:
 
     def __len__(self) -> int:
         return len(self.country)
-
-    def __getitem__(self, index: int) -> SurveyRecord:
-        i = operator.index(index)
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"row {i} out of range for a survey of {len(self)} rows")
-        return next(iter(self.take([i])))
-
-    def __iter__(self) -> Iterator[SurveyRecord]:
-        columns = [self._column(name) for name in _RECORD_FIELDS]
-        return (SurveyRecord(*values) for values in zip(*columns))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Survey, Sequence)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
@@ -357,7 +270,7 @@ class FilterSpec:
     """Declarative sample restriction.
 
     ``listwise_vars`` names control variables whose missingness should
-    drop the record (listwise deletion); only members of
+    drop the row (listwise deletion); only members of
     :data:`CONTROL_VARS` can be missing, so only those are accepted.
     """
 
@@ -575,23 +488,18 @@ def load_csv(
     return survey, report
 
 
-def save_csv(records: Survey | Sequence[SurveyRecord], path: str | Path) -> None:
-    """Write a survey with canonical column names; round-trips with
-    :func:`load_csv` under the identity schema."""
-    survey = Survey.from_records(records)
-    columns = [
-        ["" if value is None else value for value in survey._column(name)]
-        for name in IDENTITY_SCHEMA
-    ]
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(list(IDENTITY_SCHEMA))
-        writer.writerows(zip(*columns))
+def save_csv(survey: Survey, path: str | Path) -> None:
+    """Write a survey with canonical column names, a missing control as
+    an empty cell; round-trips with :func:`load_csv` under the identity
+    schema."""
+    columns = [getattr(survey, name) for name in _FIELDS]
+    for name in CONTROL_VARS:
+        codes, levels = survey.controls[name]
+        columns.append(np.array([*levels, ""], dtype=object)[codes])
+    write_csv(path, list(IDENTITY_SCHEMA), zip(*(column.tolist() for column in columns)))
 
 
-def apply_filter(
-    records: Survey | Sequence[SurveyRecord], spec: FilterSpec
-) -> tuple[Survey, FilterReport]:
+def apply_filter(survey: Survey, spec: FilterSpec) -> tuple[Survey, FilterReport]:
     """Restrict a sample, preserving order.
 
     Each dropped row is tallied under the first rule it fails: age below
@@ -599,7 +507,6 @@ def apply_filter(
     listwise variable in name order. Raises :class:`EmptySampleError`
     when nothing survives, since an empty sample cannot support any fit.
     """
-    survey = Survey.from_records(records)
     rules = [("age below minimum", survey.age < spec.min_age)]
     if spec.max_age is not None:
         rules.append(("age above maximum", survey.age > spec.max_age))

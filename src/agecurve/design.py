@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CONTROL_VARS, EmptySampleError, Survey, SurveyRecord, cohort_bin
+from .dataset import CONTROL_VARS, EmptySampleError, Survey, cohort_bin
 
 __all__ = [
     "COARSE_BINS",
@@ -34,7 +34,7 @@ __all__ = [
 
 
 class DesignError(ValueError):
-    """A design cannot be built from the given records and terms."""
+    """A design cannot be built from the given survey and terms."""
 
 
 # (label, low, high) with high=None meaning open-ended. Both schemes
@@ -249,7 +249,7 @@ def _encode_factor(
 
 
 def encode_categorical(
-    records: Survey | Sequence[SurveyRecord],
+    survey: Survey,
     variable: str,
     reference: str | None = None,
     declared_levels: Sequence[str] | None = None,
@@ -263,7 +263,6 @@ def encode_categorical(
     then the rest alphabetically). Missing values are an error here:
     callers decide on listwise deletion before encoding, not during.
     """
-    survey = Survey.from_records(records)
     if variable not in CONTROL_VARS:
         raise KeyError(f"unknown control variable {variable!r}")
     codes, levels = survey.controls[variable]
@@ -301,9 +300,7 @@ def encode_categorical(
     )
 
 
-def build_design(
-    records: Survey | Sequence[SurveyRecord], terms: Sequence[TermSpec]
-) -> DesignMatrix:
+def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:
     """Assemble the design matrix for a term list.
 
     Exactly one intercept is required; ``age_linear`` and ``age_bins``
@@ -313,7 +310,6 @@ def build_design(
     order, periods by year, cohorts by start year, and control levels in
     natural sort order over the levels the sample holds.
     """
-    survey = Survey.from_records(records)
     if not len(survey):
         raise EmptySampleError("cannot build a design from zero records")
 

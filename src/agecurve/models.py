@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import CONTROL_VARS, FilterSpec, Survey, SurveyRecord, apply_filter
+from .dataset import CONTROL_VARS, FilterSpec, Survey, apply_filter
 from .design import (
     COARSE_REFERENCE,
     FINE_REFERENCE,
@@ -152,7 +152,7 @@ def _filter_for(spec: ModelSpec, country: str | None) -> FilterSpec:
 
 
 def fit_spec(
-    records: Survey | Sequence[SurveyRecord],
+    survey: Survey,
     spec: ModelSpec,
     country: str | None = None,
 ) -> FitResult:
@@ -166,7 +166,7 @@ def fit_spec(
     through :class:`TooFewPeriodsWarning` when fewer than three remain,
     and returns the WLS fit.
     """
-    kept, _ = apply_filter(records, _filter_for(spec, country))
+    kept, _ = apply_filter(survey, _filter_for(spec, country))
     n_periods = len(np.unique(kept.period_year))
     if spec.cohort_control and n_periods < 2:
         raise DesignError(
@@ -281,7 +281,7 @@ def curve_from_fit(fit: FitResult, country: str, scheme: str) -> AgeCurve:
 
 
 def adjusted_means(
-    records: Survey | Sequence[SurveyRecord],
+    survey: Survey,
     country: str,
     scheme: str = "fine",
     spec: ModelSpec | None = None,
@@ -295,7 +295,7 @@ def adjusted_means(
         raise ValueError(
             f"spec {spec.name!r} does not fit {scheme!r} age ranges"
         )
-    return curve_from_fit(fit_spec(records, spec, country), country, scheme)
+    return curve_from_fit(fit_spec(survey, spec, country), country, scheme)
 
 
 @dataclass
@@ -314,7 +314,7 @@ class CountryResult:
 
 
 def batch_fit(
-    records: Survey | Sequence[SurveyRecord],
+    survey: Survey,
     spec: ModelSpec,
     countries: Sequence[str] | None = None,
 ) -> list[CountryResult]:
@@ -323,12 +323,11 @@ def batch_fit(
 
     Each country is fitted on its own part of
     :meth:`Survey.by_country`. ``countries`` defaults to
-    first-appearance order in ``records``. A country whose data cannot
+    first-appearance order in ``survey``. A country whose data cannot
     support the spec (no rows after filtering, rank deficiency, a single
     survey round under a cohort spec) yields an error entry; other
     countries are unaffected. Warnings become the result's notes.
     """
-    survey = Survey.from_records(records)
     parts = survey.by_country()
     if countries is None:
         countries = list(parts)

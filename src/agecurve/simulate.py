@@ -75,6 +75,13 @@ def derive_replicate_seed(master_seed: int, index: int) -> int:
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
+def _replicate_seeds(master_seed: int, reps: int, minimum: int = 1) -> list[int]:
+    """The seed of each of ``reps`` replicates, at least ``minimum`` of them."""
+    if reps < minimum:
+        raise ValueError(f"reps must be at least {minimum}, got {reps}")
+    return [derive_replicate_seed(master_seed, i) for i in range(reps)]
+
+
 @dataclass(frozen=True)
 class AgeEffect:
     """Polynomial age profile, ``linear*a + squared*a**2 + cubed*a**3``."""
@@ -400,11 +407,12 @@ def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> Sim
             "use a flat or linear age_effect"
         )
 
+    # The Monte Carlo standard error of the checks needs two replicates.
+    seeds = _replicate_seeds(config.seed, reps, minimum=2)
     terms = [TermSpec.intercept(), TermSpec.age_linear(), TermSpec.period()]
     totals = np.empty(reps)
     directs = np.empty(reps)
     mediator_coefs = np.empty(reps)
-    seeds = [derive_replicate_seed(config.seed, i) for i in range(reps)]
     for i, seed in enumerate(seeds):
         survey = generate(replace(config, seed=seed))
         design = build_design(survey, terms)
@@ -463,11 +471,11 @@ def experiment_truncation(
         TermSpec.age_squared(),
         TermSpec.period(),
     ]
+    seeds = _replicate_seeds(config.seed, reps)
     full_sq = np.empty(reps)
     capped_sq = np.empty(reps)
     full_age = np.empty(reps)
     capped_age = np.empty(reps)
-    seeds = [derive_replicate_seed(config.seed, i) for i in range(reps)]
     for i, seed in enumerate(seeds):
         survey = generate(replace(config, seed=seed))
         fit_full = fit_wls(build_design(survey, terms))
@@ -525,8 +533,8 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     if not late_bins:
         raise ValueError(f"no fine-scheme bins at or above knee {knee}")
 
+    seeds = _replicate_seeds(config.seed, reps)
     inflations = {label: np.full(reps, np.nan) for label in late_bins}
-    seeds = [derive_replicate_seed(config.seed, i) for i in range(reps)]
     for i, seed in enumerate(seeds):
         cfg = replace(config, seed=seed)
         with warnings.catch_warnings():

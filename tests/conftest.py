@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from agecurve import DesignMatrix, SurveyRecord
+from agecurve import DesignMatrix, Survey
 
 
-def synth_survey(
+def synth_rows(
     n: int = 400,
     seed: int = 0,
     country: str = "A",
@@ -18,10 +18,10 @@ def synth_survey(
     noise_sd: float = 1.0,
     weights: str = "unit",
     with_controls: bool = False,
-) -> list[SurveyRecord]:
-    """Hand-rolled synthetic sample for unit tests (the package's own
-    generator is itself under test, so tests that exercise it cannot
-    lean on it)."""
+) -> list[dict]:
+    """Hand-rolled synthetic sample for unit tests, as rows for
+    :meth:`Survey.from_rows` (the package's own generator is itself
+    under test, so tests that exercise it cannot lean on it)."""
     rng = np.random.default_rng(seed)
     ages = rng.integers(age_low, age_high + 1, size=n)
     rnds = rng.choice(np.asarray(rounds), size=n)
@@ -32,7 +32,7 @@ def synth_survey(
         wvals = np.ones(n)
     else:
         wvals = rng.uniform(0.25, 3.0, size=n)
-    records = []
+    rows = []
     for i in range(n):
         controls = {}
         if with_controls:
@@ -42,8 +42,8 @@ def synth_survey(
                 "marital": ("single", "married", "widowed")[int(rng.integers(0, 3))],
                 "labor_status": ("employed", "retired", "other")[int(rng.integers(0, 3))],
             }
-        records.append(
-            SurveyRecord(
+        rows.append(
+            dict(
                 country=country,
                 round=int(rnds[i]),
                 period_year=2000 + 2 * int(rnds[i]),
@@ -53,7 +53,16 @@ def synth_survey(
                 **controls,
             )
         )
-    return records
+    return rows
+
+
+def synth_survey(*parts: dict, **shared) -> Survey:
+    """The :class:`Survey` of :func:`synth_rows` with ``shared``; given
+    ``parts``, the rows of one call per part, its keywords over
+    ``shared``, in order."""
+    return Survey.from_rows(
+        row for part in parts or ({},) for row in synth_rows(**{**shared, **part})
+    )
 
 
 def random_design(

@@ -1,13 +1,15 @@
 """The per-row reference path: agecurve's record-based ``load_csv``,
 ``apply_filter``, ``encode_categorical`` and ``build_design`` as they
-were before the columnar ``Survey``, kept verbatim so that
-``test_columnar_equivalence.py`` can check the columnar path against
-them. Only the imports differ.
+were before the columnar ``Survey``, with their row type
+``SurveyRecord``, kept verbatim so that ``test_columnar_equivalence.py``
+can check the columnar path against them. Only the imports differ.
+:func:`rows` reads a ``Survey`` as records, for comparing the two paths.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +27,7 @@ from agecurve.dataset import (
     FilterSpec,
     LoadReport,
     RoundYearMap,
-    SurveyRecord,
+    Survey,
     cohort_bin,
 )
 from agecurve.design import (
@@ -36,6 +38,62 @@ from agecurve.design import (
     TermSpec,
     age_bin_label,
 )
+
+
+@dataclass(frozen=True)
+class SurveyRecord:
+    """One survey response: the row type of :class:`Survey`, and a
+    constructor for small samples built by hand.
+
+    ``birth_year`` is derived, not stored: it always equals
+    ``period_year - age``, so the three fields can never disagree.
+    ``happiness`` is kept as a float; the 0..10 integer scale of real
+    survey data is enforced at load time, while synthetic generators are
+    free to produce continuous values.
+
+    ``mediator`` is a synthetic-data channel used by the simulation
+    experiments. It is never read from CSV files.
+    """
+
+    country: str
+    round: int
+    period_year: int
+    age: int
+    happiness: float
+    weight: float
+    sex: str | None = None
+    education: str | None = None
+    marital: str | None = None
+    labor_status: str | None = None
+    mediator: float | None = None
+    birth_year: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.age < 15:
+            raise ValueError(f"age {self.age} below the survey minimum of 15")
+        if not self.weight > 0:
+            raise ValueError(f"weight must be positive, got {self.weight}")
+        if self.round < 1:
+            raise ValueError(f"round must be a positive integer, got {self.round}")
+        object.__setattr__(self, "birth_year", self.period_year - self.age)
+
+    def control(self, name: str) -> str | None:
+        if name not in CONTROL_VARS:
+            raise KeyError(f"unknown control variable {name!r}")
+        return getattr(self, name)
+
+
+def rows(survey: Survey) -> list[SurveyRecord]:
+    """The rows of ``survey`` as records, with ``None`` for a missing
+    control or mediator."""
+    fields = ("country", "round", "period_year", "age", "happiness", "weight")
+    columns = [getattr(survey, name).tolist() for name in fields]
+    for name in CONTROL_VARS:
+        codes, levels = survey.controls[name]
+        columns.append([levels[code] if code >= 0 else None for code in codes.tolist()])
+    mediator = [None] * len(survey) if survey.mediator is None else survey.mediator.tolist()
+    columns.append([None if m != m else m for m in mediator])
+    return [SurveyRecord(*values) for values in zip(*columns)]
 
 
 def _parse_number(text: str, missing: frozenset[str]) -> float | None:

@@ -98,22 +98,12 @@ def test_c03_apc_rank_diagnostic():
     check must name exactly those three columns, give the same answer
     twice, and removing any one of the three must restore full rank."""
     start = time.perf_counter()
-    records = synth_survey(n=300, seed=5150, rounds=(1, 2, 3, 4, 5))
+    survey = synth_survey(n=300, seed=5150, rounds=(1, 2, 3, 4, 5))
     values = np.column_stack(
-        [
-            np.ones(len(records)),
-            [r.age for r in records],
-            [r.period_year for r in records],
-            [r.birth_year for r in records],
-        ]
+        [np.ones(len(survey)), survey.age, survey.period_year, survey.birth_year]
     )
     labels = ["const", "age", "period_year", "birth_year"]
-    design = DesignMatrix(
-        values,
-        labels,
-        np.array([r.weight for r in records]),
-        np.array([r.happiness for r in records]),
-    )
+    design = DesignMatrix(values, labels, survey.weight, survey.happiness)
 
     first = rank_check(design)
     second = rank_check(design)
@@ -353,11 +343,11 @@ def test_c10_real_data_replication():
     from agecurve import adjusted_means, fit_spec, get_spec, load_csv
     from agecurve.dataset import ESS_SCHEMA
 
-    records, _ = load_csv(os.environ[REAL_DATA_ENV], ESS_SCHEMA)
+    survey, _ = load_csv(os.environ[REAL_DATA_ENV], ESS_SCHEMA)
 
     published = {str(r["model"]): r for r in fixtures.table1()}
     for name in ("quad-controls-cap", "quad-nocontrols-cap", "quad-nocontrols-nocap"):
-        fit = fit_spec(records, get_spec(name), country="DE")
+        fit = fit_spec(survey, get_spec(name), country="DE")
         for label, column in (("age", "coef_age"), ("age_sq", "coef_age_sq")):
             got = fit.coef(label)
             want = float(published[name][column])
@@ -366,7 +356,7 @@ def test_c10_real_data_replication():
             )
 
     germany_row = [r for r in fixtures.table4() if r["country"] == "Germany"][0]
-    curve = adjusted_means(records, "DE", scheme="fine")
+    curve = adjusted_means(survey, "DE", scheme="fine")
     for bin_label in curve.bin_labels:
         got = curve.level(bin_label)
         want = float(germany_row[bin_label])

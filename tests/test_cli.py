@@ -14,18 +14,23 @@ def ushape(a):
     return 8.0 - 0.1 * a + 0.001 * a * a
 
 
+# Keywords of synthetic countries that every preset can fit.
+FITTABLE = dict(with_controls=True, happiness_fn=ushape, noise_sd=0.6)
+
+
+def survey_file(path, *parts, **shared):
+    """``path``, written by :func:`save_csv` with :func:`synth_survey`
+    of the other arguments."""
+    save_csv(synth_survey(*parts, **shared), path)
+    return path
+
+
 @pytest.fixture
 def survey_csv(tmp_path):
-    records = synth_survey(
-        n=400, seed=101, country="AA", with_controls=True,
-        happiness_fn=ushape, noise_sd=0.6,
-    ) + synth_survey(
-        n=400, seed=102, country="BB", with_controls=True,
-        happiness_fn=ushape, noise_sd=0.6,
+    return survey_file(
+        tmp_path / "survey.csv",
+        dict(n=400, seed=101, country="AA"), dict(n=400, seed=102, country="BB"), **FITTABLE,
     )
-    path = tmp_path / "survey.csv"
-    save_csv(records, path)
-    return path
 
 
 class TestFit:
@@ -60,9 +65,9 @@ class TestFit:
             assert (out / f"fit_{name}.csv").is_file()
 
     def test_battery_partial_failure_without_controls(self, tmp_path, capsys):
-        records = synth_survey(n=300, seed=103, country="AA", happiness_fn=ushape)
-        path = tmp_path / "nocontrols.csv"
-        save_csv(records, path)
+        path = survey_file(
+            tmp_path / "nocontrols.csv", n=300, seed=103, country="AA", happiness_fn=ushape
+        )
         code = main([
             "fit", "--input", str(path), "--out", str(tmp_path / "out"),
             "--spec", "quad-battery", "--format", "csv",
@@ -119,9 +124,7 @@ class TestInputHandling:
         assert "--input" in capsys.readouterr().err
 
     def test_column_mapping_flag(self, tmp_path):
-        records = synth_survey(n=200, seed=104, happiness_fn=ushape)
-        canonical = tmp_path / "c.csv"
-        save_csv(records, canonical)
+        canonical = survey_file(tmp_path / "c.csv", n=200, seed=104, happiness_fn=ushape)
         text = canonical.read_text()
         renamed = tmp_path / "renamed.csv"
         renamed.write_text(
@@ -152,9 +155,7 @@ class TestInputHandling:
         assert "ladder" in capsys.readouterr().err
 
     def test_columns_config_section(self, tmp_path):
-        records = synth_survey(n=200, seed=105, happiness_fn=ushape)
-        canonical = tmp_path / "c.csv"
-        save_csv(records, canonical)
+        canonical = survey_file(tmp_path / "c.csv", n=200, seed=105, happiness_fn=ushape)
         renamed = tmp_path / "renamed.csv"
         renamed.write_text(
             canonical.read_text().replace('"weight"', '"pweight"'), encoding="utf-8"
@@ -174,6 +175,29 @@ class TestInputHandling:
         ])
         assert code == 1
         assert "pdf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "EMPTY"],
+            ["simulate", "--experiment", "mediator", "--n", "0"],
+            ["simulate", "--experiment", "attrition", "--strength", "2"],
+            ["simulate", "--experiment", "attrition", "--knee", "10"],
+            ["simulate", "--experiment", "attrition", "--knee", "200"],
+            ["simulate", "--experiment", "truncation", "--reps", "-3"],
+            ["simulate", "--experiment", "truncation", "--reps", "0"],
+            ["simulate", "--experiment", "mediator", "--reps", "1"],
+        ],
+    )
+    def test_refused_with_one_error_line(self, tmp_path, capsys, argv):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        argv = [str(empty) if arg == "EMPTY" else arg for arg in argv]
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
 
 
 class TestCurves:
@@ -195,11 +219,27 @@ class TestCurves:
         assert svg.count("<polyline") == 2
 
     def test_few_rounds_note_on_stderr(self, tmp_path, capsys):
-        path = tmp_path / "two_rounds.csv"
-        save_csv(synth_survey(n=400, seed=110, country="AA", rounds=(1, 2)), path)
+        path = survey_file(tmp_path / "two_rounds.csv", n=400, seed=110, country="AA", rounds=(1, 2))
         code = main(["curves", "--input", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
         assert "note [ranges-fine]: AA: only 2 distinct survey round(s)" in capsys.readouterr().err
+
+    def test_missing_bin_note_once_per_country(self, tmp_path, capsys, recwarn):
+        path = survey_file(
+            tmp_path / "no_85.csv",
+            dict(seed=111, country="AA"), dict(seed=112, country="BB"),
+            n=300, age_high=84, **FITTABLE,
+        )
+        # report reads the fine curves twice: curve_heuristic and curves.
+        code = main(["report", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("note [ranges-fine]")] == [
+            f"note [ranges-fine]: {country}: no observations in bin 85+; omitted from curve"
+            for country in ("AA", "BB")
+        ]
+        assert "UserWarning" not in err
+        assert not [w for w in recwarn if "no observations" in str(w.message)]
 
     def test_autoscale_changes_chart(self, survey_csv, tmp_path):
         args = ["curves", "--input", str(survey_csv), "--format", "svg"]
@@ -252,11 +292,11 @@ class TestDetect:
         assert "reads fixture" in capsys.readouterr().err
 
     def test_range_rule_lists_country_without_a_rule_bin(self, tmp_path, capsys):
-        records = synth_survey(n=300, seed=108, country="AA") + synth_survey(
-            n=300, seed=109, country="YOUNG", age_low=15, age_high=55
+        path = survey_file(
+            tmp_path / "young.csv",
+            dict(seed=108, country="AA"), dict(seed=109, country="YOUNG", age_low=15, age_high=55),
+            n=300,
         )
-        path = tmp_path / "young.csv"
-        save_csv(records, path)
         out = tmp_path / "out"
         code = main([
             "detect", "--rule", "range_t1", "--input", str(path),
@@ -434,16 +474,11 @@ class TestSharedFits:
 class TestSingleRoundCountry:
     @pytest.fixture
     def one_round_csv(self, tmp_path):
-        records = synth_survey(
-            n=400, seed=101, country="AA", with_controls=True,
-            happiness_fn=ushape, noise_sd=0.6,
-        ) + synth_survey(
-            n=200, seed=107, country="ONE", rounds=(2,), with_controls=True,
-            happiness_fn=ushape, noise_sd=0.6,
+        return survey_file(
+            tmp_path / "one_round.csv",
+            dict(n=400, seed=101, country="AA"), dict(n=200, seed=107, country="ONE", rounds=(2,)),
+            **FITTABLE,
         )
-        path = tmp_path / "one_round.csv"
-        save_csv(records, path)
-        return path
 
     @pytest.mark.parametrize(
         "command,spec,output",

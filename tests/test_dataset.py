@@ -8,7 +8,6 @@ from agecurve import (
     EmptySampleError,
     FilterSpec,
     Survey,
-    SurveyRecord,
     TermSpec,
     apply_filter,
     build_design,
@@ -17,44 +16,43 @@ from agecurve import (
     save_csv,
 )
 from agecurve.dataset import ESS_SCHEMA, RoundYearMap
+from record_path import SurveyRecord, rows
 
 
-def rec(**kwargs):
+def row(**kwargs):
     defaults = dict(
         country="DE", round=1, period_year=2002, age=40, happiness=7.0, weight=1.0
     )
     defaults.update(kwargs)
-    return SurveyRecord(**defaults)
+    return defaults
 
 
-class TestSurveyRecord:
+def rec(**kwargs):
+    return SurveyRecord(**row(**kwargs))
+
+
+class TestFromRows:
     def test_birth_year_is_derived(self):
-        r = rec(period_year=2010, age=43)
-        assert r.birth_year == 1967
+        survey = Survey.from_rows([row(period_year=2010, age=43)])
+        assert survey.birth_year.tolist() == [1967]
 
-    def test_rejects_underage(self):
-        with pytest.raises(ValueError, match="age"):
-            rec(age=14)
+    @pytest.mark.parametrize(
+        "field,value", [("age", 14), ("weight", 0.0), ("round", 0), ("happy", 7)]
+    )
+    def test_rejects(self, field, value):
+        """An age below 15, a nonpositive weight, round 0 and an unknown
+        key each raise, naming the field."""
+        with pytest.raises(ValueError, match=field):
+            Survey.from_rows([row(), row(**{field: value})])
 
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError, match="weight"):
-            rec(weight=0.0)
-
-    def test_rejects_round_zero(self):
-        with pytest.raises(ValueError, match="round"):
-            rec(round=0)
-
-    def test_immutable(self):
-        r = rec()
-        with pytest.raises(AttributeError):
-            r.age = 50
-
-    def test_control_accessor(self):
-        r = rec(sex="female")
-        assert r.control("sex") == "female"
-        assert r.control("marital") is None
-        with pytest.raises(KeyError):
-            r.control("age")
+    def test_absent_or_none_control_is_missing(self):
+        survey = Survey.from_rows([row(sex="female"), row(sex=None), row(mediator=0.5), row()])
+        codes, levels = survey.controls["sex"]
+        assert codes.tolist() == [0, -1, -1, -1] and levels == ("female",)
+        assert survey.controls["marital"][0].tolist() == [-1] * 4
+        assert rows(survey)[2] == rec(mediator=0.5)
+        assert rows(survey)[3].mediator is None
+        assert Survey.from_rows([row()]).mediator is None
 
 
 class TestRoundYearMap:
@@ -83,10 +81,10 @@ class TestLoadCsv:
     def test_basic(self, tmp_path):
         path = tmp_path / "d.csv"
         write_rows(path, self.HEADER, [["DE", 1, 40, 7, 1.0], ["DE", 2, 50, 6, 0.5]])
-        records, report = load_csv(path)
+        survey, report = load_csv(path)
         assert report.rows_read == 2 and report.rows_kept == 2
-        assert records[0].period_year == 2002
-        assert records[1].round == 2 and records[1].period_year == 2004
+        assert survey.round.tolist() == [1, 2]
+        assert survey.period_year.tolist() == [2002, 2004]
 
     def test_drop_reasons_counted(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -104,8 +102,8 @@ class TestLoadCsv:
                 ["DE", 1, 40, 7, ""],        # unparseable weight
             ],
         )
-        records, report = load_csv(path)
-        assert len(records) == 1
+        survey, report = load_csv(path)
+        assert len(survey) == 1
         assert report.dropped["unparseable age"] == 1
         assert report.dropped["age out of range"] == 2
         assert report.dropped["happiness out of range"] == 1
@@ -120,8 +118,8 @@ class TestLoadCsv:
             ["country", "period_year", "age", "happiness", "weight"],
             [["DE", 2002, 40, 7, 1], ["DE", 2006, 41, 7, 1]],
         )
-        records, _ = load_csv(path)
-        assert [r.round for r in records] == [1, 3]
+        survey, _ = load_csv(path)
+        assert survey.round.tolist() == [1, 3]
 
     def test_years_off_grid_get_rank_rounds(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -130,9 +128,9 @@ class TestLoadCsv:
             ["country", "period_year", "age", "happiness", "weight"],
             [["DE", 2011, 40, 7, 1], ["DE", 2003, 41, 7, 1], ["DE", 2007, 42, 7, 1]],
         )
-        records, report = load_csv(path)
-        assert [r.round for r in records] == [3, 1, 2]
-        assert [r.period_year for r in records] == [2011, 2003, 2007]
+        survey, report = load_csv(path)
+        assert survey.round.tolist() == [3, 1, 2]
+        assert survey.period_year.tolist() == [2011, 2003, 2007]
         assert any("rank" in note for note in report.notes)
 
     def test_missing_column_is_error(self, tmp_path):
@@ -156,8 +154,8 @@ class TestLoadCsv:
             [["DE", 4, 40, 7, 1.1, "female", "3", "married",
               "community or military service"]],
         )
-        records, _ = load_csv(path, ESS_SCHEMA)
-        r = records[0]
+        survey, _ = load_csv(path, ESS_SCHEMA)
+        (r,) = rows(survey)
         assert (r.country, r.round, r.period_year) == ("DE", 4, 2008)
         assert r.labor_status == "other"
 
@@ -180,7 +178,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         write_rows(path, header, [[row[c] for c in header] for row in (good, bad)])
         survey, report = load_csv(path)
-        assert len(survey) == 1 and survey[0].age == 40
+        assert survey.age.tolist() == [40]
         assert report.dropped == {reason: 1}
 
     def test_blank_lines_and_short_rows(self, tmp_path):
@@ -194,13 +192,13 @@ class TestLoadCsv:
         )
         survey, report = load_csv(path)
         assert report.rows_read == 2 and report.dropped == {"unparseable weight": 1}
-        assert list(survey) == [rec(age=40)]
+        assert rows(survey) == [rec(age=40)]
 
     def test_long_country_cell_costs_only_its_row(self, tmp_path):
         long_name = "X" * 10_000
-        rows = [[long_name, 1, 40, 7, 1.0]] + [["DE", 1, 41, 7, 1.0]] * 2_000
+        lines = [[long_name, 1, 40, 7, 1.0]] + [["DE", 1, 41, 7, 1.0]] * 2_000
         path = tmp_path / "d.csv"
-        write_rows(path, self.HEADER, rows)
+        write_rows(path, self.HEADER, lines)
         survey, _ = load_csv(path)
         # Padding every row to the longest cell would cost 40,000 bytes a row.
         assert survey.country.nbytes < 100 * len(survey)
@@ -208,7 +206,7 @@ class TestLoadCsv:
         assert list(parts) == [long_name, "DE"]
         assert [len(part) for part in parts.values()] == [1, 2_000]
         kept, _ = apply_filter(survey, FilterSpec(countries=frozenset({long_name})))
-        assert list(kept) == [rec(country=long_name, age=40)]
+        assert rows(kept) == [rec(country=long_name, age=40)]
 
     def test_missing_control_becomes_none(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -217,42 +215,44 @@ class TestLoadCsv:
             self.HEADER + ["sex"],
             [["DE", 1, 40, 7, 1, "NA"], ["DE", 1, 41, 7, 1, "male"]],
         )
-        records, _ = load_csv(path)
-        assert records[0].sex is None and records[1].sex == "male"
+        survey, _ = load_csv(path)
+        assert [r.sex for r in rows(survey)] == [None, "male"]
 
 
 def test_save_load_round_trip(tmp_path):
-    records = [
-        rec(age=40, happiness=7.5, weight=1.25, sex="female"),
-        rec(age=82, round=8, period_year=2016, happiness=3.0, education="2"),
-    ]
+    survey = Survey.from_rows([
+        row(age=40, happiness=7.5, weight=1.25, sex="female"),
+        row(age=82, round=8, period_year=2016, happiness=3.0, education="2"),
+    ])
     path = tmp_path / "r.csv"
-    save_csv(records, path)
+    save_csv(survey, path)
     loaded, report = load_csv(path)
     assert report.rows_kept == 2
-    assert loaded == records
+    assert rows(loaded) == rows(survey)
 
 
 def test_survey_columns_are_read_only():
-    survey = Survey.from_records([rec(age=40), rec(age=50, sex="male")])
+    survey = Survey.from_rows([row(age=40), row(age=50, sex="male")])
     design = build_design(survey, [TermSpec.intercept(), TermSpec.age_linear()])
     for column in (design.response, design.row_weights, survey.age, survey.country,
                    survey.controls["sex"][0], survey.birth_year):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[1]
-    assert list(survey) == [rec(age=40), rec(age=50, sex="male")]
+    with pytest.raises(AttributeError):
+        survey.age = survey.age + 1
+    assert rows(survey) == [rec(age=40), rec(age=50, sex="male")]
 
 
 class TestApplyFilter:
     def make(self):
-        return [
-            rec(age=20), rec(age=40), rec(age=70, country="FR"),
-            rec(age=90), rec(age=30, sex="male"),
-        ]
+        return Survey.from_rows([
+            row(age=20), row(age=40), row(age=70, country="FR"),
+            row(age=90), row(age=30, sex="male"),
+        ])
 
     def test_age_window(self):
         kept, report = apply_filter(self.make(), FilterSpec(min_age=25, max_age=69))
-        assert [r.age for r in kept] == [40, 30]
+        assert kept.age.tolist() == [40, 30]
         assert report.dropped["age below minimum"] == 1
         assert report.dropped["age above maximum"] == 2
 
@@ -261,14 +261,14 @@ class TestApplyFilter:
             self.make(),
             FilterSpec(countries=frozenset({"DE"}), listwise_vars=frozenset({"sex"})),
         )
-        assert [r.age for r in kept] == [30]
+        assert kept.age.tolist() == [30]
         assert report.dropped["country excluded"] == 1
         assert report.dropped["missing sex"] == 3
 
     def test_order_preserved(self):
-        records = self.make()
-        kept, _ = apply_filter(records, FilterSpec())
-        assert kept == records
+        survey = self.make()
+        kept, _ = apply_filter(survey, FilterSpec())
+        assert rows(kept) == rows(survey)
 
     def test_empty_result_raises(self):
         with pytest.raises(EmptySampleError):

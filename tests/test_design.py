@@ -7,6 +7,7 @@ from agecurve import (
     DesignError,
     DesignMatrix,
     EmptySampleError,
+    Survey,
     TermSpec,
     age_bin_label,
     build_design,
@@ -76,58 +77,58 @@ class TestTermSpec:
 
 class TestEncodeCategorical:
     def test_reference_is_natural_sort_first(self):
-        records = [rec_with(education=v) for v in ("10", "2", "9", "2")]
-        cols, labels, dropped = encode_categorical(records, "education")
+        survey = survey_with("education", ("10", "2", "9", "2"))
+        cols, labels, dropped = encode_categorical(survey, "education")
         # numeric ordering: 2 < 9 < 10, so 2 is the reference
         assert labels == ["education=9", "education=10"]
         assert cols.tolist() == [[0, 1], [0, 0], [1, 0], [0, 0]]
         assert dropped == []
 
     def test_explicit_reference(self):
-        records = [rec_with(sex=v) for v in ("female", "male", "male")]
-        cols, labels, _ = encode_categorical(records, "sex", reference="male")
+        survey = survey_with("sex", ("female", "male", "male"))
+        cols, labels, _ = encode_categorical(survey, "sex", reference="male")
         assert labels == ["sex=female"]
         assert cols[:, 0].tolist() == [1, 0, 0]
 
     def test_missing_value_is_an_error(self):
-        records = [rec_with(sex="female"), rec_with(sex=None)]
+        survey = survey_with("sex", ("female", None))
         with pytest.raises(DesignError, match="listwise"):
-            encode_categorical(records, "sex")
+            encode_categorical(survey, "sex")
 
     def test_declared_but_unobserved_level_dropped(self):
-        records = [rec_with(marital=v) for v in ("married", "single")]
+        survey = survey_with("marital", ("married", "single"))
         cols, labels, dropped = encode_categorical(
-            records, "marital", declared_levels=["married", "single", "widowed"]
+            survey, "marital", declared_levels=["married", "single", "widowed"]
         )
         assert labels == ["marital=single"]
         assert ("marital", "widowed", "no observations") in dropped
 
     def test_stray_observed_level_rejected(self):
-        records = [rec_with(marital="divorced")]
+        survey = survey_with("marital", ("divorced",))
         with pytest.raises(DesignError, match="not declared"):
-            encode_categorical(records, "marital", declared_levels=["married"])
+            encode_categorical(survey, "marital", declared_levels=["married"])
 
     def test_single_level_yields_no_columns(self):
-        records = [rec_with(sex="female"), rec_with(sex="female")]
-        cols, labels, dropped = encode_categorical(records, "sex")
+        survey = survey_with("sex", ("female", "female"))
+        cols, labels, dropped = encode_categorical(survey, "sex")
         assert cols.shape == (2, 0) and labels == []
         assert dropped == [("sex", "female", "only one observed level")]
 
 
-def rec_with(**controls):
-    from agecurve import SurveyRecord
-
-    return SurveyRecord(
-        country="A", round=1, period_year=2002, age=40,
-        happiness=7.0, weight=1.0, **controls,
+def survey_with(control, values):
+    """One row per value of ``control``."""
+    return Survey.from_rows(
+        {"country": "A", "round": 1, "period_year": 2002, "age": 40,
+         "happiness": 7.0, "weight": 1.0, control: value}
+        for value in values
     )
 
 
 class TestBuildDesign:
     def test_quadratic_battery_layout(self):
-        records = synth_survey(n=300, seed=3, with_controls=True)
+        survey = synth_survey(n=300, seed=3, with_controls=True)
         design = build_design(
-            records,
+            survey,
             [
                 TermSpec.intercept(),
                 TermSpec.age_linear(),
@@ -147,13 +148,13 @@ class TestBuildDesign:
         np.testing.assert_allclose(design.column("age") ** 2, design.column("age_sq"))
 
     def test_age_bin_columns_match_binning(self):
-        records = synth_survey(n=200, seed=4)
+        survey = synth_survey(n=200, seed=4)
         design = build_design(
-            records, [TermSpec.intercept(), TermSpec.age_bins("coarse")]
+            survey, [TermSpec.intercept(), TermSpec.age_bins("coarse")]
         )
         assert design.column_labels == ["const", "bin:15-34", "bin:60-74", "bin:75+"]
-        for rec, row in zip(records, design.values):
-            label = age_bin_label(rec.age, "coarse")
+        for age, row in zip(survey.age.tolist(), design.values):
+            label = age_bin_label(age, "coarse")
             expected = {f"bin:{label}"} if label != "35-59" else set()
             on = {design.column_labels[j] for j in range(1, 4) if row[j] == 1.0}
             assert on == expected
@@ -172,32 +173,32 @@ class TestBuildDesign:
         assert ("age_bins", "15-34", "no observations") in design.dropped_levels
 
     def test_cohort_reference_is_oldest(self):
-        records = synth_survey(n=150, seed=7)
+        survey = synth_survey(n=150, seed=7)
         design = build_design(
-            records, [TermSpec.intercept(), TermSpec.cohort()]
+            survey, [TermSpec.intercept(), TermSpec.cohort()]
         )
-        starts = sorted({(r.birth_year // 5) * 5 for r in records})
+        starts = sorted({(year // 5) * 5 for year in survey.birth_year.tolist()})
         oldest = f"cohort:{starts[0]}-{starts[0] + 4}"
         assert oldest not in design.column_labels
         expected = [f"cohort:{s}-{s + 4}" for s in starts[1:]]
         assert [l for l in design.column_labels if l.startswith("cohort:")] == expected
 
     def test_structural_rules(self):
-        records = synth_survey(n=50, seed=8)
+        survey = synth_survey(n=50, seed=8)
         with pytest.raises(DesignError, match="intercept"):
-            build_design(records, [TermSpec.age_linear()])
+            build_design(survey, [TermSpec.age_linear()])
         with pytest.raises(DesignError, match="exclusive"):
             build_design(
-                records,
+                survey,
                 [TermSpec.intercept(), TermSpec.age_linear(), TermSpec.age_bins()],
             )
         with pytest.raises(DesignError, match="duplicate"):
             build_design(
-                records,
+                survey,
                 [TermSpec.intercept(), TermSpec.period(), TermSpec.period()],
             )
         with pytest.raises(EmptySampleError):
-            build_design([], [TermSpec.intercept()])
+            build_design(Survey.from_rows([]), [TermSpec.intercept()])
 
     def test_weighted_column_means(self):
         design = DesignMatrix(

@@ -10,6 +10,7 @@ from agecurve import (
     FitResult,
     ModelSpec,
     PRESETS,
+    Survey,
     TooFewPeriodsWarning,
     adjusted_means,
     batch_fit,
@@ -19,7 +20,7 @@ from agecurve import (
     quad_vertex,
 )
 from agecurve.models import terms_for
-from conftest import synth_survey
+from conftest import synth_rows, synth_survey
 
 
 def quad_fn(const, b_age, b_sq):
@@ -63,10 +64,10 @@ class TestSpecs:
 
 class TestFitSpec:
     def test_noiseless_quadratic_recovered(self):
-        records = synth_survey(
+        survey = synth_survey(
             n=400, seed=1, happiness_fn=quad_fn(8.0, -0.1, 0.001), noise_sd=0.0
         )
-        fit = fit_spec(records, get_spec("quad-nocontrols-nocap"))
+        fit = fit_spec(survey, get_spec("quad-nocontrols-nocap"))
         assert fit.coef("const") == pytest.approx(8.0, abs=1e-9)
         assert fit.coef("age") == pytest.approx(-0.1, abs=1e-11)
         assert fit.coef("age_sq") == pytest.approx(0.001, abs=1e-13)
@@ -75,54 +76,56 @@ class TestFitSpec:
                 assert fit.coef(label) == pytest.approx(0.0, abs=1e-9)
 
     def test_age_cap_restricts_sample(self):
-        records = synth_survey(n=300, seed=2, with_controls=True)
-        capped = fit_spec(records, get_spec("quad-nocontrols-cap"))
-        full = fit_spec(records, get_spec("quad-nocontrols-nocap"))
+        survey = synth_survey(n=300, seed=2, with_controls=True)
+        capped = fit_spec(survey, get_spec("quad-nocontrols-cap"))
+        full = fit_spec(survey, get_spec("quad-nocontrols-nocap"))
         assert capped.n_obs < full.n_obs
-        assert capped.n_obs == sum(r.age <= 69 for r in records)
+        assert capped.n_obs == np.count_nonzero(survey.age <= 69)
 
     def test_controls_add_columns(self):
-        records = synth_survey(n=300, seed=3, with_controls=True)
-        fit = fit_spec(records, get_spec("quad-controls-nocap"))
+        survey = synth_survey(n=300, seed=3, with_controls=True)
+        fit = fit_spec(survey, get_spec("quad-controls-nocap"))
         assert any(l.startswith("sex=") for l in fit.labels)
         assert any(l.startswith("education=") for l in fit.labels)
 
     def test_controls_without_data_is_empty_sample(self):
-        records = synth_survey(n=50, seed=4, with_controls=False)
+        survey = synth_survey(n=50, seed=4, with_controls=False)
         with pytest.raises(EmptySampleError):
-            fit_spec(records, get_spec("quad-controls-nocap"))
+            fit_spec(survey, get_spec("quad-controls-nocap"))
 
     def test_country_restriction(self):
-        records = synth_survey(n=100, seed=5, country="AA") + synth_survey(
-            n=100, seed=6, country="BB", happiness_fn=lambda a: 3.0
+        survey = synth_survey(
+            dict(seed=5, country="AA"),
+            dict(seed=6, country="BB", happiness_fn=lambda a: 3.0),
+            n=100,
         )
-        fit = fit_spec(records, get_spec("quad-nocontrols-nocap"), country="BB")
+        fit = fit_spec(survey, get_spec("quad-nocontrols-nocap"), country="BB")
         assert fit.n_obs == 100
 
     def test_single_round_refused_under_cohort_spec(self):
-        records = synth_survey(n=150, seed=19, rounds=(3,))
+        survey = synth_survey(n=150, seed=19, rounds=(3,))
         for name in ("ranges-coarse", "ranges-fine"):
             with pytest.raises(DesignError, match="cohort-controlled fit skipped"):
-                fit_spec(records, get_spec(name))
+                fit_spec(survey, get_spec(name))
         with pytest.raises(DesignError, match="cohort-controlled fit skipped"):
-            adjusted_means(records, "A", scheme="fine")
+            adjusted_means(survey, "A", scheme="fine")
 
     def test_few_rounds_warning(self):
-        records = synth_survey(n=120, seed=7, rounds=(1, 2))
+        survey = synth_survey(n=120, seed=7, rounds=(1, 2))
         with pytest.warns(TooFewPeriodsWarning):
-            fit_spec(records, get_spec("quad-nocontrols-nocap"))
-        records = synth_survey(n=120, seed=8, rounds=(1, 2, 3))
+            fit_spec(survey, get_spec("quad-nocontrols-nocap"))
+        survey = synth_survey(n=120, seed=8, rounds=(1, 2, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", TooFewPeriodsWarning)
-            fit_spec(records, get_spec("quad-nocontrols-nocap"))
+            fit_spec(survey, get_spec("quad-nocontrols-nocap"))
 
 
 class TestCurveHelpers:
     def fit_noiseless(self):
-        records = synth_survey(
+        survey = synth_survey(
             n=400, seed=9, happiness_fn=quad_fn(8.0, -0.1, 0.001), noise_sd=0.0
         )
-        return fit_spec(records, get_spec("quad-nocontrols-nocap"))
+        return fit_spec(survey, get_spec("quad-nocontrols-nocap"))
 
     def test_predict_curve_values(self):
         fit = self.fit_noiseless()
@@ -134,22 +137,18 @@ class TestCurveHelpers:
         # period effects shift rounds apart; the curve must sit at the
         # weighted mix of rounds, not at the reference round's level
         bump = {1: 0.0, 2: 0.0, 3: 0.0, 4: 1.0}
-        records = synth_survey(n=500, seed=10, noise_sd=0.0)
-        records = [
-            type(r)(
-                country=r.country, round=r.round, period_year=r.period_year,
-                age=r.age, happiness=7.0 + bump[r.round], weight=r.weight,
-            )
-            for r in records
-        ]
-        fit = fit_spec(records, get_spec("quad-nocontrols-nocap"))
-        share_r4 = sum(r.round == 4 for r in records) / len(records)
+        rows = synth_rows(n=500, seed=10, noise_sd=0.0)
+        for row in rows:
+            row["happiness"] = 7.0 + bump[row["round"]]
+        survey = Survey.from_rows(rows)
+        fit = fit_spec(survey, get_spec("quad-nocontrols-nocap"))
+        share_r4 = np.count_nonzero(survey.round == 4) / len(survey)
         (_, value), = predict_curve(fit, [40])
         assert value == pytest.approx(7.0 + share_r4, abs=1e-8)
 
     def test_predict_requires_quadratic(self):
-        records = synth_survey(n=200, seed=11, rounds=(1, 2, 3))
-        curve_fit = fit_spec(records, get_spec("ranges-coarse"))
+        survey = synth_survey(n=200, seed=11, rounds=(1, 2, 3))
+        curve_fit = fit_spec(survey, get_spec("ranges-coarse"))
         with pytest.raises(ValueError, match="quadratic"):
             predict_curve(curve_fit, [40])
 
@@ -178,34 +177,33 @@ class TestAdjustedMeans:
     def test_single_round_no_cohort_equals_raw_bin_means(self):
         """With one round and no cohort factor nothing is adjusted for,
         so the curve must equal the raw weighted bin means exactly."""
-        records = synth_survey(
+        survey = synth_survey(
             n=500, seed=12, rounds=(1,), weights="random",
             happiness_fn=lambda a: 5.0 + (a >= 60) * 1.5, noise_sd=0.5,
         )
         spec = ModelSpec(name="raw", form="ranges", scheme="coarse")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TooFewPeriodsWarning)
-            curve = adjusted_means(records, "A", scheme="coarse", spec=spec)
+            curve = adjusted_means(survey, "A", scheme="coarse", spec=spec)
         from agecurve import age_bin_label
 
+        bins = np.array([age_bin_label(age) for age in survey.age.tolist()])
         for bin_label in curve.bin_labels:
-            members = [r for r in records if age_bin_label(r.age) == bin_label]
-            raw = sum(r.weight * r.happiness for r in members) / sum(
-                r.weight for r in members
-            )
+            w, h = survey.weight[bins == bin_label], survey.happiness[bins == bin_label]
+            raw = sum((w * h).tolist()) / sum(w.tolist())
             assert curve.level(bin_label) == pytest.approx(raw, abs=1e-9)
 
     def test_missing_bin_warned_and_omitted(self):
-        records = synth_survey(n=200, seed=13, age_low=35, age_high=74)
+        survey = synth_survey(n=200, seed=13, age_low=35, age_high=74)
         spec = ModelSpec(name="raw", form="ranges", scheme="coarse")
         with pytest.warns(UserWarning, match="no observations in bin"):
-            curve = adjusted_means(records, "A", scheme="coarse", spec=spec)
+            curve = adjusted_means(survey, "A", scheme="coarse", spec=spec)
         assert curve.bin_labels == ("35-59", "60-74")
 
     def test_scheme_spec_mismatch(self):
-        records = synth_survey(n=50, seed=14)
+        survey = synth_survey(n=50, seed=14)
         with pytest.raises(ValueError, match="ranges"):
-            adjusted_means(records, "A", scheme="fine", spec=PRESETS["ranges-coarse"])
+            adjusted_means(survey, "A", scheme="fine", spec=PRESETS["ranges-coarse"])
 
 
 class TestAgeCurve:
@@ -224,9 +222,12 @@ class TestAgeCurve:
 
 class TestBatchFit:
     def test_isolates_failures(self):
-        good = synth_survey(n=150, seed=15, country="GOOD", rounds=(1, 2, 3, 4))
-        single = synth_survey(n=150, seed=16, country="ONE", rounds=(2,))
-        results = batch_fit(good + single, PRESETS["ranges-coarse"])
+        survey = synth_survey(
+            dict(seed=15, country="GOOD", rounds=(1, 2, 3, 4)),
+            dict(seed=16, country="ONE", rounds=(2,)),
+            n=150,
+        )
+        results = batch_fit(survey, PRESETS["ranges-coarse"])
         by_country = {r.country: r for r in results}
         assert [r.country for r in results] == ["GOOD", "ONE"]
         assert by_country["GOOD"].ok
@@ -234,16 +235,16 @@ class TestBatchFit:
         assert "cohort-controlled fit skipped" in by_country["ONE"].error
 
     def test_absent_country_reports_error(self):
-        records = synth_survey(n=80, seed=17, country="AA")
+        survey = synth_survey(n=80, seed=17, country="AA")
         results = batch_fit(
-            records, PRESETS["quad-nocontrols-nocap"], countries=["AA", "ZZ"]
+            survey, PRESETS["quad-nocontrols-nocap"], countries=["AA", "ZZ"]
         )
         assert results[0].ok
         assert not results[1].ok and "filter removed all" in results[1].error
 
     def test_warning_captured_as_note(self):
-        records = synth_survey(n=150, seed=18, country="TWO", rounds=(1, 2))
-        results = batch_fit(records, PRESETS["quad-nocontrols-nocap"])
+        survey = synth_survey(n=150, seed=18, country="TWO", rounds=(1, 2))
+        results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])
         (res,) = results
         assert res.ok
         assert any("distinct survey round" in note for note in res.notes)

@@ -48,12 +48,12 @@ class TestQuadRule:
         assert recomputed == verdict.is_ushape
 
     def test_on_fitted_model(self):
-        records = synth_survey(
+        survey = synth_survey(
             n=2000, seed=30,
             happiness_fn=lambda a: 8.0 - 0.1 * a + 0.001 * a * a,
             noise_sd=0.3,
         )
-        fit = fit_spec(records, get_spec("quad-nocontrols-nocap"))
+        fit = fit_spec(survey, get_spec("quad-nocontrols-nocap"))
         assert detect_quad(fit, "SYN").is_ushape
 
 
@@ -99,13 +99,13 @@ class TestReduction:
         assert change.sign_flipped == (old * new < 0)
 
     def test_reduction_from_fits(self):
-        records = synth_survey(
+        survey = synth_survey(
             n=1500, seed=31, with_controls=True,
             happiness_fn=lambda a: 8.0 - 0.1 * a + 0.001 * a * a,
             noise_sd=0.5,
         )
-        bare = fit_spec(records, get_spec("quad-nocontrols-nocap"))
-        controlled = fit_spec(records, get_spec("quad-controls-nocap"))
+        bare = fit_spec(survey, get_spec("quad-nocontrols-nocap"))
+        controlled = fit_spec(survey, get_spec("quad-controls-nocap"))
         report = reduction(bare, controlled)
         assert {c.label for c in report.changes} == {"age", "age_sq"}
         assert report["age"].old == bare.coef("age")

@@ -17,6 +17,7 @@ from agecurve import (
     experiment_truncation,
     generate,
 )
+from record_path import rows
 
 
 def is_subsequence(sub, full):
@@ -90,65 +91,61 @@ class TestConfigValidation:
 class TestGenerate:
     def test_deterministic(self):
         config = DgpConfig(n=300, seed=5)
-        assert generate(config) == generate(config)
+        assert rows(generate(config)) == rows(generate(config))
 
     def test_different_seeds_differ(self):
         a = generate(DgpConfig(n=300, seed=5))
         b = generate(DgpConfig(n=300, seed=6))
-        assert a != b
+        assert rows(a) != rows(b)
 
     def test_population_bounds(self):
-        records = generate(DgpConfig(n=500, seed=1, age_low=20, age_high=55))
-        assert len(records) == 500
-        assert all(20 <= r.age <= 55 for r in records)
-        assert all(r.period_year == 2000 + 2 * r.round for r in records)
-        assert all(r.round in range(1, 9) for r in records)
+        survey = generate(DgpConfig(n=500, seed=1, age_low=20, age_high=55))
+        assert len(survey) == 500
+        assert np.all((20 <= survey.age) & (survey.age <= 55))
+        assert np.array_equal(survey.period_year, 2000 + 2 * survey.round)
+        assert np.all((1 <= survey.round) & (survey.round <= 8))
 
     def test_clamp_yields_survey_scale(self):
-        records = generate(DgpConfig(n=500, seed=2, clamp=True))
-        assert all(r.happiness == int(r.happiness) for r in records)
-        assert all(0 <= r.happiness <= 10 for r in records)
+        survey = generate(DgpConfig(n=500, seed=2, clamp=True))
+        assert np.array_equal(survey.happiness, np.trunc(survey.happiness))
+        assert np.all((0 <= survey.happiness) & (survey.happiness <= 10))
 
     def test_period_and_cohort_effects_enter(self):
         config = DgpConfig(
             n=400, seed=3, noise_sd=1e-12, intercept=5.0,
             period_effect={2: 1.5}, rounds=(1, 2),
         )
-        for rec in generate(config):
-            expected = 5.0 + (1.5 if rec.round == 2 else 0.0)
-            assert rec.happiness == pytest.approx(expected, abs=1e-9)
+        survey = generate(config)
+        expected = 5.0 + np.where(survey.round == 2, 1.5, 0.0)
+        assert survey.happiness.tolist() == pytest.approx(expected.tolist(), abs=1e-9)
 
         config = DgpConfig(
             n=400, seed=4, noise_sd=1e-12, intercept=5.0,
             cohort_effect={1960: -2.0},
         )
-        for rec in generate(config):
-            expected = 5.0 + (-2.0 if 1960 <= rec.birth_year <= 1964 else 0.0)
-            assert rec.happiness == pytest.approx(expected, abs=1e-9)
+        survey = generate(config)
+        in_cohort = (1960 <= survey.birth_year) & (survey.birth_year <= 1964)
+        expected = 5.0 + np.where(in_cohort, -2.0, 0.0)
+        assert survey.happiness.tolist() == pytest.approx(expected.tolist(), abs=1e-9)
 
     def test_mediator_channel(self):
         config = DgpConfig(
             n=600, seed=7,
             mediator=MediatorConfig(slope_age=0.5, slope_happiness=2.0, direct=0.1),
         )
-        records = generate(config)
-        assert all(r.mediator is not None for r in records)
+        survey = generate(config)
+        assert survey.mediator is not None and not np.isnan(survey.mediator).any()
         # removing the mediated and direct paths must leave pure noise
-        residuals = np.array(
-            [r.happiness - 7.0 - 2.0 * r.mediator - 0.1 * r.age for r in records]
-        )
+        residuals = survey.happiness - 7.0 - 2.0 * survey.mediator - 0.1 * survey.age
         assert abs(residuals.mean()) < 0.15
         assert np.std(residuals) == pytest.approx(1.0, abs=0.15)
-        assert abs(np.corrcoef(residuals, [r.age for r in records])[0, 1]) < 0.1
+        assert abs(np.corrcoef(residuals, survey.age)[0, 1]) < 0.1
 
     def test_mediator_does_not_perturb_base_draws(self):
         base = DgpConfig(n=400, seed=8)
         with_med = DgpConfig(n=400, seed=8, mediator=MediatorConfig())
-        ages_a = [r.age for r in generate(base)]
-        ages_b = [r.age for r in generate(with_med)]
-        rounds_a = [r.round for r in generate(base)]
-        rounds_b = [r.round for r in generate(with_med)]
-        assert ages_a == ages_b and rounds_a == rounds_b
+        a, b = generate(base), generate(with_med)
+        assert np.array_equal(a.age, b.age) and np.array_equal(a.round, b.round)
 
     def test_attrition_keeps_a_subset(self):
         base = default_attrition_config(seed=9, strength=0.0)
@@ -156,8 +153,8 @@ class TestGenerate:
         half = generate(default_attrition_config(seed=9, strength=0.5))
         certain = generate(default_attrition_config(seed=9, strength=1.0))
         assert len(certain) < len(half) < len(full) == base.n
-        assert is_subsequence(certain, half)
-        assert is_subsequence(half, full)
+        assert is_subsequence(rows(certain), rows(half))
+        assert is_subsequence(rows(half), rows(full))
 
     def test_attrition_strength_zero_is_identity(self):
         with_zero = generate(default_attrition_config(seed=10, strength=0.0))
@@ -168,27 +165,23 @@ class TestGenerate:
                 age_effect=cfg.age_effect, attrition=None,
             )
         )
-        assert with_zero == without
+        assert rows(with_zero) == rows(without)
 
     def test_attrition_strength_one_truncates_noise(self):
         """At strength 1 every over-knee respondent with a negative
         stochastic draw is gone, so surviving draws follow a half-normal
         with mean sigma * sqrt(2/pi) ~ 0.7979."""
         config = default_attrition_config(seed=11, strength=1.0)
-        records = generate(config)
-        old = [r for r in records if r.age > 75]
-        stochastic = np.array(
-            [r.happiness - 9.0 - float(S_SHAPE.values(np.array([r.age]))[0]) for r in old]
-        )
+        survey = generate(config)
+        old = survey.take(survey.age > 75)
+        stochastic = old.happiness - 9.0 - S_SHAPE.values(old.age)
         assert stochastic.min() >= 0.0
         assert stochastic.mean() == pytest.approx(np.sqrt(2 / np.pi), abs=0.1)
 
     def test_below_knee_untouched(self):
         full = generate(default_attrition_config(seed=12, strength=0.0))
         attrited = generate(default_attrition_config(seed=12, strength=1.0))
-        assert [r for r in full if r.age <= 75] == [
-            r for r in attrited if r.age <= 75
-        ]
+        assert rows(full.take(full.age <= 75)) == rows(attrited.take(attrited.age <= 75))
 
 
 class TestExperiments:
