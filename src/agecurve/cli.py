@@ -142,11 +142,9 @@ def _load_survey(args, config: configparser.ConfigParser) -> Survey:
         raise FatalError(f"input file not found: {path}")
     schema = _resolve_schema(args, config, path)
     survey, report = load_csv(path, schema)
-    if report.dropped:
-        drops = ", ".join(f"{r}: {c}" for r, c in sorted(report.dropped.items()))
-        print(f"loaded {report.rows_kept} of {report.rows_read} rows (dropped {drops})")
-    else:
-        print(f"loaded {report.rows_kept} rows")
+    print(report.summary())
+    for note in report.notes:
+        print(f"note: {note}", file=sys.stderr)
     return survey
 
 

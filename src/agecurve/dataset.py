@@ -258,11 +258,12 @@ class LoadReport:
     notes: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
-        lines = [f"rows read: {self.rows_read}", f"rows kept: {self.rows_kept}"]
-        for reason, count in sorted(self.dropped.items()):
-            lines.append(f"dropped ({reason}): {count}")
-        lines.extend(self.notes)
-        return "\n".join(lines)
+        """One line: rows kept, and rows read with the count per drop
+        reason when any row was dropped. Notes are not included."""
+        if not self.dropped:
+            return f"loaded {self.rows_kept} rows"
+        drops = ", ".join(f"{r}: {c}" for r, c in sorted(self.dropped.items()))
+        return f"loaded {self.rows_kept} of {self.rows_read} rows (dropped {drops})"
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,38 @@
-"""Weighted least squares through a two-stage QR factorization.
+"""Weighted least squares on numpy alone: a certified Cholesky solve,
+with a pivoted QR for the designs the certificate cannot clear.
 
-One unpivoted Householder QR of the n×(p+1) array ``[√w·X | √w·y]``
-yields a small triangle and no Q: its last column is Qᵀ(√w·y) and its
-corner entry is the norm of the weighted residual. A column-pivoted QR
-of the leading p×p block (which has the same column norms and RᵀR as
-√w·X) then reveals the rank with the usual rule, a column counting when
-``|r_ii| > rank_tol·|r_11|``. Coefficients come from one triangular
-solve and the covariance from (RᵀR)⁻¹. A residual norm at or below
-``rank_tol·‖√w·y‖`` is rounding: the fit is exact, with a weighted RSS
-of 0, zero standard errors and NaN t statistics.
+Let ``X̃ = √w·X`` and ``ỹ = √w·y``. The fast path takes the Cholesky
+factor R of the Gram matrix ``X̃ᵀX̃`` and certifies full rank from the
+singular values of that p×p triangle, which are those of X̃ up to
+rounding. In any column-pivoted QR of X̃, ``|r_11| ≤ σ_max`` and
+``|r_kk| ≥ σ_min``; so when ``σ_min/σ_max`` exceeds 1e-6, every
+diagonal entry of a pivoted QR exceeds 1e-10 of the first by a wide
+margin, and the rank rule below must find full rank without running it.
+(A rank tolerance looser than the default 1e-10 raises the 1e-6 bound
+in proportion.)
+The coefficients then come from the corrected semi-normal equations
+(Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996,
+§2.5 and §6.6): one solve of ``RᵀRβ = X̃ᵀỹ`` followed by one
+refinement step on the explicit residual ``ỹ − X̃β``, which brings the
+coefficients to the accuracy of a QR solve at the condition numbers the
+certificate admits. The weighted RSS is the squared norm of the
+residual after that step, and the covariance is ``R⁻¹R⁻ᵀ·σ²``, which
+carries the Gram matrix's rounding: about machine epsilon times the
+squared condition number of the column-scaled design, relative.
+
+When Cholesky fails or the certificate does not hold, the fit falls
+back to a Householder QR of ``[X̃ | ỹ]`` that keeps only its
+(p+1)×(p+1) triangle (its last column is ``Qᵀỹ``, its corner entry the
+norm of the weighted residual), followed by a column-pivoted QR of the
+leading p×p block. That block has the same column norms and RᵀR as X̃,
+so the pivoted QR reveals the rank with the usual rule, a column
+counting when ``|r_ii| > rank_tol·|r_11|``. Only this path can name the
+columns of a dependency, and the conditioning measured by the fast path
+alone decides which path a design takes.
+
+On either path a residual norm at or below ``rank_tol·‖ỹ‖`` is
+rounding: the fit is exact, with a weighted RSS of 0, zero standard
+errors and NaN t statistics.
 
 The solver is deterministic (no iteration, no randomness) and refuses to
 guess on rank-deficient designs: instead of silently dropping a column it
@@ -27,13 +51,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .design import DesignMatrix
 
 __all__ = ["RankDeficientError", "RankReport", "FitResult", "fit_wls", "rank_check"]
 
 DEFAULT_RANK_TOL = 1e-10
+
+# Smallest σ_min/σ_max of the Cholesky factor that certifies full rank
+# at DEFAULT_RANK_TOL, four orders of magnitude above it; a looser rank
+# tolerance raises it in proportion. At the condition numbers it admits
+# the Gram matrix keeps enough digits for one refinement step to reach
+# QR accuracy.
+_CERTIFICATE = 1e-6
+
+# dgeqp3 recomputes a downdated column norm once it has lost this share
+_NORM_DOWNDATE_TOL = np.sqrt(np.finfo(float).eps / 2)
 
 
 class RankDeficientError(ValueError):
@@ -95,36 +128,65 @@ class FitResult:
         return float(self.t_stats[self._index(label)])
 
 
-def _lapack(name: str, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {name} failed (info={info})")
-
-
-def _factor(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor ``[√w·X | √w·y]`` and reveal the rank of its design part.
-
-    Returns ``r``, the upper triangle of one unpivoted Householder QR of
-    the n×(p+1) augmented array (Q is never formed), and ``r_piv`` and
-    ``piv`` from a column-pivoted QR of its leading p×p block. That
-    block has the same column norms and the same RᵀR as √w·X, so the
-    pivots and the diagonal of ``r_piv`` are those a pivoted QR of the
-    whole design would give, up to rounding and the order of exact ties.
-    """
-    n, p = design.n, design.p
+def _weighted(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     sqrt_w = np.sqrt(design.row_weights)
-    scaled = np.empty((n, p + 1), order="F")
-    np.multiply(design.values, sqrt_w[:, None], out=scaled[:, :p])
-    np.multiply(design.response, sqrt_w, out=scaled[:, p])
-    # workspace query; it leaves ``scaled`` as it is
-    lwork = int(lapack.dgeqrf(scaled, lwork=-1, overwrite_a=True)[2][0])
-    qr, _, _, info = lapack.dgeqrf(scaled, lwork=lwork, overwrite_a=True)
-    _lapack("dgeqrf", info)
-    r = np.triu(qr[: p + 1])
-    if p == 0:
-        return r, r[:0, :0], np.empty(0, dtype=int)
-    qr_piv, jpvt, _, _, info = lapack.dgeqp3(r[:p, :p])
-    _lapack("dgeqp3", info)
-    return r, np.triu(qr_piv), jpvt - 1
+    return design.values * sqrt_w[:, None], design.response * sqrt_w
+
+
+def _certified_cholesky(xs: np.ndarray, tol: float) -> np.ndarray | None:
+    """The upper Cholesky factor R of ``xsᵀxs``, or None when Cholesky
+    fails or R's singular values do not certify full rank under the
+    rank tolerance ``tol``."""
+    try:
+        r = np.linalg.cholesky(xs.T @ xs).T
+        sigma = np.linalg.svd(r, compute_uv=False)
+    except np.linalg.LinAlgError:  # not positive definite, or no SVD
+        return None
+    bound = _CERTIFICATE * max(1.0, tol / DEFAULT_RANK_TOL)
+    return r if sigma[-1] > bound * sigma[0] else None
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR with column pivoting, as LAPACK's dgeqp3 does it.
+
+    Each step brings forward the column of largest remaining norm (the
+    first one on a tie, counting in the current column order) and
+    downdates the other norms, recomputing one once it has lost too
+    much to cancellation. Returns the upper triangle and the pivots.
+    """
+    a = np.array(a, dtype=float)
+    m, n = a.shape
+    piv = np.arange(n)
+    norms = np.linalg.norm(a, axis=0)
+    exact = norms.copy()  # each norm when it was last computed in full
+    for i in range(min(m, n)):
+        j = i + int(np.argmax(norms[i:]))
+        if j != i:
+            a[:, [i, j]] = a[:, [j, i]]
+            piv[[i, j]] = piv[[j, i]]
+            norms[j], exact[j] = norms[i], exact[i]
+        alpha, x = a[i, i], a[i + 1 :, i]
+        x_norm = float(np.linalg.norm(x))
+        if x_norm != 0.0:
+            beta = -np.copysign(np.hypot(alpha, x_norm), alpha)
+            v = np.concatenate(([1.0], x / (alpha - beta)))
+            tau = (beta - alpha) / beta
+            rest = a[i:, i + 1 :]
+            rest -= np.outer(tau * v, v @ rest)
+            a[i, i] = beta
+            a[i + 1 :, i] = 0.0
+        k = i + 1 + np.flatnonzero(norms[i + 1 :])
+        shrink = np.maximum(0.0, 1.0 - (np.abs(a[i, k]) / norms[k]) ** 2)
+        lost = shrink * (norms[k] / exact[k]) ** 2 <= _NORM_DOWNDATE_TOL
+        norms[k] *= np.sqrt(shrink)
+        k = k[lost]
+        norms[k] = exact[k] = np.linalg.norm(a[i + 1 :, k], axis=0)
+    return np.triu(a), piv
+
+
+def _triangle(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """R of an unpivoted QR of ``[xs | ys]``, without Q."""
+    return np.linalg.qr(np.column_stack([xs, ys]), mode="r")
 
 
 def _rank_from_r(r: np.ndarray, tol: float) -> int:
@@ -146,29 +208,38 @@ def _suspect_labels(
     """
     if rank == 0:
         return list(labels)
-    coefs, info = lapack.dtrtrs(r[:rank, :rank], r[:rank, rank])
-    _lapack("dtrtrs", info)
+    coefs = np.linalg.solve(r[:rank, :rank], r[:rank, rank])
     cutoff = 1e-8 * max(1.0, float(np.max(np.abs(coefs))))
     involved = [int(piv[i]) for i in range(rank) if abs(coefs[i]) > cutoff]
     involved.append(int(piv[rank]))
     return [labels[j] for j in sorted(involved)]
 
 
+def _revealed_rank(
+    r: np.ndarray, labels: Sequence[str], tol: float
+) -> tuple[int, list[str]]:
+    """Rank of the leading design block of a QR triangle, and the
+    suspect labels when it is deficient."""
+    p = len(labels)
+    r_piv, piv = _pivoted_qr(r[:p, :p])
+    rank = _rank_from_r(r_piv, tol)
+    suspects = _suspect_labels(r_piv, piv, rank, labels) if rank < p else []
+    return rank, suspects
+
+
 def rank_check(design: DesignMatrix, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Report the numerical rank of a design without fitting it."""
-    _, r_piv, piv = _factor(design)
-    rank = _rank_from_r(r_piv, tol)
-    deficient = rank < design.p
-    suspects = (
-        tuple(_suspect_labels(r_piv, piv, rank, design.column_labels))
-        if deficient
-        else ()
-    )
+    p = design.p
+    xs, ys = _weighted(design)
+    if p and _certified_cholesky(xs, tol) is not None:
+        rank, suspects = p, []
+    else:
+        rank, suspects = _revealed_rank(_triangle(xs, ys), design.column_labels, tol)
     return RankReport(
         rank=rank,
-        n_columns=design.p,
-        deficient=deficient,
-        suspect_labels=suspects,
+        n_columns=p,
+        deficient=rank < p,
+        suspect_labels=tuple(suspects),
         tol=tol,
     )
 
@@ -187,38 +258,46 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
     if n < p:
         raise ValueError(f"{n} observations cannot identify {p} coefficients")
 
-    r, r_piv, piv = _factor(design)
-    rank = _rank_from_r(r_piv, rank_tol)
-    if rank < p:
-        suspects = _suspect_labels(r_piv, piv, rank, design.column_labels)
-        raise RankDeficientError(
-            f"design is rank deficient (rank {rank} of {p}); "
-            f"dependent columns: {suspects}",
-            suspects,
-        )
-    dof = n - rank
+    xs, ys = _weighted(design)
+    r = _certified_cholesky(xs, rank_tol)
+    if r is None:
+        r_aug = _triangle(xs, ys)
+        rank, suspects = _revealed_rank(r_aug, design.column_labels, rank_tol)
+        if rank < p:
+            raise RankDeficientError(
+                f"design is rank deficient (rank {rank} of {p}); "
+                f"dependent columns: {suspects}",
+                suspects,
+            )
+    dof = n - p
     if dof < 1:
         raise ValueError(
-            f"no residual degrees of freedom (n={n}, rank={rank}); "
+            f"no residual degrees of freedom (n={n}, rank={p}); "
             "standard errors are undefined"
         )
 
-    r_x = r[:p, :p]
-    beta, info = lapack.dtrtrs(r_x, r[:p, p])
-    _lapack("dtrtrs", info)
+    if r is not None:
+        # corrected semi-normal equations: solve, then refine once on
+        # the explicit residual
+        r_inv = np.linalg.inv(r)
+        beta = r_inv @ (r_inv.T @ (xs.T @ ys))
+        beta += r_inv @ (r_inv.T @ (xs.T @ (ys - xs @ beta)))
+        residual_norm = float(np.linalg.norm(ys - xs @ beta))
+        response_norm = float(np.linalg.norm(ys))
+    else:
+        r = r_aug[:p, :p]
+        r_inv = np.linalg.inv(r)
+        beta = np.linalg.solve(r, r_aug[:p, p])
+        # the corner entry is the norm of the weighted residual
+        residual_norm = abs(float(r_aug[p, p]))
+        response_norm = float(np.linalg.norm(r_aug[:, p]))
 
-    # r[p, p] is the norm of the weighted residual; at or below the
-    # rank tolerance relative to ‖√w·y‖ it is rounding, and the fit is exact
-    residual_norm = abs(float(r[p, p]))
-    if residual_norm <= rank_tol * float(np.linalg.norm(r[:, p])):
+    # a residual at or below the rank tolerance relative to ‖√w·y‖ is
+    # rounding, and the fit is exact
+    if residual_norm <= rank_tol * response_norm:
         residual_norm = 0.0
     weighted_rss = residual_norm**2
-    sigma2 = weighted_rss / dof
-
-    inverse, info = lapack.dpotri(r_x)  # upper triangle of (RᵀR)⁻¹
-    _lapack("dpotri", info)
-    covariance = np.triu(inverse) + np.triu(inverse, 1).T
-    covariance *= sigma2
+    covariance = (r_inv @ r_inv.T) * (weighted_rss / dof)
 
     std_errors = np.sqrt(np.diag(covariance))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +313,7 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
         covariance=covariance,
         n_obs=n,
         dof=dof,
-        rank=rank,
+        rank=p,
         weighted_rss=weighted_rss,
         column_means=design.weighted_column_means(),
     )

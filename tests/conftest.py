@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from agecurve import DesignMatrix, Survey
+from agecurve import DesignMatrix, Survey, save_csv
 
 
 def synth_rows(
@@ -62,6 +63,30 @@ def synth_survey(*parts: dict, **shared) -> Survey:
     ``shared``, in order."""
     return Survey.from_rows(
         row for part in parts or ({},) for row in synth_rows(**{**shared, **part})
+    )
+
+
+def ushape(a):
+    return 8.0 - 0.1 * a + 0.001 * a * a
+
+
+# Keywords of synthetic countries that every preset can fit.
+FITTABLE = dict(with_controls=True, happiness_fn=ushape, noise_sd=0.6)
+
+
+def survey_file(path, *parts, **shared):
+    """``path``, written by :func:`save_csv` with :func:`synth_survey`
+    of the other arguments."""
+    save_csv(synth_survey(*parts, **shared), path)
+    return path
+
+
+@pytest.fixture
+def survey_csv(tmp_path):
+    """A two-country survey file on which every preset can be fitted."""
+    return survey_file(
+        tmp_path / "survey.csv",
+        dict(n=400, seed=101, country="AA"), dict(n=400, seed=102, country="BB"), **FITTABLE,
     )
 
 

@@ -1,36 +1,13 @@
 import csv
 
+import numpy as np
 import pytest
 
 import agecurve.cli
 import agecurve.models
-from agecurve import save_csv
 from agecurve.cli import EXIT_CHECK_FAILED, RULES, main
 from agecurve.render import read_csv
-from conftest import synth_survey
-
-
-def ushape(a):
-    return 8.0 - 0.1 * a + 0.001 * a * a
-
-
-# Keywords of synthetic countries that every preset can fit.
-FITTABLE = dict(with_controls=True, happiness_fn=ushape, noise_sd=0.6)
-
-
-def survey_file(path, *parts, **shared):
-    """``path``, written by :func:`save_csv` with :func:`synth_survey`
-    of the other arguments."""
-    save_csv(synth_survey(*parts, **shared), path)
-    return path
-
-
-@pytest.fixture
-def survey_csv(tmp_path):
-    return survey_file(
-        tmp_path / "survey.csv",
-        dict(n=400, seed=101, country="AA"), dict(n=400, seed=102, country="BB"), **FITTABLE,
-    )
+from conftest import FITTABLE, survey_file, ushape
 
 
 class TestFit:
@@ -137,6 +114,32 @@ class TestInputHandling:
             "--format", "csv",
         ])
         assert code == 0
+
+    def test_load_notes_on_stderr(self, tmp_path, capsys):
+        """Years off the round-year grid are ranked into rounds, and the
+        load note saying so reaches stderr."""
+        rng = np.random.default_rng(5)
+        path = tmp_path / "offgrid.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["country", "year", "age", "happiness", "weight"])
+            for i in range(600):
+                age = int(rng.integers(15, 91))
+                writer.writerow([
+                    "AA", (2003, 2007, 2011)[i % 3], age,
+                    round(ushape(age) + rng.normal(0.0, 0.6), 3), 1.0,
+                ])
+        code = main([
+            "fit", "--input", str(path), "--out", str(tmp_path / "out"),
+            "--map", "period_year=year", "--format", "csv",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "loaded 600 rows"
+        assert (
+            "note: survey years do not follow the round-year grid; "
+            "rounds assigned by rank over observed years\n"
+        ) in captured.err
 
     def test_bad_map_syntax(self, survey_csv, tmp_path, capsys):
         code = main([

@@ -83,6 +83,7 @@ class TestLoadCsv:
         write_rows(path, self.HEADER, [["DE", 1, 40, 7, 1.0], ["DE", 2, 50, 6, 0.5]])
         survey, report = load_csv(path)
         assert report.rows_read == 2 and report.rows_kept == 2
+        assert report.summary() == "loaded 2 rows"
         assert survey.round.tolist() == [1, 2]
         assert survey.period_year.tolist() == [2002, 2004]
 
@@ -110,6 +111,11 @@ class TestLoadCsv:
         assert report.dropped["unparseable happiness"] == 1
         assert report.dropped["nonpositive weight"] == 1
         assert report.dropped["unparseable weight"] == 1
+        assert report.summary() == (
+            "loaded 1 of 8 rows (dropped age out of range: 2, "
+            "happiness out of range: 1, nonpositive weight: 1, "
+            "unparseable age: 1, unparseable happiness: 1, unparseable weight: 1)"
+        )
 
     def test_years_only_on_grid(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import agecurve
 from agecurve import (
     DesignMatrix,
     FitResult,
@@ -230,3 +237,35 @@ class TestFitResult:
         )
         naive = np.average(design.values, axis=0, weights=design.row_weights)
         np.testing.assert_allclose(fit.column_means, naive, rtol=0, atol=1e-12)
+
+
+def test_runtime_needs_no_scipy(survey_csv, tmp_path):
+    """The package imports and runs with scipy blocked. This runs in a
+    fresh interpreter, since this session imported scipy for the
+    reference solver."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import agecurve.cli
+        if "scipy" in sys.modules:
+            sys.exit("importing agecurve.cli imported scipy")
+        sys.modules["scipy"] = None  # any later import of scipy fails
+        codes = [
+            agecurve.cli.main(["report", "--input", {str(survey_csv)!r},
+                               "--out", {str(tmp_path / "report")!r}]),
+            agecurve.cli.main(["simulate", "--experiment", "mediator", "--reps", "2",
+                               "--out", {str(tmp_path / "simulate")!r}]),
+        ]
+        sys.exit(0 if codes == [0, 0] else f"exit codes {{codes}}")
+        """
+    )
+    src = str(Path(agecurve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
