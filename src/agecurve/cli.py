@@ -20,7 +20,6 @@ import argparse
 import configparser
 import csv
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -204,10 +203,9 @@ class _Fits(dict):
             self._curves[scheme] = []
             for res in self[f"ranges-{scheme}"]:
                 if res.ok:
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        self._curves[scheme].append(curve_from_fit(res.fit, res.country, scheme))
-                    res.notes.extend(str(w.message) for w in caught)
+                    curve = curve_from_fit(res.fit, res.country, scheme)
+                    self._curves[scheme].append(curve)
+                    res.notes.extend(curve.notes)
         return self._curves[scheme]
 
 

@@ -272,7 +272,7 @@ def encode_categorical(
             f"record {missing[0]} has no {variable!r}; apply listwise deletion "
             f"(FilterSpec.listwise_vars) before building the design"
         )
-    present = np.unique(codes).tolist()
+    present = np.flatnonzero(np.bincount(codes, minlength=len(levels))).tolist()
     observed = sorted((levels[code] for code in present), key=_level_sort_key)
     if declared_levels is None:
         declared = observed

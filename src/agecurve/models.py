@@ -18,8 +18,7 @@ one call).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "ModelSpec",
     "AgeCurve",
     "CountryResult",
-    "TooFewPeriodsWarning",
     "PRESETS",
     "PRESET_ALIASES",
     "get_spec",
@@ -51,11 +49,6 @@ __all__ = [
     "curve_from_fit",
     "adjusted_means",
 ]
-
-
-class TooFewPeriodsWarning(UserWarning):
-    """Fewer than three distinct survey rounds: period and cohort factors
-    are technically identified but have very little leverage."""
 
 
 @dataclass(frozen=True)
@@ -162,26 +155,28 @@ def fit_spec(
     This is the one place that decides whether a spec is identified on a
     sample. It applies the spec's sample restrictions (age cap, listwise
     deletion when controls are on), refuses a cohort-controlled spec on
-    fewer than two distinct rounds with :class:`DesignError`, warns
-    through :class:`TooFewPeriodsWarning` when fewer than three remain,
-    and returns the WLS fit.
+    fewer than two distinct rounds with :class:`DesignError`, and
+    returns the WLS fit. When fewer than three rounds remain, period and
+    cohort factors are identified but have little leverage, and the
+    fit's ``notes`` say so.
     """
     kept, _ = apply_filter(survey, _filter_for(spec, country))
-    n_periods = len(np.unique(kept.period_year))
+    # apply_filter leaves at least one row
+    n_periods = 1 + int(np.count_nonzero(np.diff(np.sort(kept.period_year))))
     if spec.cohort_control and n_periods < 2:
         raise DesignError(
             f"only {n_periods} distinct survey round(s); "
             "cohort-controlled fit skipped"
         )
-    if n_periods < 3:
-        label = country if country is not None else "pooled sample"
-        warnings.warn(
-            f"{label}: only {n_periods} distinct survey round(s); period "
-            "and cohort factors have little leverage",
-            TooFewPeriodsWarning,
-            stacklevel=2,
-        )
-    return fit_wls(build_design(kept, terms_for(spec)))
+    fit = fit_wls(build_design(kept, terms_for(spec)))
+    if n_periods >= 3:
+        return fit
+    label = country if country is not None else "pooled sample"
+    note = (
+        f"{label}: only {n_periods} distinct survey round(s); period "
+        "and cohort factors have little leverage"
+    )
+    return replace(fit, notes=(note,))
 
 
 _AGE_BLOCK = ("const", "age", "age_sq")
@@ -236,12 +231,14 @@ class AgeCurve:
 
     Levels are on the happiness scale and comparable across countries
     fitted with the same scheme. :func:`agecurve.shape.depth` reports
-    the extremes.
+    the extremes. ``notes`` names each bin left out of the curve and,
+    from :func:`adjusted_means`, carries the fit's notes before them.
     """
 
     country: str
     bin_labels: tuple[str, ...]
     levels: tuple[float, ...]
+    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.bin_labels) != len(self.levels):
@@ -260,11 +257,12 @@ def curve_from_fit(fit: FitResult, country: str, scheme: str) -> AgeCurve:
     """Convert a range fit under ``scheme`` to adjusted levels per bin:
     reference bin = intercept + standardization offset, other bins add
     their own coefficient. Bins with no observations are left out of the
-    curve with a warning."""
+    curve, each with a note in the curve's ``notes``."""
     base = fit.coef("const") + _context_offset(fit)
     reference = COARSE_REFERENCE if scheme == "coarse" else FINE_REFERENCE
     labels: list[str] = []
     levels: list[float] = []
+    notes: list[str] = []
     for bin_label in scheme_bin_labels(scheme):
         if bin_label == reference:
             labels.append(bin_label)
@@ -273,11 +271,10 @@ def curve_from_fit(fit: FitResult, country: str, scheme: str) -> AgeCurve:
             labels.append(bin_label)
             levels.append(base + fit.coef(f"bin:{bin_label}"))
         else:
-            warnings.warn(
-                f"{country}: no observations in bin {bin_label}; omitted from curve",
-                stacklevel=2,
-            )
-    return AgeCurve(country=country, bin_labels=tuple(labels), levels=tuple(levels))
+            notes.append(f"{country}: no observations in bin {bin_label}; omitted from curve")
+    return AgeCurve(
+        country=country, bin_labels=tuple(labels), levels=tuple(levels), notes=tuple(notes)
+    )
 
 
 def adjusted_means(
@@ -288,20 +285,24 @@ def adjusted_means(
 ) -> AgeCurve:
     """Adjusted happiness level per age bin: :func:`fit_spec` on the
     range model for ``scheme`` (period and cohort controlled by default;
-    pass ``spec`` to override), then :func:`curve_from_fit`."""
+    pass ``spec`` to override), then :func:`curve_from_fit`. The curve's
+    notes are the fit's notes followed by its own."""
     if spec is None:
         spec = PRESETS["ranges-coarse" if scheme == "coarse" else "ranges-fine"]
     if spec.form != "ranges" or spec.scheme != scheme:
         raise ValueError(
             f"spec {spec.name!r} does not fit {scheme!r} age ranges"
         )
-    return curve_from_fit(fit_spec(survey, spec, country), country, scheme)
+    fit = fit_spec(survey, spec, country)
+    curve = curve_from_fit(fit, country, scheme)
+    return replace(curve, notes=fit.notes + curve.notes)
 
 
 @dataclass
 class CountryResult:
     """Outcome of one country's fit inside a batch; exactly one of ``fit``
-    and ``error`` is set."""
+    and ``error`` is set. ``notes`` starts as the fit's notes; callers
+    may add their own, such as the notes of a curve drawn from the fit."""
 
     country: str
     fit: FitResult | None = None
@@ -326,7 +327,8 @@ def batch_fit(
     first-appearance order in ``survey``. A country whose data cannot
     support the spec (no rows after filtering, rank deficiency, a single
     survey round under a cohort spec) yields an error entry; other
-    countries are unaffected. Warnings become the result's notes.
+    countries are unaffected. A fitted country's notes are its fit's
+    notes.
     """
     parts = survey.by_country()
     if countries is None:
@@ -338,10 +340,8 @@ def batch_fit(
         # so that the filter reports how many rows it removed.
         sample = parts.get(country, survey)
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result.fit = fit_spec(sample, spec, country)
-            result.notes.extend(str(w.message) for w in caught)
+            result.fit = fit_spec(sample, spec, country)
+            result.notes.extend(result.fit.notes)
         except ValueError as exc:
             result.error = str(exc)
         results.append(result)

@@ -14,9 +14,9 @@ can always be recomputed from its own evidence:
     both happier than the midlife reference.
 
 ``curve_heuristic``
-    An adjusted-means curve counts when its minimum falls in midlife and
-    the curve rises by at least ``rise_epsilon`` afterwards (with either
-    a real initial fall or a flat start).
+    An adjusted-means curve counts when its minimum lies in midlife and
+    the curve rises by at least ``rise_epsilon`` afterwards. How far the
+    curve falls to the minimum is reported but not required.
 
 The reduction metric compares a coefficient before and after adding
 controls as a signed percentage, ``(1 - new/old) * 100``; values above
@@ -255,10 +255,9 @@ def classify_curve(
     """Heuristic u-shape call on an adjusted-means curve.
 
     The curve is u-shaped when its minimum (first bin on ties) lies in
-    ``midlife_bins``, the approach to the minimum is either a fall of at
-    least ``rise_epsilon`` or a start within ``rise_epsilon`` of the
-    minimum, and some later bin rises at least ``rise_epsilon`` above
-    the minimum.
+    ``midlife_bins`` and some later bin rises at least ``rise_epsilon``
+    above the minimum. The fall from the first bin to the minimum is
+    evidence only: the rule does not require one.
     """
     levels = curve.levels
     i_min = min(range(len(levels)), key=levels.__getitem__)
@@ -268,16 +267,10 @@ def classify_curve(
     later = levels[i_min + 1 :]
     rise = (max(later) - min_level) if later else 0.0
 
-    in_midlife = min_bin in midlife_bins
-    falls_enough = fall >= rise_epsilon
-    flat_start = fall <= rise_epsilon
-    rises_enough = rise >= rise_epsilon
-    is_u = in_midlife and (falls_enough or flat_start) and rises_enough
-
     return ShapeVerdict(
         country=curve.country,
         rule="curve_heuristic",
-        is_ushape=is_u,
+        is_ushape=min_bin in midlife_bins and rise >= rise_epsilon,
         evidence={
             "min_bin": min_bin,
             "min_level": min_level,

@@ -33,7 +33,6 @@ draws that came before.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -520,7 +519,8 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     strength zero it must be within three MC standard errors of zero.
     At strength zero the attrited sample is the full one (see
     :func:`generate`), so each replicate draws and fits it once and
-    every difference is exactly zero.
+    every difference is exactly zero. A late bin that begins above
+    ``config.age_high`` can hold no respondent and is refused up front.
     """
     if config is None:
         config = default_attrition_config()
@@ -532,21 +532,27 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     late_bins = [label for label, low, _ in FINE_BINS if low >= knee]
     if not late_bins:
         raise ValueError(f"no fine-scheme bins at or above knee {knee}")
+    unreachable = [
+        label for label, low, _ in FINE_BINS if low >= knee and low > config.age_high
+    ]
+    if unreachable:
+        raise ValueError(
+            f"late bins {unreachable} begin above age_high {config.age_high}; "
+            "no respondent can fall in them"
+        )
 
     seeds = _replicate_seeds(config.seed, reps)
     inflations = {label: np.full(reps, np.nan) for label in late_bins}
     for i, seed in enumerate(seeds):
         cfg = replace(config, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            full_curve = adjusted_means(
-                generate(replace(cfg, attrition=None)), cfg.country, "fine"
-            )
-            attrited_curve = (
-                full_curve
-                if strength == 0.0
-                else adjusted_means(generate(cfg), cfg.country, "fine")
-            )
+        full_curve = adjusted_means(
+            generate(replace(cfg, attrition=None)), cfg.country, "fine"
+        )
+        attrited_curve = (
+            full_curve
+            if strength == 0.0
+            else adjusted_means(generate(cfg), cfg.country, "fine")
+        )
         for label in late_bins:
             if label in full_curve.bin_labels and label in attrited_curve.bin_labels:
                 inflations[label][i] = attrited_curve.level(label) - full_curve.level(

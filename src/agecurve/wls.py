@@ -96,7 +96,9 @@ class FitResult:
 
     ``column_means`` holds the weighted mean of each design column (for
     an indicator, the weighted share of its level), which is all that
-    curve prediction and adjusted means need of the design.
+    curve prediction and adjusted means need of the design. ``notes``
+    holds what the caller should know about a fit that succeeded, such
+    as :func:`agecurve.models.fit_spec`'s note on too few survey rounds.
     """
 
     labels: tuple[str, ...]
@@ -109,6 +111,7 @@ class FitResult:
     rank: int
     weighted_rss: float
     column_means: np.ndarray
+    notes: tuple[str, ...] = ()
 
     def _index(self, label: str) -> int:
         try:

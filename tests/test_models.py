@@ -11,7 +11,6 @@ from agecurve import (
     ModelSpec,
     PRESETS,
     Survey,
-    TooFewPeriodsWarning,
     adjusted_means,
     batch_fit,
     fit_spec,
@@ -19,8 +18,16 @@ from agecurve import (
     predict_curve,
     quad_vertex,
 )
+from agecurve import models
 from agecurve.models import terms_for
 from conftest import synth_rows, synth_survey
+
+
+def few_rounds(label, n_periods):
+    return (
+        f"{label}: only {n_periods} distinct survey round(s); "
+        "period and cohort factors have little leverage"
+    )
 
 
 def quad_fn(const, b_age, b_sq):
@@ -110,14 +117,12 @@ class TestFitSpec:
         with pytest.raises(DesignError, match="cohort-controlled fit skipped"):
             adjusted_means(survey, "A", scheme="fine")
 
-    def test_few_rounds_warning(self):
+    def test_few_rounds_note(self):
         survey = synth_survey(n=120, seed=7, rounds=(1, 2))
-        with pytest.warns(TooFewPeriodsWarning):
-            fit_spec(survey, get_spec("quad-nocontrols-nocap"))
+        fit = fit_spec(survey, get_spec("quad-nocontrols-nocap"))
+        assert fit.notes == (few_rounds("pooled sample", 2),)
         survey = synth_survey(n=120, seed=8, rounds=(1, 2, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TooFewPeriodsWarning)
-            fit_spec(survey, get_spec("quad-nocontrols-nocap"))
+        assert fit_spec(survey, get_spec("quad-nocontrols-nocap")).notes == ()
 
 
 class TestCurveHelpers:
@@ -182,9 +187,8 @@ class TestAdjustedMeans:
             happiness_fn=lambda a: 5.0 + (a >= 60) * 1.5, noise_sd=0.5,
         )
         spec = ModelSpec(name="raw", form="ranges", scheme="coarse")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TooFewPeriodsWarning)
-            curve = adjusted_means(survey, "A", scheme="coarse", spec=spec)
+        curve = adjusted_means(survey, "A", scheme="coarse", spec=spec)
+        assert curve.notes == (few_rounds("A", 1),)
         from agecurve import age_bin_label
 
         bins = np.array([age_bin_label(age) for age in survey.age.tolist()])
@@ -193,12 +197,23 @@ class TestAdjustedMeans:
             raw = sum((w * h).tolist()) / sum(w.tolist())
             assert curve.level(bin_label) == pytest.approx(raw, abs=1e-9)
 
-    def test_missing_bin_warned_and_omitted(self):
+    def test_missing_bin_noted_and_omitted(self):
         survey = synth_survey(n=200, seed=13, age_low=35, age_high=74)
         spec = ModelSpec(name="raw", form="ranges", scheme="coarse")
-        with pytest.warns(UserWarning, match="no observations in bin"):
-            curve = adjusted_means(survey, "A", scheme="coarse", spec=spec)
+        curve = adjusted_means(survey, "A", scheme="coarse", spec=spec)
         assert curve.bin_labels == ("35-59", "60-74")
+        assert curve.notes == (
+            "A: no observations in bin 15-34; omitted from curve",
+            "A: no observations in bin 75+; omitted from curve",
+        )
+
+    def test_fit_notes_precede_curve_notes(self):
+        survey = synth_survey(n=300, seed=20, rounds=(1, 2), age_high=84)
+        curve = adjusted_means(survey, "A", scheme="fine")
+        assert curve.notes == (
+            few_rounds("A", 2),
+            "A: no observations in bin 85+; omitted from curve",
+        )
 
     def test_scheme_spec_mismatch(self):
         survey = synth_survey(n=50, seed=14)
@@ -242,9 +257,26 @@ class TestBatchFit:
         assert results[0].ok
         assert not results[1].ok and "filter removed all" in results[1].error
 
-    def test_warning_captured_as_note(self):
+    def test_fit_notes_become_result_notes(self):
         survey = synth_survey(n=150, seed=18, country="TWO", rounds=(1, 2))
         results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])
         (res,) = results
         assert res.ok
-        assert any("distinct survey round" in note for note in res.notes)
+        assert res.notes == [few_rounds("TWO", 2)]
+
+    def test_warnings_reach_the_caller(self, monkeypatch):
+        """A warning raised inside a fit is the caller's to handle, not
+        a note."""
+        build_design = models.build_design
+
+        def warning_build_design(*args, **kwargs):
+            warnings.warn("overflow in a design column", RuntimeWarning)
+            return build_design(*args, **kwargs)
+
+        monkeypatch.setattr(models, "build_design", warning_build_design)
+        survey = synth_survey(n=150, seed=21, country="AA", rounds=(1, 2, 3))
+        with pytest.warns(RuntimeWarning, match="overflow in a design column"):
+            results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])
+        (res,) = results
+        assert res.ok
+        assert res.notes == []

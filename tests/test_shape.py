@@ -158,6 +158,14 @@ class TestCurveHeuristic:
         verdict = classify_curve(curve)
         assert verdict.is_ushape  # start within epsilon of the minimum
 
+    def test_no_fall_required(self):
+        # rises first, then dips to a midlife minimum within epsilon of the start
+        curve = fine_curve([7.0, 7.3, 6.95, 7.1, 7.2, 7.3, 7.4, 7.3])
+        verdict = classify_curve(curve)
+        assert verdict.evidence["min_bin"] == "35-44"
+        assert verdict.evidence["fall_to_min"] == pytest.approx(0.05)
+        assert verdict.is_ushape
+
     def test_insufficient_rise(self):
         curve = fine_curve([7.3, 7.1, 7.0, 6.95, 6.98, 7.0, 7.02, 7.01])
         assert not classify_curve(curve).is_ushape

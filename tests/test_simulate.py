@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,12 @@ class TestExperiments:
     def test_attrition_requires_attrition(self):
         with pytest.raises(ValueError, match="attrition"):
             experiment_attrition(DgpConfig(n=100, seed=1), reps=2)
+
+    def test_attrition_refuses_unreachable_late_bin(self):
+        # no age above 84 is drawn, so the 85+ bin would be empty in every replicate
+        config = replace(default_attrition_config(seed=56), n=2000, age_high=84)
+        with pytest.raises(ValueError, match=r"\['85\+'\] begin above age_high 84"):
+            experiment_attrition(config, reps=2)
 
     def test_experiments_are_reproducible(self):
         a = experiment_truncation(default_truncation_config(seed=55), reps=3)

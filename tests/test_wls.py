@@ -259,13 +259,43 @@ def test_runtime_needs_no_scipy(survey_csv, tmp_path):
         sys.exit(0 if codes == [0, 0] else f"exit codes {{codes}}")
         """
     )
+    result = _run_fresh(script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_report_leaves_numpy_ma_unimported(survey_csv, tmp_path):
+    """A bare ``np.unique`` imports ``numpy.ma`` on numpy 2, a cold-start
+    cost inside every run; ``report`` must not trigger it. numpy 1
+    imports ``numpy.ma`` with numpy itself, so there is nothing to check."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import agecurve.cli
+        if "numpy.ma" in sys.modules:
+            print("numpy.ma imported with numpy")
+            sys.exit(0)
+        code = agecurve.cli.main(["report", "--input", {str(survey_csv)!r},
+                                  "--out", {str(tmp_path / "report")!r}])
+        if code != 0:
+            sys.exit(f"exit code {{code}}")
+        if "numpy.ma" in sys.modules:
+            sys.exit("report imported numpy.ma")
+        """
+    )
+    result = _run_fresh(script)
+    assert result.returncode == 0, result.stderr
+    if "numpy.ma imported with numpy" in result.stdout:
+        pytest.skip("this numpy imports numpy.ma eagerly")
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this agecurve."""
     src = str(Path(agecurve.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
