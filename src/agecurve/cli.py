@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -104,43 +103,30 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return config
 
 
-def _resolve_schema(args, config: configparser.ConfigParser, input_path: Path) -> dict:
-    base = dict(ESS_SCHEMA) if getattr(args, "ess_columns", False) else dict(IDENTITY_SCHEMA)
-    if config.has_section("columns"):
-        base.update(dict(config.items("columns")))
-    explicit: set[str] = set()
-    for mapping in getattr(args, "map", None) or []:
-        if "=" not in mapping:
-            raise FatalError(f"--map expects logical=column, got {mapping!r}")
-        logical, column = mapping.split("=", 1)
-        base[logical.strip()] = column.strip()
-        explicit.add(logical.strip())
-
-    # Drop optional default mappings whose column the file does not carry,
-    # so a minimal file (no control columns) loads without ceremony.
-    # Explicit --map entries are always kept: if the column is missing the
-    # loader reports it instead of silently ignoring the user.
-    with input_path.open(newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), [])
-    required = {"country", "age", "happiness", "weight"}
-    schema = {}
-    for logical, column in base.items():
-        if logical in required or logical in explicit or column in header:
-            schema[logical] = column
-    if not any(schema.get(k) in header for k in ("round", "period_year")):
-        # keep one so load_csv reports the real problem
-        schema.setdefault("round", base.get("round", "round"))
-    return schema
-
-
 def _load_survey(args, config: configparser.ConfigParser) -> Survey:
-    if not getattr(args, "input", None):
+    """Load ``--input`` under the base mapping (identity, or ESS with
+    ``--ess-columns``), overridden by the config's ``[columns]`` and then
+    by ``--map``. The loader leaves out an optional field whose column
+    is absent; a column named by ``--map`` must be in the file."""
+    if not args.input:
         raise FatalError("this command needs --input (a survey CSV)")
     path = Path(args.input)
     if not path.is_file():
         raise FatalError(f"input file not found: {path}")
-    schema = _resolve_schema(args, config, path)
+    schema = dict(ESS_SCHEMA if args.ess_columns else IDENTITY_SCHEMA)
+    if config.has_section("columns"):
+        schema.update(config.items("columns"))
+    mapped = {}
+    for mapping in args.map or []:
+        if "=" not in mapping:
+            raise FatalError(f"--map expects logical=column, got {mapping!r}")
+        logical, column = mapping.split("=", 1)
+        mapped[logical.strip()] = column.strip()
+    schema.update(mapped)
     survey, report = load_csv(path, schema)
+    absent = [col for logical, col in mapped.items() if logical not in report.columns]
+    if absent:
+        raise FatalError(f"columns not in file header: {absent}")
     print(report.summary())
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -579,8 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_FATAL if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (FatalError, DataError, DesignError, RankDeficientError, OSError) as exc:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,6 +112,11 @@ DEFAULT_ROUND_MAP = RoundYearMap()
 
 
 _ROW_KEYS = frozenset({*IDENTITY_SCHEMA, "mediator"})
+
+# The fields every file must supply, and those it may leave out (at least
+# one of round and period_year must be read).
+_REQUIRED = ("country", "age", "happiness", "weight")
+_OPTIONAL = frozenset({*CONTROL_VARS, "round", "period_year"})
 
 
 def _factor(values: Iterable[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -250,12 +255,15 @@ class Survey:
 
 @dataclass
 class LoadReport:
-    """Row accounting for one :func:`load_csv` call."""
+    """Row accounting for one :func:`load_csv` call. ``columns`` maps
+    each field that was read to its column in the file, in schema order:
+    the schema less the optional fields whose column is absent."""
 
     rows_read: int = 0
     rows_kept: int = 0
     dropped: Counter = field(default_factory=Counter)
     notes: list[str] = field(default_factory=list)
+    columns: dict[str, str] = field(default_factory=dict)
 
     def summary(self) -> str:
         """One line: rows kept, and rows read with the count per drop
@@ -366,31 +374,34 @@ def load_csv(
     """Read survey rows from a CSV file into a :class:`Survey`.
 
     ``schema`` maps the logical field names (keys of
-    :data:`IDENTITY_SCHEMA`) to the file's column names; omitted control
-    variables are simply left missing. The file must supply
-    ``country``, ``age``, ``happiness``, ``weight``, and at least one of
-    ``round`` / ``period_year``. When only years are present, rounds are
-    recovered through ``round_map``; if any observed year is off that
-    grid, all years are instead ranked and the ranks used as synthetic
-    round numbers (the year values themselves stay untouched).
+    :data:`IDENTITY_SCHEMA`, the default) to the file's column names. One
+    rule applies to every schema: a column of a required field
+    (``country``, ``age``, ``happiness``, ``weight``) must be in the
+    header, an optional field (a control, ``round`` or ``period_year``)
+    whose column is absent is left missing, and at least one of
+    ``round`` / ``period_year`` must be read. The fields actually read,
+    with their columns, are :attr:`LoadReport.columns`. When only years
+    are read, rounds are recovered through ``round_map``; if any observed
+    year is off that grid, all years are instead ranked and the ranks
+    used as synthetic round numbers (the year values themselves stay
+    untouched).
 
     A numeric cell counts as parseable when ``float`` reads it as a
     finite number, so ``inf`` and ``NaN`` are unparseable. Rows that
     cannot be used are dropped and tallied, each under the first rule it
     fails, in the returned :class:`LoadReport`; the row order of the
-    file is preserved. Raises :class:`DataError` if mapped columns are
-    absent from the header or no usable rows remain. When ``schema`` is
-    ``None``, the canonical names of :data:`IDENTITY_SCHEMA` are assumed
-    and optional columns (controls, and one of round / period_year) may
-    simply be absent from the file; an explicit schema is enforced
-    exactly.
+    file is preserved. Raises :class:`DataError` for a schema key that
+    is not a logical field, a required field the schema does not map, a
+    required column absent from the header, a file with neither a round
+    nor a year column, or no usable rows.
     """
-    explicit_schema = schema is not None
-    schema = dict(schema or IDENTITY_SCHEMA)
+    schema = dict(IDENTITY_SCHEMA if schema is None else schema)
     missing = frozenset(missing)
 
-    required = ("country", "age", "happiness", "weight")
-    for logical in required:
+    unknown = sorted(set(schema) - set(IDENTITY_SCHEMA))
+    if unknown:
+        raise DataError(f"unknown fields in schema: {unknown}")
+    for logical in _REQUIRED:
         if logical not in schema:
             raise DataError(f"schema must map the {logical!r} column")
     if "round" not in schema and "period_year" not in schema:
@@ -400,39 +411,33 @@ def load_csv(
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        if not explicit_schema:
-            optional = set(CONTROL_VARS) | {"round", "period_year"}
-            schema = {
-                logical: col
-                for logical, col in schema.items()
-                if logical not in optional or col in header
-            }
-            if "round" not in schema and "period_year" not in schema:
-                raise DataError(
-                    f"{path} has neither a 'round' nor a 'period_year' column"
-                )
-        absent = [col for col in schema.values() if col not in header]
+        absent = [col for name, col in schema.items() if name not in _OPTIONAL and col not in header]
+        schema = {name: col for name, col in schema.items() if col in header}
+        if "round" not in schema and "period_year" not in schema:
+            raise DataError(f"{path} has neither a 'round' nor a 'period_year' column")
         if absent:
             raise DataError(f"columns not in file header: {absent}")
-        # A blank line is not a row.
-        rows = [row for row in reader if row]
+        # Only the read columns are kept. A repeated column name refers to
+        # its last occurrence, a short row reads as empty cells, as with
+        # csv.DictReader, and a blank line is not a row.
+        position = {col: j for j, col in enumerate(header)}
+        get = operator.itemgetter(*(position[col] for col in schema.values()))
+        pad = [""] * len(header)
+        rows = [get(row) if len(row) >= len(pad) else get(row + pad) for row in reader if row]
     if not rows:
         raise DataError(f"no usable rows in {path}")
-    # A repeated column name refers to its last occurrence and a short
-    # row reads as empty cells, as with csv.DictReader.
-    position = {name: j for j, name in enumerate(header)}
-    columns = list(itertools.zip_longest(*rows, fillvalue=""))
-    columns += [("",) * len(rows)] * (len(header) - len(columns))
+    # The rows, then the cells, are released once used: they set the peak.
+    cells = dict(zip(schema, zip(*rows)))
+    del rows
     column = {}
-    for logical, col in schema.items():
-        cells = columns[position[col]]
-        if logical == "country":
-            column[logical] = np.array([text.strip() for text in cells], dtype=object)
-        elif logical in CONTROL_VARS:
-            merge = labor_merge if logical == "labor_status" else {}
-            column[logical] = _control(cells, missing, merge)
+    for name, texts in cells.items():
+        if name == "country":
+            column[name] = np.array([text.strip() for text in texts], dtype=object)
+        elif name in CONTROL_VARS:
+            column[name] = _control(texts, missing, labor_merge if name == "labor_status" else {})
         else:
-            column[logical] = _numbers(cells, missing)
+            column[name] = _numbers(texts, missing)
+    del cells
 
     age, happy, weight = column["age"], column["happiness"], column["weight"]
     rules = [
@@ -454,7 +459,9 @@ def load_csv(
             ("unparseable survey year", _not_whole(year) | (np.abs(year) >= _INT_LIMIT))
         )
     keep, dropped = _tally(len(age), rules)
-    report = LoadReport(rows_read=len(age), rows_kept=int(keep.sum()), dropped=dropped)
+    report = LoadReport(
+        rows_read=len(age), rows_kept=int(keep.sum()), dropped=dropped, columns=schema
+    )
     if not report.rows_kept:
         raise DataError(f"no usable rows in {path}")
 

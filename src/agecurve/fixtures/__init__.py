@@ -8,21 +8,13 @@ none of the numbers are produced by this package.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
+
+from ..render import read_csv
 
 FIXTURE_NAMES = ("table1", "table2", "table3", "table4")
 
 Row = dict[str, "str | float | None"]
-
-
-def _convert(cell: str) -> str | float | None:
-    if cell == "":
-        return None
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
 
 
 def load(name: str) -> list[Row]:
@@ -30,19 +22,9 @@ def load(name: str) -> list[Row]:
     empty cells become None. ``name`` is one of :data:`FIXTURE_NAMES`."""
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; known: {list(FIXTURE_NAMES)}")
-    text = (
-        resources.files("agecurve.fixtures")
-        .joinpath(f"{name}.csv")
-        .read_text(encoding="utf-8")
-    )
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    return [
-        {key: _convert(cell) for key, cell in zip(header, row)}
-        for row in reader
-        if row
-    ]
+    with resources.as_file(resources.files(__name__) / f"{name}.csv") as path:
+        header, rows = read_csv(path)
+    return [dict(zip(header, row)) for row in rows]
 
 
 def table1() -> list[Row]:

@@ -95,6 +95,16 @@ class TestInputHandling:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["fit", "--bogus"], ["detect", "--fixture", "table2"], []])
+    def test_usage_error_is_fatal(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: agecurve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: agecurve" in capsys.readouterr().out
+
     def test_input_flag_required(self, capsys):
         code = main(["fit"])
         assert code == 1
@@ -156,6 +166,43 @@ class TestInputHandling:
         ])
         assert code == 1
         assert "ladder" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "maps,named",
+        [
+            (["sex=gender"], "['gender']"),  # an optional field: no gender column
+            (["round=foo"], "['foo']"),  # the file's period_year column would do
+            (["sex=gender", "marital=mstat"], "['gender', 'mstat']"),
+        ],
+    )
+    def test_mapped_column_must_exist(self, tmp_path, capsys, maps, named):
+        path = survey_file(tmp_path / "c.csv", n=200, seed=104, happiness_fn=ushape)
+        argv = ["fit", "--input", str(path), "--out", str(tmp_path / "out")]
+        code = main([*argv, *(arg for m in maps for arg in ("--map", m))])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: columns not in file header: {named}\n"
+
+    def test_file_without_round_or_year(self, tmp_path, capsys):
+        path = tmp_path / "no_timing.csv"
+        path.write_text("country,age,happiness,weight\nAA,40,7,1\n", encoding="utf-8")
+        code = main(["fit", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} has neither a 'round' nor a 'period_year' column\n"
+        )
+
+    @pytest.mark.parametrize("source", ["map", "config"])
+    def test_unknown_field_name_is_fatal(self, survey_csv, tmp_path, capsys, source):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[columns]\nwieght = pweight\n", encoding="utf-8")
+        extra = ["--map", "hapiness=age"] if source == "map" else ["--config", str(config)]
+        code = main(["fit", "--input", str(survey_csv), "--out", str(tmp_path / "o"), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: unknown fields in schema: {['hapiness' if source == 'map' else 'wieght']}"
+        ]
 
     def test_columns_config_section(self, tmp_path):
         canonical = survey_file(tmp_path / "c.csv", n=200, seed=105, happiness_fn=ushape)

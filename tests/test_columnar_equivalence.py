@@ -4,7 +4,10 @@ per-row reference in ``record_path.py``.
 Random small survey files are loaded, filtered and turned into designs
 by both paths, which must agree exactly: the same records, the same row
 and drop tallies, bit-identical design values, weights and responses,
-and the same labels, dropped levels and error messages.
+and the same labels, dropped levels and error messages. The files mix
+unmapped columns in with the mapped ones, repeat header names (the last
+occurrence is the one read), shuffle the column order, and carry blank
+lines and rows shorter or longer than the header.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ BAD_CELLS = {
     "round": ("0", "x", "1.5"),
     "period_year": ("x", "2004.5"),
 }
+# Columns no schema maps, and the junk cells of every column that is not
+# read: an unmapped one, or an earlier occurrence of a repeated name.
+UNMAPPED = ("idno", "pspwght", "stratum")
+JUNK_CELLS = ("x", "", "NA", "999", "-1", "2004", "female")
 EXTRA_TERMS = (
     [
         TermSpec.intercept(),
@@ -71,7 +78,11 @@ def survey_files(draw):
     ages = draw(st.sampled_from(AGE_POOLS))
     pools = {name: draw(st.sampled_from(options)) for name, options in CONTROL_POOLS.items()}
     controls = draw(st.lists(st.sampled_from(CONTROL_VARS), unique=True))
-    header = ["country", "age", "happiness", "weight", *timing, *controls]
+    mapped = ["country", "age", "happiness", "weight", *timing, *controls]
+    unmapped = draw(st.lists(st.sampled_from(UNMAPPED), max_size=4))
+    repeated = draw(st.lists(st.sampled_from(mapped), unique=True, max_size=2))
+    header = draw(st.permutations([*mapped, *unmapped, *repeated]))
+    last = {name: j for j, name in enumerate(header)}
     with_bad = draw(st.booleans())
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
@@ -86,11 +97,17 @@ def survey_files(draw):
         for name in controls:
             cells[name] = draw(st.sampled_from(pools[name]))
         if with_bad and draw(st.integers(min_value=0, max_value=5)) == 0:
-            field = draw(st.sampled_from([f for f in BAD_CELLS if f in header]))
+            field = draw(st.sampled_from([f for f in BAD_CELLS if f in mapped]))
             cells[field] = draw(st.sampled_from(BAD_CELLS[field]))
-        row = [cells[name] for name in header]
-        if with_bad and draw(st.integers(min_value=0, max_value=9)) == 0:
+        row = [
+            cells[name] if name in mapped and j == last[name] else draw(st.sampled_from(JUNK_CELLS))
+            for j, name in enumerate(header)
+        ]
+        cut = draw(st.integers(min_value=0, max_value=9))
+        if with_bad and cut == 0:
             row = row[: draw(st.integers(min_value=0, max_value=len(row) - 1))]
+        elif cut == 1:
+            row.append(draw(st.sampled_from(JUNK_CELLS)))
         rows.append(row)  # an empty row is a blank line
     return header, rows
 

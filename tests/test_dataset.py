@@ -15,7 +15,7 @@ from agecurve import (
     load_csv,
     save_csv,
 )
-from agecurve.dataset import ESS_SCHEMA, RoundYearMap
+from agecurve.dataset import ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap
 from record_path import SurveyRecord, rows
 
 
@@ -84,6 +84,7 @@ class TestLoadCsv:
         survey, report = load_csv(path)
         assert report.rows_read == 2 and report.rows_kept == 2
         assert report.summary() == "loaded 2 rows"
+        assert report.columns == {name: name for name in self.HEADER}
         assert survey.round.tolist() == [1, 2]
         assert survey.period_year.tolist() == [2002, 2004]
 
@@ -144,6 +145,40 @@ class TestLoadCsv:
         write_rows(path, ["country", "round", "age", "happiness"], [["DE", 1, 40, 7]])
         with pytest.raises(DataError, match="weight"):
             load_csv(path)
+
+    def test_explicit_schema_leaves_absent_control_missing(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_rows(path, ["cntry", "essround", "agea", "happy", "dweight", "gndr"],
+                   [["DE", 4, 40, 7, 1.1, "female"]])
+        survey, report = load_csv(path, ESS_SCHEMA)
+        assert survey.controls["education"][0].tolist() == [-1]
+        assert rows(survey) == [rec(round=4, period_year=2008, weight=1.1, sex="female")]
+        assert report.columns == {
+            "country": "cntry", "round": "essround", "age": "agea", "happiness": "happy",
+            "weight": "dweight", "sex": "gndr",
+        }
+
+    @pytest.mark.parametrize("schema", [None, ESS_SCHEMA])
+    def test_one_column_rule_for_every_schema(self, tmp_path, schema):
+        """With or without an explicit schema, an absent required column
+        is named and a file with no round or year column says so."""
+        names = dict(ESS_SCHEMA if schema else IDENTITY_SCHEMA)
+        path = tmp_path / "d.csv"
+        write_rows(path, [names[f] for f in ("country", "round", "age", "happiness")],
+                   [["DE", 1, 40, 7]])
+        with pytest.raises(DataError, match=rf"columns not in file header: \['{names['weight']}'\]"):
+            load_csv(path, schema)
+        write_rows(path, [names[f] for f in ("country", "age", "happiness", "weight")],
+                   [["DE", 40, 7, 1]])
+        with pytest.raises(DataError, match="has neither a 'round' nor a 'period_year' column"):
+            load_csv(path, schema)
+
+    def test_unknown_schema_fields_are_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_rows(path, self.HEADER, [["DE", 1, 40, 7, 1.0]])
+        schema = {**IDENTITY_SCHEMA, "hapiness": "age", "wieght": "weight"}
+        with pytest.raises(DataError, match=r"unknown fields in schema: \['hapiness', 'wieght'\]"):
+            load_csv(path, schema)
 
     def test_no_usable_rows_is_error(self, tmp_path):
         path = tmp_path / "d.csv"
