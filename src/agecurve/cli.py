@@ -134,12 +134,14 @@ def _load_survey(args, config: configparser.ConfigParser) -> Survey:
 
 
 def _countries_arg(args, config: configparser.ConfigParser) -> list[str] | None:
+    """The ``--countries`` list, else the config's, each country once in
+    first-appearance order."""
     raw = getattr(args, "countries", None)
     if raw is None and config.has_option("filters", "countries"):
         raw = config.get("filters", "countries")
     if raw is None:
         return None
-    return [c.strip() for c in raw.split(",") if c.strip()]
+    return list(dict.fromkeys(c.strip() for c in raw.split(",") if c.strip()))
 
 
 def _formats(args, config: configparser.ConfigParser) -> set[str]:

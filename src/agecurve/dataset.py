@@ -3,10 +3,10 @@ filtering, and cohort bins.
 
 A survey keeps one numpy array per field and is never changed in place:
 every operation returns a new survey, so one survey can be shared freely
-between model fits. It is split by country once and the parts are kept.
-Loading is tolerant of messy input (rows are dropped with a counted
-reason, never silently) while filtering is strict: an empty result
-raises, because every downstream consumer needs at least one row.
+between model fits. Loading is tolerant of messy input (rows are dropped
+with a counted reason, never silently) while filtering is strict: an
+empty result raises, because every downstream consumer needs at least
+one row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -170,7 +169,6 @@ class Survey:
     controls: Mapping[str, tuple[np.ndarray, tuple[str, ...]]] = field(default_factory=dict)
     mediator: np.ndarray | None = None
     birth_year: np.ndarray = field(init=False, repr=False)
-    _countries: Mapping[str, "Survey"] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         put = functools.partial(object.__setattr__, self)
@@ -237,17 +235,6 @@ class Survey:
             controls={name: (codes[rows], levels) for name, (codes, levels) in self.controls.items()},
             mediator=None if self.mediator is None else self.mediator[rows],
         )
-
-    def by_country(self) -> Mapping[str, Survey]:
-        """One survey per country, in first-appearance order, each with
-        its rows in survey order. Computed on the first call and kept."""
-        if self._countries is None:
-            codes, names = _factor(self.country.tolist())
-            rows = np.argsort(codes, kind="stable")
-            parts = np.split(rows, np.cumsum(np.bincount(codes, minlength=len(names)))[:-1])
-            countries = {name: self.take(part) for name, part in zip(names, parts)}
-            object.__setattr__(self, "_countries", MappingProxyType(countries))
-        return self._countries
 
     def __len__(self) -> int:
         return len(self.country)

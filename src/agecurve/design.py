@@ -11,8 +11,8 @@ absorbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "age_bin_label",
     "scheme_bin_labels",
     "encode_categorical",
+    "distinct_codes",
+    "group_designs",
     "build_design",
 ]
 
@@ -212,40 +214,118 @@ def _level_sort_key(level: str) -> tuple[int, float, str]:
         return (1, 0.0, level)
 
 
-def _encode_factor(
-    term: str,
-    codes: np.ndarray,
-    levels: Sequence[str],
-    reference: str,
-    prefix: str,
-    one_level_note: str | None,
-    unobserved_reference: str,
-) -> tuple[np.ndarray, list[str], list[tuple[str, str, str]]]:
-    """Dummy-code one factor against ``reference``.
+@dataclass
+class _Factor:
+    """One factor term coded once over every row. ``codes`` index
+    ``levels`` (the column order), ``len(levels)`` marking a missing
+    value. With ``declared`` every level is a candidate column, else a
+    group's levels are those it holds; a ``reference`` of None is a
+    group's first level. ``unobserved`` words the error for a reference
+    the group lacks, given the group's levels."""
 
-    ``codes`` index ``levels``, whose order is the column order. Every
-    non-reference level that is observed gets an indicator column
-    labelled ``prefix + level``; one that is not is logged as
-    ``(term, level, "no observations")``, and when only one level is
-    observed ``(term, reference, one_level_note)`` follows, if a note is
-    given. Raises :class:`DesignError` with ``unobserved_reference`` when
-    the reference level has no rows.
-    """
-    counts = np.bincount(codes, minlength=len(levels))
-    if reference not in levels or not counts[levels.index(reference)]:
-        raise DesignError(unobserved_reference)
-    others = [j for j, level in enumerate(levels) if level != reference]
-    contrast = [j for j in others if counts[j]]
-    dropped = [(term, levels[j], "no observations") for j in others if not counts[j]]
-    if one_level_note is not None and np.count_nonzero(counts) == 1:
-        dropped.append((term, reference, one_level_note))
-    column_of = np.full(len(levels), -1)
-    column_of[contrast] = np.arange(len(contrast))
-    row_columns = column_of[codes]
+    term: str
+    prefix: str
+    levels: Sequence[str]
+    codes: np.ndarray
+    declared: bool
+    reference: str | None
+    one_level_note: str | None
+    unobserved: Callable[[str, list[str]], str]
+
+    def columns(
+        self, counts: np.ndarray, codes: np.ndarray
+    ) -> tuple[np.ndarray, list[str], list[tuple[str, str, str]]]:
+        """Dummy coding of one group, given its rows' ``codes`` and its
+        ``counts`` per code: each row's column (-1 for none), the labels
+        ``prefix + level``, and the dropped levels, each candidate level
+        without rows as ``(term, level, "no observations")`` followed,
+        when one level is observed, by ``(term, reference,
+        one_level_note)`` if there is a note."""
+        counts = counts.tolist()
+        if counts[-1]:
+            _no_missing(self.term, codes == len(self.levels))
+        held = [j for j, count in enumerate(counts[:-1]) if count or self.declared]
+        levels = [self.levels[j] for j in held]
+        reference = levels[0] if self.reference is None else self.reference
+        if reference not in levels or not counts[held[levels.index(reference)]]:
+            raise DesignError(self.unobserved(reference, levels))
+        others = [j for j in held if self.levels[j] != reference]
+        contrast = [j for j in others if counts[j]]
+        dropped = [(self.term, self.levels[j], "no observations") for j in others if not counts[j]]
+        if self.one_level_note is not None and sum(map(bool, counts[:-1])) == 1:
+            dropped.append((self.term, reference, self.one_level_note))
+        column_of = np.full(len(self.levels) + 1, -1)
+        column_of[contrast] = np.arange(len(contrast))
+        return column_of[codes], [f"{self.prefix}{self.levels[j]}" for j in contrast], dropped
+
+
+def _no_missing(variable: str, missing: np.ndarray) -> None:
+    rows = np.flatnonzero(missing)
+    if rows.size:
+        raise DesignError(
+            f"record {rows[0]} has no {variable!r}; apply listwise deletion "
+            f"(FilterSpec.listwise_vars) before building the design"
+        )
+
+
+def _fill(values: np.ndarray, offset: int, row_columns: np.ndarray) -> None:
     rows = np.flatnonzero(row_columns >= 0)
-    columns = np.zeros((len(codes), len(contrast)), dtype=np.float64)
-    columns[rows, row_columns[rows]] = 1.0
-    return columns, [f"{prefix}{levels[j]}" for j in contrast], dropped
+    values[rows, offset + row_columns[rows]] = 1.0
+
+
+def _control_factor(survey: Survey, variable: str, reference: str | None) -> _Factor:
+    """A control's factor, its levels in natural sort order."""
+    if variable not in CONTROL_VARS:
+        raise KeyError(f"unknown control variable {variable!r}")
+    codes, levels = survey.controls[variable]
+    order = sorted(range(len(levels)), key=lambda j: _level_sort_key(levels[j]))
+    rank = np.full(len(levels) + 1, len(levels))
+    rank[order] = np.arange(len(levels))
+    return _Factor(
+        variable, f"{variable}=", [levels[j] for j in order], rank[codes], False, reference,
+        "only one observed level",
+        lambda ref, held: f"reference level {ref!r} "
+        + ("has no observations" if ref in held else "is not a declared level"),
+    )
+
+
+def distinct_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in ascending order, and each value's index
+    among them: ``np.unique(values, return_inverse=True)`` in half its
+    temporary memory."""
+    ordered = np.sort(values)
+    starts = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    return starts, np.searchsorted(starts, values)
+
+
+def _term_factor(survey: Survey, term: TermSpec) -> _Factor:
+    if term.kind == "age_bins":
+        scheme = term.scheme or "coarse"
+        bins = _SCHEMES[scheme]
+        return _Factor(
+            "age_bins", "bin:", [label for label, _, _ in bins],
+            np.searchsorted([low for _, low, _ in bins], survey.age, side="right") - 1,
+            True, term.reference_level or _SCHEME_REFERENCES[scheme], None,
+            lambda ref, _: f"reference bin {ref!r} has no observations",
+        )
+    if term.kind == "control_factor":
+        assert term.name is not None
+        return _control_factor(survey, term.name, term.reference_level)
+    if term.kind == "period_factor":
+        starts, codes = distinct_codes(survey.period_year)
+        levels, prefix = [str(year) for year in starts.tolist()], "period:"
+    elif term.kind == "cohort_factor":
+        width = term.width or 5
+        starts, codes = distinct_codes(survey.birth_year // width)
+        levels, prefix = [cohort_bin(start * width, width) for start in starts.tolist()], "cohort:"
+    else:
+        raise DesignError(f"unknown term kind {term.kind!r}")
+    return _Factor(
+        term.kind, prefix, levels, codes, False, term.reference_level or None,
+        "only one observed level; no contrast columns",
+        lambda ref, held: f"{term.kind} reference level {ref!r} not observed; "
+        f"observed levels: {held}",
+    )
 
 
 def encode_categorical(
@@ -263,56 +343,40 @@ def encode_categorical(
     then the rest alphabetically). Missing values are an error here:
     callers decide on listwise deletion before encoding, not during.
     """
-    if variable not in CONTROL_VARS:
-        raise KeyError(f"unknown control variable {variable!r}")
-    codes, levels = survey.controls[variable]
-    missing = np.flatnonzero(codes < 0)
-    if missing.size:
-        raise DesignError(
-            f"record {missing[0]} has no {variable!r}; apply listwise deletion "
-            f"(FilterSpec.listwise_vars) before building the design"
-        )
-    present = np.flatnonzero(np.bincount(codes, minlength=len(levels))).tolist()
-    observed = sorted((levels[code] for code in present), key=_level_sort_key)
-    if declared_levels is None:
-        declared = observed
-    else:
-        declared = list(declared_levels)
-        stray = set(observed) - set(declared)
+    factor = _control_factor(survey, variable, reference)
+    _no_missing(variable, factor.codes == len(factor.levels))
+    if declared_levels is not None:
+        observed = [factor.levels[j] for j in np.unique(factor.codes).tolist()]
+        stray = set(observed) - set(declared_levels)
         if stray:
-            raise DesignError(
-                f"observed {variable!r} levels not declared: {sorted(stray)}"
-            )
-    if reference is None:
-        reference = observed[0]
-    if reference not in declared:
-        raise DesignError(f"reference level {reference!r} is not a declared level")
-    declared_code = np.zeros(len(levels), dtype=np.int64)
-    declared_code[present] = [declared.index(levels[code]) for code in present]
-    return _encode_factor(
-        variable,
-        declared_code[codes],
-        declared,
-        reference,
-        f"{variable}=",
-        "only one observed level",
-        f"reference level {reference!r} has no observations",
-    )
+            raise DesignError(f"observed {variable!r} levels not declared: {sorted(stray)}")
+        declared = list(declared_levels)
+        # a level left out of declared_levels holds no row
+        code_of = np.array(
+            [declared.index(v) if v in declared else 0 for v in factor.levels], dtype=np.intp
+        )
+        factor = replace(
+            factor, levels=declared, codes=code_of[factor.codes], declared=True,
+            reference=observed[0] if reference is None else reference,
+        )
+    counts = np.bincount(factor.codes, minlength=len(factor.levels) + 1)
+    row_columns, labels, dropped = factor.columns(counts, factor.codes)
+    columns = np.zeros((len(survey), len(labels)))
+    _fill(columns, 0, row_columns)
+    return columns, labels, dropped
 
 
-def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:
-    """Assemble the design matrix for a term list.
+def group_designs(
+    survey: Survey, terms: Sequence[TermSpec], group: np.ndarray, n_groups: int
+) -> Callable[[int], DesignMatrix]:
+    """The design of each group of rows, from one encoding of ``terms``.
 
-    Exactly one intercept is required; ``age_linear`` and ``age_bins``
-    are mutually exclusive (they answer the same question two ways);
-    duplicate terms of any kind are rejected. Columns appear in term
-    order, with factor levels in their natural order: age bins in scheme
-    order, periods by year, cohorts by start year, and control levels in
-    natural sort order over the levels the sample holds.
+    ``group`` gives each row's group, 0 to ``n_groups - 1``. Each term
+    is encoded once over all rows, and the rows are sorted by group once,
+    keeping their order within a group. The returned function builds
+    group ``g``'s design, equal to :func:`build_design` on that group's
+    rows alone, and raises as that would; ``g`` must hold a row.
     """
-    if not len(survey):
-        raise EmptySampleError("cannot build a design from zero records")
-
     kinds = [t.kind for t in terms]
     keys = [(t.kind, t.name) for t in terms]
     if len(set(keys)) != len(keys):
@@ -325,55 +389,71 @@ def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:
     if "age_squared" in kinds and "age_bins" in kinds:
         raise DesignError("age_squared and age_bins are mutually exclusive")
 
-    n = len(survey)
-    ages = survey.age.astype(np.float64)
-    blocks: list[np.ndarray] = []
-    labels: list[str] = []
-    dropped: list[tuple[str, str, str]] = []
+    order = None
+    if n_groups > 1:
+        # A stable sort of a narrow integer type is a radix sort.
+        order = np.argsort(group.astype(np.min_scalar_type(n_groups)), kind="stable")
 
+    def grouped(column: np.ndarray) -> np.ndarray:
+        return column if order is None else column[order]
+
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=n_groups))))
+    numeric = {
+        "intercept": ("const", lambda ages: 1.0),
+        "age_linear": ("age", lambda ages: ages),
+        "age_squared": ("age_sq", lambda ages: ages**2),
+    }
+    encoded = []
     for term in terms:
-        if term.kind == "intercept":
-            cols, labs, drops = np.ones((n, 1)), ["const"], []
-        elif term.kind == "age_linear":
-            cols, labs, drops = ages[:, None], ["age"], []
-        elif term.kind == "age_squared":
-            cols, labs, drops = (ages**2)[:, None], ["age_sq"], []
-        elif term.kind == "age_bins":
-            scheme = term.scheme or "coarse"
-            bins = _SCHEMES[scheme]
-            reference = term.reference_level or _SCHEME_REFERENCES[scheme]
-            codes = np.searchsorted([low for _, low, _ in bins], survey.age, side="right") - 1
-            cols, labs, drops = _encode_factor(
-                "age_bins", codes, [label for label, _, _ in bins], reference, "bin:",
-                None, f"reference bin {reference!r} has no observations",
-            )
-        elif term.kind in ("period_factor", "cohort_factor"):
-            if term.kind == "period_factor":
-                starts, codes = np.unique(survey.period_year, return_inverse=True)
-                levels = [str(year) for year in starts.tolist()]
-                prefix = "period:"
-            else:
-                width = term.width or 5
-                starts, codes = np.unique(
-                    (survey.birth_year // width) * width, return_inverse=True
-                )
-                levels = [cohort_bin(start, width) for start in starts.tolist()]
-                prefix = "cohort:"
-            reference = term.reference_level or levels[0]
-            cols, labs, drops = _encode_factor(
-                term.kind, codes, levels, reference, prefix,
-                "only one observed level; no contrast columns",
-                f"{term.kind} reference level {reference!r} not observed; "
-                f"observed levels: {levels}",
-            )
-        elif term.kind == "control_factor":
-            assert term.name is not None
-            cols, labs, drops = encode_categorical(survey, term.name, term.reference_level)
-        else:
-            raise DesignError(f"unknown term kind {term.kind!r}")
-        blocks.append(cols)
-        labels.extend(labs)
-        dropped.extend(drops)
+        if term.kind in numeric:
+            encoded.append(numeric[term.kind])
+            continue
+        factor = _term_factor(survey, term)
+        width = len(factor.levels) + 1
+        counts = np.bincount(group * width + factor.codes, minlength=n_groups * width)
+        # Only the grouped codes are kept, in the narrowest type that holds them.
+        factor = replace(factor, codes=grouped(factor.codes.astype(np.min_scalar_type(width))))
+        encoded.append((factor, counts.reshape(n_groups, width)))
+    age, weight, response = (grouped(c) for c in (survey.age, survey.weight, survey.happiness))
 
-    values = np.hstack(blocks)
-    return DesignMatrix(values, labels, survey.weight, survey.happiness, dropped)
+    def design(g: int) -> DesignMatrix:
+        rows = slice(bounds[g], bounds[g + 1])
+        ages = age[rows].astype(np.float64)
+        labels: list[str] = []
+        dropped: list[tuple[str, str, str]] = []
+        blocks = []
+        for term in encoded:
+            if isinstance(term[0], _Factor):
+                factor, counts = term
+                row_columns, labs, drops = factor.columns(counts[g], factor.codes[rows])
+                blocks.append((len(labels), row_columns, None))
+                labels.extend(labs)
+                dropped.extend(drops)
+            else:
+                blocks.append((len(labels), None, term[1](ages)))
+                labels.append(term[0])
+        values = np.zeros((bounds[g + 1] - bounds[g], len(labels)))
+        for offset, row_columns, column in blocks:
+            if column is None:
+                _fill(values, offset, row_columns)
+            else:
+                values[:, offset] = column
+        return DesignMatrix(values, labels, weight[rows], response[rows], dropped)
+
+    return design
+
+
+def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:
+    """Assemble the design matrix for a term list: the one-group case
+    of :func:`group_designs`.
+
+    Exactly one intercept is required; ``age_linear`` and ``age_bins``
+    are mutually exclusive (they answer the same question two ways);
+    duplicate terms of any kind are rejected. Columns appear in term
+    order, with factor levels in their natural order: age bins in scheme
+    order, periods by year, cohorts by start year, and control levels in
+    natural sort order over the levels the sample holds.
+    """
+    if not len(survey):
+        raise EmptySampleError("cannot build a design from zero records")
+    return group_designs(survey, terms, np.zeros(len(survey), dtype=np.intp), 1)(0)

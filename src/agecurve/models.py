@@ -1,5 +1,10 @@
 """Named model specifications and per-country fitting.
 
+Each spec is fitted to every country in one pass: its sample
+restrictions run once over the whole survey, each term is encoded once
+over the rows they keep, and each country's design is then filled from
+its own rows and solved on its own.
+
 The battery mirrors the analysis the package exists to reproduce and
 probe:
 
@@ -23,13 +28,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import CONTROL_VARS, FilterSpec, Survey, apply_filter
+from .dataset import CONTROL_VARS, EmptySampleError, FilterSpec, Survey, apply_filter
 from .design import (
     COARSE_REFERENCE,
     FINE_REFERENCE,
     DesignError,
     TermSpec,
-    build_design,
+    distinct_codes,
+    group_designs,
     scheme_bin_labels,
 )
 from .wls import FitResult, fit_wls
@@ -135,13 +141,70 @@ def terms_for(spec: ModelSpec) -> list[TermSpec]:
     return terms
 
 
-def _filter_for(spec: ModelSpec, country: str | None) -> FilterSpec:
+def _filter_for(spec: ModelSpec) -> FilterSpec:
     return FilterSpec(
         min_age=15,
         max_age=spec.age_cap,
-        countries=None if country is None else frozenset({country}),
         listwise_vars=frozenset(CONTROL_VARS) if spec.controls else frozenset(),
     )
+
+
+def _distinct_per_group(values: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
+    starts, codes = distinct_codes(values)
+    held = np.bincount(group * len(starts) + codes, minlength=n_groups * len(starts))
+    return np.count_nonzero(held.reshape(n_groups, len(starts)), axis=1)
+
+
+class _SpecFits:
+    """One spec over every country of a survey, or over the pooled
+    sample, filtered and encoded once; :meth:`fit` fits one country."""
+
+    def __init__(self, survey: Survey, spec: ModelSpec, pooled: bool) -> None:
+        self.survey = survey
+        self.spec = spec
+        self.names = [None] if pooled else list(dict.fromkeys(survey.country.tolist()))
+        self.index = {name: g for g, name in enumerate(self.names)}
+        try:
+            kept, _ = apply_filter(survey, _filter_for(spec))
+        except EmptySampleError:
+            kept = survey.take([])
+        n_groups = len(self.names)
+        group = np.fromiter(
+            map(self.index.__getitem__, [None] * len(kept) if pooled else kept.country.tolist()),
+            np.intp,
+            len(kept),
+        )
+        self.held = np.bincount(group, minlength=n_groups)
+        self.n_periods = _distinct_per_group(kept.period_year, group, n_groups)
+        self.design = group_designs(kept, terms_for(spec), group, n_groups)
+
+    def fit(self, country: str | None) -> FitResult:
+        """The fit of one country (``None``: the pooled sample), as
+        :func:`fit_spec` describes it: the one place that decides
+        whether a spec is identified on a sample."""
+        if country not in self.index:
+            raise EmptySampleError(f"country {country!r} not in the survey")
+        g = self.index[country]
+        if not self.held[g]:
+            n = len(self.survey)
+            if country is not None:
+                n = np.count_nonzero(self.survey.country == country)
+            raise EmptySampleError(f"filter removed all {n} records")
+        n_periods = int(self.n_periods[g])
+        if self.spec.cohort_control and n_periods < 2:
+            raise DesignError(
+                f"only {n_periods} distinct survey round(s); "
+                "cohort-controlled fit skipped"
+            )
+        fit = fit_wls(self.design(g))
+        if n_periods >= 3:
+            return fit
+        label = country if country is not None else "pooled sample"
+        note = (
+            f"{label}: only {n_periods} distinct survey round(s); period "
+            "and cohort factors have little leverage"
+        )
+        return replace(fit, notes=(note,))
 
 
 def fit_spec(
@@ -150,33 +213,18 @@ def fit_spec(
     country: str | None = None,
 ) -> FitResult:
     """Fit one spec for one country (or the pooled sample when ``country``
-    is None).
+    is None): the one-country case of :func:`batch_fit`, raising the
+    error that it records.
 
-    This is the one place that decides whether a spec is identified on a
-    sample. It applies the spec's sample restrictions (age cap, listwise
-    deletion when controls are on), refuses a cohort-controlled spec on
-    fewer than two distinct rounds with :class:`DesignError`, and
-    returns the WLS fit. When fewer than three rounds remain, period and
+    The spec's sample restrictions apply (age cap, listwise deletion
+    when controls are on). Raises :class:`EmptySampleError` for a
+    country the survey does not hold or the restrictions empty, and
+    :class:`DesignError` for a cohort-controlled spec on fewer than two
+    distinct rounds. When fewer than three rounds remain, period and
     cohort factors are identified but have little leverage, and the
     fit's ``notes`` say so.
     """
-    kept, _ = apply_filter(survey, _filter_for(spec, country))
-    # apply_filter leaves at least one row
-    n_periods = 1 + int(np.count_nonzero(np.diff(np.sort(kept.period_year))))
-    if spec.cohort_control and n_periods < 2:
-        raise DesignError(
-            f"only {n_periods} distinct survey round(s); "
-            "cohort-controlled fit skipped"
-        )
-    fit = fit_wls(build_design(kept, terms_for(spec)))
-    if n_periods >= 3:
-        return fit
-    label = country if country is not None else "pooled sample"
-    note = (
-        f"{label}: only {n_periods} distinct survey round(s); period "
-        "and cohort factors have little leverage"
-    )
-    return replace(fit, notes=(note,))
+    return _SpecFits(survey, spec, pooled=country is None).fit(country)
 
 
 _AGE_BLOCK = ("const", "age", "age_sq")
@@ -319,28 +367,22 @@ def batch_fit(
     spec: ModelSpec,
     countries: Sequence[str] | None = None,
 ) -> list[CountryResult]:
-    """Fit one spec across countries with :func:`fit_spec`, isolating
-    failures.
+    """Fit one spec across countries in one pass (see the module
+    docstring), each country exactly as :func:`fit_spec` fits it,
+    isolating failures.
 
-    Each country is fitted on its own part of
-    :meth:`Survey.by_country`. ``countries`` defaults to
-    first-appearance order in ``survey``. A country whose data cannot
-    support the spec (no rows after filtering, rank deficiency, a single
-    survey round under a cohort spec) yields an error entry; other
-    countries are unaffected. A fitted country's notes are its fit's
-    notes.
+    ``countries`` defaults to first-appearance order in ``survey``. A
+    country the data cannot support (absent from the survey, no rows
+    after filtering, rank deficiency, a single survey round under a
+    cohort spec) yields an error entry; other countries are unaffected.
+    A fitted country's notes are its fit's notes.
     """
-    parts = survey.by_country()
-    if countries is None:
-        countries = list(parts)
+    fits = _SpecFits(survey, spec, pooled=False)
     results: list[CountryResult] = []
-    for country in countries:
+    for country in fits.names if countries is None else countries:
         result = CountryResult(country=country)
-        # A country absent from the survey is fitted on the whole survey,
-        # so that the filter reports how many rows it removed.
-        sample = parts.get(country, survey)
         try:
-            result.fit = fit_spec(sample, spec, country)
+            result.fit = fits.fit(country)
             result.notes.extend(result.fit.notes)
         except ValueError as exc:
             result.error = str(exc)

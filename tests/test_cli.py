@@ -80,6 +80,26 @@ class TestFit:
         _, rows = read_csv(out / "fit_quad-nocontrols-nocap.csv")
         assert {row[0] for row in rows} == {"BB"}
 
+    def test_repeated_country_is_fitted_once(self, survey_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "detect", "--rule", "quad_t15", "--input", str(survey_csv), "--out", str(out),
+            "--countries", "BB, AA,BB,AA", "--format", "csv",
+        ])
+        assert code == 0
+        assert "of 2 countries" in capsys.readouterr().out
+        _, rows = read_csv(out / "detect_quad_t15.csv")
+        assert [row[0] for row in rows] == ["BB", "AA"]
+
+    def test_absent_country_is_named(self, survey_csv, tmp_path, capsys):
+        code = main([
+            "fit", "--input", str(survey_csv), "--out", str(tmp_path / "out"),
+            "--countries", "AA,XX", "--format", "csv",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "FAILED XX [quad-nocontrols-nocap]: country 'XX' not in the survey" in err
+
     def test_deterministic_outputs(self, survey_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         argv = ["fit", "--input", str(survey_csv), "--format", "csv"]
@@ -491,7 +511,7 @@ class TestSharedFits:
         extra = {path.name for path in report.iterdir()} - written
         assert extra == {"reductions.csv", "reductions.txt"}
 
-    def test_report_filters_and_fits_once_per_country_and_spec(
+    def test_report_filters_once_per_spec_and_fits_once_per_country_and_spec(
         self, survey_csv, tmp_path, monkeypatch
     ):
         calls = {"apply_filter": 0, "fit_wls": 0}
@@ -512,10 +532,10 @@ class TestSharedFits:
             "--format", "csv",
         ])
         assert code == 0
-        # four quadratic presets, ranges-coarse and ranges-fine, two countries
-        assert calls == {"apply_filter": 6 * 2, "fit_wls": 6 * 2}
-        # each spec filters every country's own rows once: every row of
-        # the file is filtered once per spec
+        # four quadratic presets, ranges-coarse and ranges-fine, two
+        # countries: one filter per spec, one fit per (country, spec)
+        assert calls == {"apply_filter": 6, "fit_wls": 6 * 2}
+        # each spec filters every row of the file once
         with survey_csv.open(newline="", encoding="utf-8") as handle:
             file_rows = sum(1 for _ in csv.reader(handle)) - 1
         assert sum(rows_filtered) == 6 * file_rows

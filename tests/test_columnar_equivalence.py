@@ -21,7 +21,8 @@ import record_path
 from agecurve import dataset, design
 from agecurve.dataset import CONTROL_VARS, DataError, FilterSpec
 from agecurve.design import DesignError, TermSpec
-from agecurve.models import PRESETS, _filter_for, terms_for
+from agecurve.models import PRESETS, terms_for
+from country_path import _filter_for
 
 COUNTRIES = ("AA", "BB", "CC")
 # Level pools per control: with a missing token ("NA", "", "."), with

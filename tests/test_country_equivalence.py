@@ -1,0 +1,183 @@
+"""The package's ``batch_fit``, ``fit_spec`` and ``build_design``
+against the per-country reference in ``country_path.py``.
+
+Random small surveys with interleaved countries are fitted under every
+preset by both paths, which must agree exactly: the same countries in
+the same order, the same labels, bit-identical coefficients, standard
+errors, covariances, weighted RSS and column means, the same counts and
+notes, and the same error class and message for every country that
+cannot be fitted. The surveys hold countries with one or two rounds,
+countries that the age cap or listwise deletion empties, countries with
+nobody in the fine scheme's reference bin, control levels seen in one
+country only, numeric levels whose text order differs from their value
+order, and unit or non-unit weights.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import country_path
+from agecurve import Survey, design, models
+from agecurve.dataset import CONTROL_VARS, FilterSpec
+from agecurve.design import TermSpec
+from agecurve.models import PRESETS
+
+NAMES = ("AA", "BB", "CC", "DD")
+# Ages and rounds per kind of country. "old" is emptied by the age-69
+# cap, "no-ref" has nobody aged 35-44, and "unanswered" never gives its
+# sex, so listwise deletion empties it.
+KINDS = {
+    "full": (np.arange(15, 96), (1, 2, 3, 4)),
+    "two-rounds": (np.arange(15, 96), (3, 5)),
+    "one-round": (np.arange(15, 96), (2,)),
+    "old": (np.arange(70, 96), (1, 2, 3)),
+    "no-ref": (np.r_[15:35, 45:96], (1, 2, 4)),
+    "unanswered": (np.arange(15, 96), (1, 2, 3)),
+}
+# Level pools per control; "widowed" and "11" are drawn by one country
+# at most, and "2" sorts before "10" by value but after it as text.
+CONTROL_POOLS = {
+    "sex": (("female", "male"), ("female",)),
+    "education": (("2", "10"), ("2", "9", "10"), ("11", "2")),
+    "marital": (("married", "single"), ("married", "single", "widowed")),
+    "labor_status": (("employed", "retired"), ("other", "employed")),
+}
+EXTRA_TERMS = (
+    [
+        TermSpec.intercept(),
+        TermSpec.age_bins("fine", reference="75-84"),
+        TermSpec.period(2006),
+        TermSpec.cohort(width=10, reference="1950-1959"),
+    ],
+    [
+        TermSpec.intercept(),
+        TermSpec.age_linear(),
+        TermSpec.age_squared(),
+        TermSpec.period(2099),
+    ],
+    [
+        TermSpec.intercept(),
+        TermSpec.age_bins("coarse", reference="15-34"),
+        TermSpec.cohort(width=5, reference="1800-1804"),
+    ],
+    [
+        TermSpec.intercept(),
+        TermSpec.age_linear(),
+        TermSpec.control("education", reference="10"),
+        TermSpec.control("sex"),
+        TermSpec.control("marital", reference="zz"),
+    ],
+)
+
+
+@st.composite
+def surveys(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=len(NAMES)))
+    unit_weights = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = []
+    for name, kind in zip(NAMES, kinds):
+        ages, rounds = KINDS[kind]
+        pools = {var: draw(st.sampled_from(CONTROL_POOLS[var])) for var in CONTROL_VARS}
+        if name != "AA":
+            pools["marital"] = ("married", "single")
+        missing_share = draw(st.sampled_from((0.0, 0.1)))
+        for _ in range(draw(st.integers(min_value=1, max_value=60))):
+            rnd = int(rng.choice(rounds))
+            row = dict(
+                country=name,
+                round=rnd,
+                period_year=2000 + 2 * rnd,
+                age=int(rng.choice(ages)),
+                happiness=float(rng.normal(7.0, 2.0)),
+                weight=1.0 if unit_weights else float(rng.uniform(0.25, 3.0)),
+            )
+            for var, pool in pools.items():
+                if rng.random() >= missing_share:
+                    row[var] = str(rng.choice(pool))
+            if kind == "unanswered":
+                row.pop("sex", None)
+            rows.append(row)
+    return Survey.from_rows(rows[j] for j in rng.permutation(len(rows)))
+
+
+def outcome(func, *args):
+    """``(result, None)`` or ``(None, (error type, message))``."""
+    try:
+        return func(*args), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_fits_equal(new, old):
+    assert new.labels == old.labels
+    for name in ("coefficients", "std_errors", "t_stats", "covariance", "column_means"):
+        assert np.array_equal(getattr(new, name), getattr(old, name), equal_nan=True), name
+    assert np.array_equal(new.weighted_rss, old.weighted_rss, equal_nan=True)
+    assert (new.n_obs, new.dof, new.rank, new.notes) == (old.n_obs, old.dof, old.rank, old.notes)
+
+
+def assert_results_equal(new, old):
+    assert [r.country for r in new] == [r.country for r in old]
+    for got, expected in zip(new, old):
+        assert (got.ok, got.error, got.notes) == (expected.ok, expected.error, expected.notes)
+        if expected.ok:
+            assert_fits_equal(got.fit, expected.fit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(survey=surveys(), data=st.data())
+def test_batch_fit_and_fit_spec_match_per_country_path(survey, data):
+    names = list(dict.fromkeys(survey.country.tolist()))
+    subset = data.draw(st.lists(st.sampled_from(names), unique=True), label="subset")
+    reordered = data.draw(st.permutations(names), label="reordered")
+    for spec in PRESETS.values():
+        for countries in (None, subset, reordered):
+            assert_results_equal(
+                models.batch_fit(survey, spec, countries),
+                country_path.batch_fit(survey, spec, countries),
+            )
+        new, new_error = outcome(models.fit_spec, survey, spec, None)
+        old, old_error = outcome(country_path.fit_spec, survey, spec, None)
+        assert new_error == old_error
+        if old is not None:
+            assert_fits_equal(new, old)
+        # A country's fit is its batch entry: the reference fit_spec
+        # counted the whole survey in the message for an emptied country.
+        for country in names:
+            new, new_error = outcome(models.fit_spec, survey, spec, country)
+            _, old_error = outcome(country_path.fit_spec, survey, spec, country)
+            (old,) = country_path.batch_fit(survey, spec, [country])
+            if old.ok:
+                assert new_error is None
+                assert_fits_equal(new, old.fit)
+            else:
+                assert new_error == (old_error[0], old.error)
+
+
+def assert_designs_equal(new, old):
+    assert np.array_equal(new.values, old.values)
+    assert np.array_equal(new.row_weights, old.row_weights)
+    assert np.array_equal(new.response, old.response)
+    assert new.column_labels == old.column_labels
+    assert new.dropped_levels == old.dropped_levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(survey=surveys())
+def test_build_design_matches_per_country_path(survey):
+    """Explicit references, observed or not, give the same designs and
+    the same error messages; so do controls with missing values."""
+    complete, _ = outcome(
+        country_path.apply_filter, survey, FilterSpec(listwise_vars=frozenset(CONTROL_VARS))
+    )
+    samples = [survey] if complete is None else [survey, complete[0]]
+    for sample in samples:
+        for terms in EXTRA_TERMS:
+            new, new_error = outcome(design.build_design, sample, terms)
+            old, old_error = outcome(country_path.build_design, sample, terms)
+            assert new_error == old_error
+            if old is not None:
+                assert_designs_equal(new, old)

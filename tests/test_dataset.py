@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agecurve import (
+    PRESETS,
     DataError,
     EmptySampleError,
     FilterSpec,
     Survey,
     TermSpec,
     apply_filter,
+    batch_fit,
     build_design,
     cohort_bin,
     load_csv,
@@ -243,9 +245,9 @@ class TestLoadCsv:
         survey, _ = load_csv(path)
         # Padding every row to the longest cell would cost 40,000 bytes a row.
         assert survey.country.nbytes < 100 * len(survey)
-        parts = survey.by_country()
-        assert list(parts) == [long_name, "DE"]
-        assert [len(part) for part in parts.values()] == [1, 2_000]
+        results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])
+        assert [res.country for res in results] == [long_name, "DE"]
+        assert results[0].error == "1 observations cannot identify 3 coefficients"
         kept, _ = apply_filter(survey, FilterSpec(countries=frozenset({long_name})))
         assert rows(kept) == [rec(country=long_name, age=40)]
 

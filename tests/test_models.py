@@ -255,7 +255,7 @@ class TestBatchFit:
             survey, PRESETS["quad-nocontrols-nocap"], countries=["AA", "ZZ"]
         )
         assert results[0].ok
-        assert not results[1].ok and "filter removed all" in results[1].error
+        assert not results[1].ok and results[1].error == "country 'ZZ' not in the survey"
 
     def test_fit_notes_become_result_notes(self):
         survey = synth_survey(n=150, seed=18, country="TWO", rounds=(1, 2))
@@ -267,13 +267,13 @@ class TestBatchFit:
     def test_warnings_reach_the_caller(self, monkeypatch):
         """A warning raised inside a fit is the caller's to handle, not
         a note."""
-        build_design = models.build_design
+        fit_wls = models.fit_wls
 
-        def warning_build_design(*args, **kwargs):
+        def warning_fit_wls(*args, **kwargs):
             warnings.warn("overflow in a design column", RuntimeWarning)
-            return build_design(*args, **kwargs)
+            return fit_wls(*args, **kwargs)
 
-        monkeypatch.setattr(models, "build_design", warning_build_design)
+        monkeypatch.setattr(models, "fit_wls", warning_fit_wls)
         survey = synth_survey(n=150, seed=21, country="AA", rounds=(1, 2, 3))
         with pytest.warns(RuntimeWarning, match="overflow in a design column"):
             results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])
