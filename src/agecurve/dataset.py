@@ -1,12 +1,13 @@
 """Survey microdata: the columnar :class:`Survey`, CSV loading,
 filtering, and cohort bins.
 
-A survey keeps one numpy array per field and is never changed in place:
-every operation returns a new survey, so one survey can be shared freely
-between model fits. Loading is tolerant of messy input (rows are dropped
-with a counted reason, never silently) while filtering is strict: an
-empty result raises, because every downstream consumer needs at least
-one row.
+A survey keeps one numpy array per field, the country and each control
+as int codes into a tuple of levels, and is never changed in place, so
+one survey can be shared freely between model fits. Loading is tolerant
+of messy input (rows are dropped with a counted reason, never silently).
+A filter is a mask over the rows, which fits read without copying the
+survey; :func:`apply_filter`, which selects the rows, is strict: an
+empty result raises, because every downstream consumer needs a row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "FilterReport",
     "load_csv",
     "save_csv",
+    "filter_mask",
     "apply_filter",
     "cohort_bin",
 ]
@@ -57,8 +59,9 @@ DEFAULT_LABOR_MERGE: Mapping[str, str] = {
     "community/military service": "other",
 }
 
-# The fields every row has, as :class:`Survey` columns of their own.
+# The fields every row has; the country is coded, the rest are columns.
 _FIELDS = ("country", "round", "period_year", "age", "happiness", "weight")
+_NUMERIC = _FIELDS[1:]
 
 #: Canonical column names, for files written by :func:`save_csv`.
 IDENTITY_SCHEMA: Mapping[str, str] = {name: name for name in (*_FIELDS, *CONTROL_VARS)}
@@ -118,16 +121,16 @@ _REQUIRED = ("country", "age", "happiness", "weight")
 _OPTIONAL = frozenset({*CONTROL_VARS, "round", "period_year"})
 
 
-def _factor(values: Iterable[str | None]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Int codes of ``values`` (-1 for ``None``) into a level tuple in
-    first-appearance order."""
-    values = list(values)
+def _factor(cells: Sequence, level: Callable = lambda cell: cell) -> tuple[np.ndarray, tuple]:
+    """Int codes of each cell's ``level(cell)`` (-1 where that is
+    ``None``) into a level tuple in first-appearance order; ``level``
+    runs once per distinct cell."""
     index: dict[str, int] = {}
-    code = {
-        value: -1 if value is None else index.setdefault(value, len(index))
-        for value in dict.fromkeys(values)
-    }
-    return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), tuple(index)
+    code = {}
+    for cell in dict.fromkeys(cells):
+        value = level(cell)
+        code[cell] = -1 if value is None else index.setdefault(value, len(index))
+    return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells)), tuple(index)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -142,12 +145,13 @@ def _frozen(values, dtype) -> np.ndarray:
 class Survey:
     """Survey responses as numpy columns, one entry per row.
 
-    ``country`` is an object array of ``str``, so one long cell costs
-    only its own length; ``round``, ``period_year`` and ``age`` are
-    int64; ``happiness`` and ``weight`` are float64. Each
-    control variable is stored as ``(codes, levels)``: int64 codes into
-    the ``levels`` tuple, with -1 for a missing value. Controls left out
-    of ``controls`` are missing on every row. ``mediator`` is an optional
+    The country is ``country_codes``, int64 codes into the
+    ``country_levels`` tuple of distinct names, one per row; a level may
+    hold no row. :attr:`country` spells out each row's name. ``round``,
+    ``period_year`` and ``age`` are int64; ``happiness`` and ``weight``
+    are float64. Each control is coded the same way, as ``(codes,
+    levels)`` with -1 for a missing value; controls left out of
+    ``controls`` are missing on every row. ``mediator`` is an optional
     synthetic-data column, never read from CSV files, NaN where a row
     has none. ``birth_year`` is derived as ``period_year - age``, so the
     three can never disagree. Every age is at least 15, every weight
@@ -160,7 +164,8 @@ class Survey:
     survey by hand and :meth:`take` to select rows.
     """
 
-    country: np.ndarray
+    country_codes: np.ndarray
+    country_levels: tuple[str, ...]
     round: np.ndarray
     period_year: np.ndarray
     age: np.ndarray
@@ -172,12 +177,12 @@ class Survey:
 
     def __post_init__(self) -> None:
         put = functools.partial(object.__setattr__, self)
-        put("country", _frozen(self.country, object))
-        for name in ("round", "period_year", "age"):
+        put("country_levels", tuple(self.country_levels))
+        for name in ("country_codes", "round", "period_year", "age"):
             put(name, _frozen(getattr(self, name), np.int64))
         for name in ("happiness", "weight"):
             put(name, _frozen(getattr(self, name), np.float64))
-        n = len(self.country)
+        n = len(self.country_codes)
         unknown = set(self.controls) - set(CONTROL_VARS)
         if unknown:
             raise ValueError(f"unknown control variables: {sorted(unknown)}")
@@ -189,12 +194,16 @@ class Survey:
         if self.mediator is not None:
             put("mediator", _frozen(self.mediator, np.float64))
         columns = [
-            self.country, self.round, self.period_year, self.age, self.happiness, self.weight,
+            self.country_codes, self.round, self.period_year, self.age,
+            self.happiness, self.weight,
             *(codes for codes, _ in self.controls.values()),
             *([] if self.mediator is None else [self.mediator]),
         ]
         if any(column.shape != (n,) for column in columns):
             raise ValueError("every survey column needs one entry per row")
+        codes, names = self.country_codes, self.country_levels
+        if len(set(names)) < len(names) or n and not 0 <= codes.min() <= codes.max() < len(names):
+            raise ValueError(f"every row needs a country, coded into distinct levels {names}")
         if n and self.age.min() < 15:
             raise ValueError(f"age {self.age.min()} below the survey minimum of 15")
         if n and not np.all(self.weight > 0):
@@ -214,9 +223,12 @@ class Survey:
         if unknown:
             raise ValueError(f"unknown survey fields: {sorted(unknown)}")
         mediators = [row.get("mediator") for row in rows]
+        country_codes, country_levels = _factor([row["country"] for row in rows])
         return cls(
-            **{name: [row[name] for row in rows] for name in _FIELDS},
-            controls={name: _factor(row.get(name) for row in rows) for name in CONTROL_VARS},
+            country_codes=country_codes,
+            country_levels=country_levels,
+            **{name: [row[name] for row in rows] for name in _NUMERIC},
+            controls={name: _factor([row.get(name) for row in rows]) for name in CONTROL_VARS},
             mediator=(
                 [np.nan if m is None else m for m in mediators]
                 if any(m is not None for m in mediators)
@@ -224,20 +236,27 @@ class Survey:
             ),
         )
 
+    @property
+    def country(self) -> np.ndarray:
+        """Each row's country name, built from the codes on each call."""
+        return _frozen(np.array(self.country_levels, dtype=object)[self.country_codes], object)
+
     def take(self, rows) -> Survey:
         """The rows selected by a boolean mask or an index array, in the
-        order the index gives."""
+        order the index gives; codes and levels pass through as they are."""
         rows = np.asarray(rows)
         if rows.dtype != bool:
             rows = rows.astype(np.intp)
         return Survey(
-            **{name: getattr(self, name)[rows] for name in _FIELDS},
+            country_codes=self.country_codes[rows],
+            country_levels=self.country_levels,
+            **{name: getattr(self, name)[rows] for name in _NUMERIC},
             controls={name: (codes[rows], levels) for name, (codes, levels) in self.controls.items()},
             mediator=None if self.mediator is None else self.mediator[rows],
         )
 
     def __len__(self) -> int:
-        return len(self.country)
+        return len(self.country_codes)
 
 
 @dataclass
@@ -318,13 +337,15 @@ def _numbers(cells: Sequence[str], missing: frozenset[str]) -> np.ndarray:
 def _control(
     cells: Sequence[str], missing: frozenset[str], merge: Mapping[str, str]
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """:func:`_factor` of a control column, whose cells are ``None`` for
-    a missing token and otherwise their level after ``merge``."""
-    level = {}
-    for text in set(cells):
+    """:func:`_factor` of a control column: a cell is missing when its
+    stripped text is a missing token, else its level is that text after
+    ``merge``."""
+
+    def level(text: str) -> str | None:
         value = text.strip()
-        level[text] = None if value in missing else merge.get(value, value)
-    return _factor(map(level.__getitem__, cells))
+        return None if value in missing else merge.get(value, value)
+
+    return _factor(cells, level)
 
 
 def _not_whole(values: np.ndarray) -> np.ndarray:
@@ -373,8 +394,11 @@ def load_csv(
     used as synthetic round numbers (the year values themselves stay
     untouched).
 
-    A numeric cell counts as parseable when ``float`` reads it as a
-    finite number, so ``inf`` and ``NaN`` are unparseable. Rows that
+    The country and each control are coded once, into levels in
+    first-appearance order over every row of the file (so a level may
+    hold no kept row), each distinct cell stripped once. A numeric cell
+    counts as parseable when ``float`` reads it as a finite number, so
+    ``inf`` and ``NaN`` are unparseable. Rows that
     cannot be used are dropped and tallied, each under the first rule it
     fails, in the returned :class:`LoadReport`; the row order of the
     file is preserved. Raises :class:`DataError` for a schema key that
@@ -419,7 +443,7 @@ def load_csv(
     column = {}
     for name, texts in cells.items():
         if name == "country":
-            column[name] = np.array([text.strip() for text in texts], dtype=object)
+            column[name] = _factor(texts, str.strip)
         elif name in CONTROL_VARS:
             column[name] = _control(texts, missing, labor_merge if name == "labor_status" else {})
         else:
@@ -468,7 +492,8 @@ def load_csv(
         years = round_map.base + round_map.step * rounds
 
     survey = Survey(
-        country=column["country"][keep],
+        country_codes=column["country"][0][keep],
+        country_levels=column["country"][1],
         round=rounds,
         period_year=years,
         age=age[keep].astype(np.int64),
@@ -494,26 +519,33 @@ def save_csv(survey: Survey, path: str | Path) -> None:
     write_csv(path, list(IDENTITY_SCHEMA), zip(*(column.tolist() for column in columns)))
 
 
-def apply_filter(survey: Survey, spec: FilterSpec) -> tuple[Survey, FilterReport]:
-    """Restrict a sample, preserving order.
+def filter_mask(survey: Survey, spec: FilterSpec) -> tuple[np.ndarray, FilterReport]:
+    """The rows a spec keeps, as a boolean mask over ``survey``, and the
+    report of what it dropped; the mask may keep no row.
 
     Each dropped row is tallied under the first rule it fails: age below
     the minimum, age above the maximum, country excluded, then a missing
-    listwise variable in name order. Raises :class:`EmptySampleError`
-    when nothing survives, since an empty sample cannot support any fit.
+    listwise variable in name order.
     """
     rules = [("age below minimum", survey.age < spec.min_age)]
     if spec.max_age is not None:
         rules.append(("age above maximum", survey.age > spec.max_age))
     if spec.countries is not None:
-        allowed = np.array(sorted(spec.countries), dtype=object)
-        rules.append(("country excluded", ~np.isin(survey.country, allowed)))
+        allowed = np.array([name in spec.countries for name in survey.country_levels], dtype=bool)
+        rules.append(("country excluded", ~allowed[survey.country_codes]))
     rules.extend(
         (f"missing {name}", survey.controls[name][0] < 0)
         for name in sorted(spec.listwise_vars)
     )
     keep, dropped = _tally(len(survey), rules)
-    report = FilterReport(n_in=len(survey), n_kept=int(keep.sum()), dropped=dropped)
+    return keep, FilterReport(n_in=len(survey), n_kept=int(keep.sum()), dropped=dropped)
+
+
+def apply_filter(survey: Survey, spec: FilterSpec) -> tuple[Survey, FilterReport]:
+    """Restrict a sample, preserving order: the rows :func:`filter_mask`
+    keeps, and its report. Raises :class:`EmptySampleError` when nothing
+    survives, since an empty sample cannot support any fit."""
+    keep, report = filter_mask(survey, spec)
     if not report.n_kept:
         raise EmptySampleError(f"filter removed all {len(survey)} records")
     return survey.take(keep), report

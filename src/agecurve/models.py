@@ -1,9 +1,10 @@
 """Named model specifications and per-country fitting.
 
 Each spec is fitted to every country in one pass: its sample
-restrictions run once over the whole survey, each term is encoded once
-over the rows they keep, and each country's design is then filled from
-its own rows and solved on its own.
+restrictions give one mask over the whole survey, which is never copied,
+each term is encoded once, and each country's design is then filled
+from its own kept rows, found through the survey's country codes, and
+solved on its own.
 
 The battery mirrors the analysis the package exists to reproduce and
 probe:
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import CONTROL_VARS, EmptySampleError, FilterSpec, Survey, apply_filter
+from .dataset import CONTROL_VARS, EmptySampleError, FilterSpec, Survey, filter_mask
 from .design import (
     COARSE_REFERENCE,
     FINE_REFERENCE,
@@ -157,26 +158,29 @@ def _distinct_per_group(values: np.ndarray, group: np.ndarray, n_groups: int) ->
 
 class _SpecFits:
     """One spec over every country of a survey, or over the pooled
-    sample, filtered and encoded once; :meth:`fit` fits one country."""
+    sample, filtered and encoded once; :meth:`fit` fits one country.
+
+    A row's group is its country code (0 for the pooled sample); the
+    rows the spec drops form one more group, which is never fitted.
+    ``index`` maps each country that holds rows, in first-appearance
+    order, to its group."""
 
     def __init__(self, survey: Survey, spec: ModelSpec, pooled: bool) -> None:
-        self.survey = survey
         self.spec = spec
-        self.names = [None] if pooled else list(dict.fromkeys(survey.country.tolist()))
-        self.index = {name: g for g, name in enumerate(self.names)}
-        try:
-            kept, _ = apply_filter(survey, _filter_for(spec))
-        except EmptySampleError:
-            kept = survey.take([])
-        n_groups = len(self.names)
-        group = np.fromiter(
-            map(self.index.__getitem__, [None] * len(kept) if pooled else kept.country.tolist()),
-            np.intp,
-            len(kept),
-        )
-        self.held = np.bincount(group, minlength=n_groups)
-        self.n_periods = _distinct_per_group(kept.period_year, group, n_groups)
-        self.design = group_designs(kept, terms_for(spec), group, n_groups)
+        codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
+        n_groups = 1 if pooled else len(survey.country_levels)
+        self.rows = np.bincount(codes, minlength=n_groups)
+        # A stable sort by code starts each country's run at its first row.
+        order = np.argsort(codes.astype(np.min_scalar_type(n_groups)), kind="stable")
+        firsts = np.sort(order[(np.cumsum(self.rows) - self.rows)[self.rows > 0]])
+        self.index = {None: 0} if pooled else {
+            survey.country_levels[g]: g for g in codes[firsts].tolist()
+        }
+        keep, _ = filter_mask(survey, _filter_for(spec))
+        group = np.where(keep, codes, n_groups)
+        self.held = np.bincount(group, minlength=n_groups + 1)
+        self.n_periods = _distinct_per_group(survey.period_year, group, n_groups + 1)
+        self.design = group_designs(survey, terms_for(spec), group, n_groups + 1)
 
     def fit(self, country: str | None) -> FitResult:
         """The fit of one country (``None``: the pooled sample), as
@@ -186,10 +190,7 @@ class _SpecFits:
             raise EmptySampleError(f"country {country!r} not in the survey")
         g = self.index[country]
         if not self.held[g]:
-            n = len(self.survey)
-            if country is not None:
-                n = np.count_nonzero(self.survey.country == country)
-            raise EmptySampleError(f"filter removed all {n} records")
+            raise EmptySampleError(f"filter removed all {self.rows[g]} records")
         n_periods = int(self.n_periods[g])
         if self.spec.cohort_control and n_periods < 2:
             raise DesignError(
@@ -379,7 +380,7 @@ def batch_fit(
     """
     fits = _SpecFits(survey, spec, pooled=False)
     results: list[CountryResult] = []
-    for country in fits.names if countries is None else countries:
+    for country in fits.index if countries is None else countries:
         result = CountryResult(country=country)
         try:
             result.fit = fits.fit(country)

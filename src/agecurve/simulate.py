@@ -237,7 +237,8 @@ def generate(config: DgpConfig) -> Survey:
         happiness = np.clip(np.rint(happiness), 0.0, 10.0)
 
     survey = Survey(
-        country=np.full(config.n, config.country),
+        country_codes=np.zeros(config.n, dtype=np.int64),
+        country_levels=(config.country,),
         round=rounds,
         period_year=years,
         age=ages,

@@ -5,7 +5,8 @@
 country's part of the survey, kept verbatim so that
 ``test_country_equivalence.py`` can check the one-pass-per-spec path
 against them. ``Survey.take`` and ``Survey.by_country`` are module
-functions here, without the kept parts, and otherwise only the imports
+functions here, without the kept parts, ``take`` passes the country
+codes through, as ``Survey.take`` does, and otherwise only the imports
 differ.
 """
 
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from agecurve.dataset import (
-    _FIELDS,
+    _NUMERIC,
     CONTROL_VARS,
     EmptySampleError,
     FilterReport,
@@ -45,7 +46,9 @@ def take(survey: Survey, rows) -> Survey:
     if rows.dtype != bool:
         rows = rows.astype(np.intp)
     return Survey(
-        **{name: getattr(survey, name)[rows] for name in _FIELDS},
+        country_codes=survey.country_codes[rows],
+        country_levels=survey.country_levels,
+        **{name: getattr(survey, name)[rows] for name in _NUMERIC},
         controls={name: (codes[rows], levels) for name, (codes, levels) in survey.controls.items()},
         mediator=None if survey.mediator is None else survey.mediator[rows],
     )

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,7 +515,7 @@ class TestSharedFits:
     def test_report_filters_once_per_spec_and_fits_once_per_country_and_spec(
         self, survey_csv, tmp_path, monkeypatch
     ):
-        calls = {"apply_filter": 0, "fit_wls": 0}
+        calls = {"filter_mask": 0, "fit_wls": 0}
         rows_filtered = []
         for name in calls:
             original = getattr(agecurve.models, name)
@@ -522,7 +523,7 @@ class TestSharedFits:
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 result = _original(*args, **kwargs)
-                if _name == "apply_filter":
+                if _name == "filter_mask":
                     rows_filtered.append(result[1].n_in)
                 return result
 
@@ -534,7 +535,7 @@ class TestSharedFits:
         assert code == 0
         # four quadratic presets, ranges-coarse and ranges-fine, two
         # countries: one filter per spec, one fit per (country, spec)
-        assert calls == {"apply_filter": 6, "fit_wls": 6 * 2}
+        assert calls == {"filter_mask": 6, "fit_wls": 6 * 2}
         # each spec filters every row of the file once
         with survey_csv.open(newline="", encoding="utf-8") as handle:
             file_rows = sum(1 for _ in csv.reader(handle)) - 1
@@ -577,3 +578,33 @@ class TestSingleRoundCountry:
         ])
         assert code == 0
         assert "of 2 countries" in capsys.readouterr().out
+
+
+def test_report_ignores_a_country_whose_rows_are_all_dropped(tmp_path, monkeypatch, capsys):
+    """Every row of ZZ, the file's first country, has weight 0: the load
+    drops them, and the run is the one on the file without ZZ apart from
+    the load summary."""
+    survey_file(
+        tmp_path / "all.csv",
+        dict(n=200, seed=108, country="ZZ"), dict(n=400, seed=101, country="AA"),
+        dict(n=200, seed=107, country="ONE", rounds=(2,)),
+        **FITTABLE,
+    )
+    header, rows = read_csv(tmp_path / "all.csv")
+    country, weight = header.index("country"), header.index("weight")
+    zero = [[*row[:weight], 0, *row[weight + 1:]] if row[country] == "ZZ" else row for row in rows]
+    runs = []
+    for name, file_rows in (("zero", zero), ("without", [r for r in rows if r[country] != "ZZ"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        with open("survey.csv", "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header, *file_rows])
+        code = main(["report", "--input", "survey.csv", "--out", "out", "--format", "csv,text,svg"])
+        out, err = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(Path("out").iterdir())}
+        runs.append((code, out.splitlines(), err, files))
+    (code, out, err, files), without = runs
+    assert out[0] == "loaded 600 of 800 rows (dropped nonpositive weight: 200)"
+    assert without[1][0] == "loaded 600 rows"
+    assert (code, out[1:], err, files) == (without[0], without[1][1:], *without[2:])
+    assert code == 2 and "FAILED ONE [ranges-coarse]" in err and "ZZ" not in err

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +56,28 @@ class TestFromRows:
         assert rows(survey)[2] == rec(mediator=0.5)
         assert rows(survey)[3].mediator is None
         assert Survey.from_rows([row()]).mediator is None
+
+    def test_country_is_coded_once(self):
+        survey = Survey.from_rows([row(country="FR"), row(), row(country="FR")])
+        assert survey.country_codes.tolist() == [0, 1, 0]
+        assert survey.country_levels == ("FR", "DE")
+        assert survey.country.tolist() == ["FR", "DE", "FR"]
+        taken = survey.take([1, 2])
+        assert taken.country_codes.tolist() == [1, 0] and taken.country_levels == ("FR", "DE")
+
+    def test_row_without_country_is_refused(self):
+        """``None`` is no country's name: it is the pooled sample of
+        ``fit_spec``."""
+        with pytest.raises(ValueError, match="every row needs a country"):
+            Survey.from_rows([row(), row(country=None)])
+
+    @pytest.mark.parametrize(
+        "codes,levels", [([0, 2], ("DE", "FR")), ([0, -1], ("DE", "FR")), ([0, 1], ("DE", "DE"))]
+    )
+    def test_country_codes_index_distinct_levels(self, codes, levels):
+        survey = Survey.from_rows([row(), row(country="FR")])
+        with pytest.raises(ValueError, match="every row needs a country"):
+            replace(survey, country_codes=codes, country_levels=levels)
 
 
 class TestRoundYearMap:
@@ -277,8 +300,8 @@ def test_save_load_round_trip(tmp_path):
 def test_survey_columns_are_read_only():
     survey = Survey.from_rows([row(age=40), row(age=50, sex="male")])
     design = build_design(survey, [TermSpec.intercept(), TermSpec.age_linear()])
-    for column in (design.response, design.row_weights, survey.age, survey.country,
-                   survey.controls["sex"][0], survey.birth_year):
+    for column in (design.response, design.row_weights, survey.age, survey.country_codes,
+                   survey.country, survey.controls["sex"][0], survey.birth_year):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[1]
     with pytest.raises(AttributeError):

@@ -20,7 +20,7 @@ from agecurve import (
 )
 from agecurve import models
 from agecurve.models import terms_for
-from conftest import synth_rows, synth_survey
+from conftest import FITTABLE, synth_rows, synth_survey
 
 
 def few_rounds(label, n_periods):
@@ -263,6 +263,36 @@ class TestBatchFit:
         (res,) = results
         assert res.ok
         assert res.notes == [few_rounds("TWO", 2)]
+
+    def test_country_without_rows_is_not_listed(self):
+        """A survey whose rows of one country were all taken away, and
+        the others reordered, fits as one built from the same rows."""
+        parts = [dict(seed=22, country="AA"), dict(seed=23, country="BB"),
+                 dict(seed=24, country="CC", age_low=70)]
+        rows = [r for part in parts for r in synth_rows(n=120, **part, **FITTABLE)]
+        index = [j for j, r in enumerate(rows) if r["country"] == "CC"]
+        index += [j for j, r in enumerate(rows) if r["country"] == "AA"][::-1]
+        taken = Survey.from_rows(rows).take(index)
+        fresh = Survey.from_rows(rows[j] for j in index)
+        assert taken.country_levels == ("AA", "BB", "CC")
+        for spec in PRESETS.values():
+            for countries in (None, ["BB", "AA", "CC"]):
+                got = batch_fit(taken, spec, countries)
+                expected = batch_fit(fresh, spec, countries)
+                assert [r.country for r in got] == [r.country for r in expected]
+                for new, old in zip(got, expected):
+                    assert (new.error, new.notes) == (old.error, old.notes)
+                    if old.ok:
+                        assert new.fit.labels == old.fit.labels
+                        for name in ("coefficients", "std_errors", "covariance", "column_means"):
+                            assert np.array_equal(getattr(new.fit, name), getattr(old.fit, name))
+        assert [r.country for r in batch_fit(taken, PRESETS["ranges-fine"])] == ["CC", "AA"]
+        assert batch_fit(taken, PRESETS["quad-controls-cap"])[0].error == (
+            "filter removed all 120 records"
+        )
+        assert batch_fit(taken, PRESETS["ranges-fine"], ["BB"])[0].error == (
+            "country 'BB' not in the survey"
+        )
 
     def test_warnings_reach_the_caller(self, monkeypatch):
         """A warning raised inside a fit is the caller's to handle, not
