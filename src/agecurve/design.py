@@ -6,7 +6,11 @@ controls) and :func:`build_design` turns a :class:`Survey` plus a term
 list into a dense float matrix with one human-readable label per column.
 Factor encoding is dummy coding against a named reference level; levels
 that are declared but unobserved are dropped and logged, never silently
-absorbed.
+absorbed. :class:`GroupedDesigns` encodes the terms once for many
+groups of rows (the countries of a survey): it names each group's
+columns and forms every group's sufficient statistics ``X̃ᵀX̃`` and
+``X̃ᵀỹ`` from the codes without filling a matrix, and fills one group's
+dense design only when asked.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ __all__ = [
     "scheme_bin_labels",
     "encode_categorical",
     "distinct_codes",
-    "group_designs",
+    "GroupedDesigns",
     "build_design",
 ]
 
@@ -232,18 +236,14 @@ class _Factor:
     one_level_note: str | None
     unobserved: Callable[[str, list[str]], str]
 
-    def columns(
-        self, counts: np.ndarray, codes: np.ndarray
-    ) -> tuple[np.ndarray, list[str], list[tuple[str, str, str]]]:
-        """Dummy coding of one group, given its rows' ``codes`` and its
-        ``counts`` per code: each row's column (-1 for none), the labels
-        ``prefix + level``, and the dropped levels, each candidate level
-        without rows as ``(term, level, "no observations")`` followed,
-        when one level is observed, by ``(term, reference,
-        one_level_note)`` if there is a note."""
+    def contrast(self, counts: np.ndarray) -> tuple[list[int], list[str], list[tuple[str, str, str]]]:
+        """Dummy coding of one group that holds no missing value, given
+        its ``counts`` per code: the levels with a column, in column
+        order, their labels ``prefix + level``, and the dropped levels,
+        each candidate level without rows as ``(term, level, "no
+        observations")`` followed, when one level is observed, by
+        ``(term, reference, one_level_note)`` if there is a note."""
         counts = counts.tolist()
-        if counts[-1]:
-            _no_missing(self.term, codes == len(self.levels))
         held = [j for j, count in enumerate(counts[:-1]) if count or self.declared]
         levels = [self.levels[j] for j in held]
         reference = levels[0] if self.reference is None else self.reference
@@ -254,9 +254,7 @@ class _Factor:
         dropped = [(self.term, self.levels[j], "no observations") for j in others if not counts[j]]
         if self.one_level_note is not None and sum(map(bool, counts[:-1])) == 1:
             dropped.append((self.term, reference, self.one_level_note))
-        column_of = np.full(len(self.levels) + 1, -1)
-        column_of[contrast] = np.arange(len(contrast))
-        return column_of[codes], [f"{self.prefix}{self.levels[j]}" for j in contrast], dropped
+        return contrast, [f"{self.prefix}{self.levels[j]}" for j in contrast], dropped
 
 
 def _no_missing(variable: str, missing: np.ndarray) -> None:
@@ -268,9 +266,16 @@ def _no_missing(variable: str, missing: np.ndarray) -> None:
         )
 
 
-def _fill(values: np.ndarray, offset: int, row_columns: np.ndarray) -> None:
+def _fill(values: np.ndarray, row_columns: np.ndarray) -> None:
     rows = np.flatnonzero(row_columns >= 0)
-    values[rows, offset + row_columns[rows]] = 1.0
+    values[rows, row_columns[rows]] = 1.0
+
+
+def _column_of(factor: _Factor, contrast: list[int], first: int) -> np.ndarray:
+    """Each code's column, counting from ``first`` (-1 for none)."""
+    column_of = np.full(len(factor.levels) + 1, -1)
+    column_of[contrast] = np.arange(first, first + len(contrast))
+    return column_of
 
 
 def _control_factor(survey: Survey, variable: str, reference: str | None) -> _Factor:
@@ -291,8 +296,13 @@ def _control_factor(survey: Survey, variable: str, reference: str | None) -> _Fa
 
 def distinct_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values in ascending order, and each value's index
-    among them: ``np.unique(values, return_inverse=True)`` in half its
-    temporary memory."""
+    among them: ``np.unique(values, return_inverse=True)`` without its
+    sort when the integer ``values`` span no more numbers than they
+    hold, else in half its temporary memory."""
+    if len(values) and int(values.max()) - int(values.min()) < len(values):
+        low = values.min()
+        present = np.bincount(values - low) > 0
+        return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[values - low]
     ordered = np.sort(values)
     starts = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     return starts, np.searchsorted(starts, values)
@@ -359,93 +369,220 @@ def encode_categorical(
             factor, levels=declared, codes=code_of[factor.codes], declared=True,
             reference=observed[0] if reference is None else reference,
         )
-    counts = np.bincount(factor.codes, minlength=len(factor.levels) + 1)
-    row_columns, labels, dropped = factor.columns(counts, factor.codes)
+    contrast, labels, dropped = factor.contrast(
+        np.bincount(factor.codes, minlength=len(factor.levels) + 1)
+    )
     columns = np.zeros((len(survey), len(labels)))
-    _fill(columns, 0, row_columns)
+    _fill(columns, _column_of(factor, contrast, 0)[factor.codes])
     return columns, labels, dropped
 
 
-def group_designs(
-    survey: Survey, terms: Sequence[TermSpec], group: np.ndarray, n_groups: int
-) -> Callable[[int], DesignMatrix]:
+def _over_ages(sums: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``Σ_a sums[g, a, m]·columns[a, i]`` as a (group, i, m) array. The
+    ages are added one after another, so that no group's result depends
+    on the other groups, as it can in a matrix product."""
+    return (sums[:, :, None, :] * columns[None, :, :, None]).sum(axis=1)
+
+
+# The terms that are numbers rather than factors, each a function of age.
+_NUMERIC_TERMS: dict[str, tuple[str, Callable[[np.ndarray], np.ndarray]]] = {
+    "intercept": ("const", np.ones_like),
+    "age_linear": ("age", lambda ages: ages),
+    "age_squared": ("age_sq", lambda ages: ages**2),
+}
+
+
+class GroupedDesigns:
     """The design of each group of rows, from one encoding of ``terms``.
 
     ``group`` gives each row's group, 0 to ``n_groups - 1``. Each term
-    is encoded once over all rows, and the rows are sorted by group once,
-    keeping their order within a group. The returned function builds
-    group ``g``'s design, equal to :func:`build_design` on that group's
-    rows alone, and raises as that would; ``g`` must hold a row.
+    is encoded once over all rows and counted per group. Every group's
+    columns sit in one global layout, a column per numeric term and per
+    level of each factor term, of which :meth:`layout` names the ones a
+    group's design holds.
+
+    :meth:`design` fills one group's dense design. :meth:`moments` forms
+    every group's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` in the global layout
+    straight from the codes, and :meth:`xte` and :meth:`rss` take the
+    residual of each group's coefficients row by row; none of these
+    fills a dense matrix. The numeric terms, all functions of age, enter
+    them through each group's weighted sums by age, each factor through
+    its weighted counts by (group, age, level) and by (group, level,
+    level of each other factor).
     """
-    kinds = [t.kind for t in terms]
-    keys = [(t.kind, t.name) for t in terms]
-    if len(set(keys)) != len(keys):
-        dupes = sorted({t.describe() for t in terms if keys.count((t.kind, t.name)) > 1})
-        raise DesignError(f"duplicate terms: {dupes}")
-    if kinds.count("intercept") != 1:
-        raise DesignError("the design must contain exactly one intercept term")
-    if "age_linear" in kinds and "age_bins" in kinds:
-        raise DesignError("age_linear and age_bins are mutually exclusive")
-    if "age_squared" in kinds and "age_bins" in kinds:
-        raise DesignError("age_squared and age_bins are mutually exclusive")
 
-    order = None
-    if n_groups > 1:
-        # A stable sort of a narrow integer type is a radix sort.
-        order = np.argsort(group.astype(np.min_scalar_type(n_groups)), kind="stable")
+    def __init__(
+        self, survey: Survey, terms: Sequence[TermSpec], group: np.ndarray, n_groups: int
+    ) -> None:
+        kinds = [t.kind for t in terms]
+        keys = [(t.kind, t.name) for t in terms]
+        if len(set(keys)) != len(keys):
+            dupes = sorted({t.describe() for t in terms if keys.count((t.kind, t.name)) > 1})
+            raise DesignError(f"duplicate terms: {dupes}")
+        if kinds.count("intercept") != 1:
+            raise DesignError("the design must contain exactly one intercept term")
+        if "age_linear" in kinds and "age_bins" in kinds:
+            raise DesignError("age_linear and age_bins are mutually exclusive")
+        if "age_squared" in kinds and "age_bins" in kinds:
+            raise DesignError("age_squared and age_bins are mutually exclusive")
 
-    def grouped(column: np.ndarray) -> np.ndarray:
-        return column if order is None else column[order]
+        self.n_groups = n_groups
+        self._group = group
+        self._age, self._weight, self._response = survey.age, survey.weight, survey.happiness
+        if {"age_linear", "age_squared"} & set(kinds):
+            ages, age_codes = distinct_codes(survey.age)
+            self._age_key = group * len(ages) + age_codes
+        else:
+            # only the intercept is a number, the same at every age
+            ages, self._age_key = np.zeros(1), group
+        self._n_ages = len(ages)
+        ages = ages.astype(np.float64)
+        # (offset, (label, function)) or (offset, (factor, counts)) per term
+        self._terms: list[tuple[int, tuple]] = []
+        # the numeric terms' columns as functions of the distinct ages,
+        # and their global indices
+        age_columns: list[np.ndarray] = []
+        self._age_index: list[int] = []
+        # (factor, global indices, group * width + code) per factor
+        self._coded: list[tuple[_Factor, np.ndarray, np.ndarray]] = []
+        offset = 0
+        for term in terms:
+            if term.kind in _NUMERIC_TERMS:
+                label, column = _NUMERIC_TERMS[term.kind]
+                self._terms.append((offset, (label, column)))
+                age_columns.append(column(ages)[:, None])
+                self._age_index.append(offset)
+                offset += 1
+                continue
+            factor = _term_factor(survey, term)
+            width = len(factor.levels) + 1
+            key = group * width + factor.codes
+            counts = np.bincount(key, minlength=n_groups * width).reshape(n_groups, width)
+            self._terms.append((offset, (factor, counts)))
+            self._coded.append((factor, np.arange(offset, offset + width - 1), key))
+            offset += width - 1
+        self.width = offset
+        self._age_columns = np.hstack(age_columns)
 
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=n_groups))))
-    numeric = {
-        "intercept": ("const", lambda ages: 1.0),
-        "age_linear": ("age", lambda ages: ages),
-        "age_squared": ("age_sq", lambda ages: ages**2),
-    }
-    encoded = []
-    for term in terms:
-        if term.kind in numeric:
-            encoded.append(numeric[term.kind])
-            continue
-        factor = _term_factor(survey, term)
-        width = len(factor.levels) + 1
-        counts = np.bincount(group * width + factor.codes, minlength=n_groups * width)
-        # Only the grouped codes are kept, in the narrowest type that holds them.
-        factor = replace(factor, codes=grouped(factor.codes.astype(np.min_scalar_type(width))))
-        encoded.append((factor, counts.reshape(n_groups, width)))
-    age, weight, response = (grouped(c) for c in (survey.age, survey.weight, survey.happiness))
+    def _rows(self, g: int) -> np.ndarray | slice:
+        return slice(None) if self.n_groups == 1 else np.flatnonzero(self._group == g)
 
-    def design(g: int) -> DesignMatrix:
-        rows = slice(bounds[g], bounds[g + 1])
-        ages = age[rows].astype(np.float64)
+    def held_levels(self, kind: str) -> np.ndarray:
+        """How many levels of the factor term of ``kind`` each group holds."""
+        for _, (factor, counts) in self._terms:
+            if isinstance(factor, _Factor) and factor.term == kind:
+                return np.count_nonzero(counts[:, :-1], axis=1)
+        raise KeyError(f"no {kind} term")
+
+    def _contrasts(self, g: int) -> tuple[list, list[str], list[tuple[str, str, str]]]:
+        """Each factor term's levels with a column in group ``g`` (None
+        for a numeric term), the labels and the dropped levels."""
+        parts: list[list[int] | None] = []
         labels: list[str] = []
         dropped: list[tuple[str, str, str]] = []
-        blocks = []
-        for term in encoded:
-            if isinstance(term[0], _Factor):
-                factor, counts = term
-                row_columns, labs, drops = factor.columns(counts[g], factor.codes[rows])
-                blocks.append((len(labels), row_columns, None))
-                labels.extend(labs)
-                dropped.extend(drops)
-            else:
-                blocks.append((len(labels), None, term[1](ages)))
-                labels.append(term[0])
-        values = np.zeros((bounds[g + 1] - bounds[g], len(labels)))
-        for offset, row_columns, column in blocks:
-            if column is None:
-                _fill(values, offset, row_columns)
-            else:
-                values[:, offset] = column
-        return DesignMatrix(values, labels, weight[rows], response[rows], dropped)
+        for _, (term, detail) in self._terms:
+            if not isinstance(term, _Factor):
+                parts.append(None)
+                labels.append(term)
+                continue
+            if detail[g, -1]:
+                _no_missing(term.term, term.codes[self._rows(g)] == len(term.levels))
+            contrast, labs, drops = term.contrast(detail[g])
+            parts.append(contrast)
+            labels.extend(labs)
+            dropped.extend(drops)
+        return parts, labels, dropped
 
-    return design
+    def layout(self, g: int) -> tuple[np.ndarray, list[str]]:
+        """The global index and the label of each column of group ``g``'s
+        design, in design order; raises as :meth:`design` does."""
+        parts, labels, _ = self._contrasts(g)
+        index: list[int] = []
+        for (offset, _), levels in zip(self._terms, parts):
+            index.extend([offset] if levels is None else [offset + j for j in levels])
+        return np.array(index), labels
+
+    def design(self, g: int) -> DesignMatrix:
+        """Group ``g``'s dense design, equal to :func:`build_design` on
+        that group's rows alone, raising as that would; ``g`` must hold
+        a row."""
+        parts, labels, dropped = self._contrasts(g)
+        rows = self._rows(g)
+        ages = self._age[rows].astype(np.float64)
+        values = np.zeros((len(ages), len(labels)))
+        column = 0
+        for (_, (term, detail)), levels in zip(self._terms, parts):
+            if levels is None:
+                values[:, column] = detail(ages)
+                column += 1
+            else:
+                _fill(values, _column_of(term, levels, column)[term.codes[rows]])
+                column += len(levels)
+        return DesignMatrix(values, labels, self._weight[rows], self._response[rows], dropped)
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every group's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` in the global layout, with one
+        more all-zero column at its end, and its ``ỹᵀỹ``."""
+        g, a, w = self.n_groups, self._n_ages, self._weight
+        phi, age = self._age_columns, np.array(self._age_index)
+        wy = w * self._response
+        gram = np.zeros((g, self.width + 1, self.width + 1))
+        xty = np.zeros((g, self.width + 1))
+        outer = (phi[:, :, None] * phi[:, None, :]).reshape(a, -1)
+        by_age = np.bincount(self._age_key, w, g * a).reshape(g, a, 1)
+        gram[:, age[:, None], age] = _over_ages(by_age, outer).reshape(g, len(age), len(age))
+        xty[:, age] = _over_ages(np.bincount(self._age_key, wy, g * a).reshape(g, a, 1), phi)[..., 0]
+        for k, (factor, index, key) in enumerate(self._coded):
+            width = len(factor.levels) + 1
+            joint = np.bincount(self._age_key * width + factor.codes, w, g * a * width)
+            joint = joint.reshape(g, a, width)[:, :, :-1]
+            block = _over_ages(joint, phi)
+            gram[:, age[:, None], index] = block
+            gram[:, index[:, None], age] = block.swapaxes(1, 2)
+            gram[:, index, index] = joint.sum(axis=1)
+            xty[:, index] = np.bincount(key, wy, g * width).reshape(g, width)[:, :-1]
+            for other, other_index, other_key in self._coded[:k]:
+                other_width = len(other.levels) + 1
+                pair = np.bincount(other_key * width + factor.codes, w, g * other_width * width)
+                pair = pair.reshape(g, other_width, width)[:, :-1, :-1]
+                gram[:, other_index[:, None], index] = pair
+                gram[:, index[:, None], other_index] = pair.swapaxes(1, 2)
+        return gram, xty, np.bincount(self._group, wy * self._response, g)
+
+    def _residual(self, coef: np.ndarray) -> np.ndarray:
+        """``y − Xβ`` of every row, β its group's row of ``coef`` (global
+        layout plus the spare column)."""
+        at_age = (coef[:, None, self._age_index] * self._age_columns).sum(axis=2)
+        fitted = at_age.ravel()[self._age_key]
+        for factor, index, key in self._coded:
+            table = np.zeros((self.n_groups, len(factor.levels) + 1))
+            table[:, :-1] = coef[:, index]
+            fitted += table.ravel()[key]
+        return self._response - fitted
+
+    def xte(self, coef: np.ndarray) -> np.ndarray:
+        """Every group's ``X̃ᵀ(ỹ − X̃β)`` in the global layout, for its
+        coefficients β in the rows of ``coef``."""
+        g, a = self.n_groups, self._n_ages
+        wr = self._weight * self._residual(coef)
+        out = np.zeros_like(coef)
+        by_age = np.bincount(self._age_key, wr, g * a).reshape(g, a, 1)
+        out[:, self._age_index] = _over_ages(by_age, self._age_columns)[..., 0]
+        for factor, index, key in self._coded:
+            width = len(factor.levels) + 1
+            out[:, index] = np.bincount(key, wr, g * width).reshape(g, width)[:, :-1]
+        return out
+
+    def rss(self, coef: np.ndarray) -> np.ndarray:
+        """Every group's ``‖ỹ − X̃β‖²``, for its coefficients β in the rows
+        of ``coef``."""
+        r = self._residual(coef)
+        return np.bincount(self._group, self._weight * r * r, self.n_groups)
 
 
 def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:
     """Assemble the design matrix for a term list: the one-group case
-    of :func:`group_designs`.
+    of :class:`GroupedDesigns`.
 
     Exactly one intercept is required; ``age_linear`` and ``age_bins``
     are mutually exclusive (they answer the same question two ways);
@@ -456,4 +593,4 @@ def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:
     """
     if not len(survey):
         raise EmptySampleError("cannot build a design from zero records")
-    return group_designs(survey, terms, np.zeros(len(survey), dtype=np.intp), 1)(0)
+    return GroupedDesigns(survey, terms, np.zeros(len(survey), dtype=np.intp), 1).design(0)

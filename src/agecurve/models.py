@@ -2,9 +2,14 @@
 
 Each spec is fitted to every country in one pass: its sample
 restrictions give one mask over the whole survey, which is never copied,
-each term is encoded once, and each country's design is then filled
-from its own kept rows, found through the survey's country codes, and
-solved on its own.
+and each term is encoded once. Every country's ``X̃ᵀX̃`` and ``X̃ᵀỹ``
+then come from grouped sums over the survey's codes (Wong, Lewis &
+Wardrop, "You Only Compress Once", arXiv:2102.11297), and the countries
+asked for are solved in one stacked call of the :mod:`agecurve.wls`
+kernel, without a dense design. Only a country whose Gram matrix has no
+Cholesky factor or fails the full-rank certificate, or that has no more
+rows than columns, has its dense design filled and goes through
+:func:`agecurve.wls.fit_wls`, which names the columns of a dependency.
 
 The battery mirrors the analysis the package exists to reproduce and
 probe:
@@ -34,12 +39,11 @@ from .design import (
     COARSE_REFERENCE,
     FINE_REFERENCE,
     DesignError,
+    GroupedDesigns,
     TermSpec,
-    distinct_codes,
-    group_designs,
     scheme_bin_labels,
 )
-from .wls import FitResult, fit_wls
+from .wls import DEFAULT_RANK_TOL, FitResult, _csne, _fit_result, fit_wls
 
 __all__ = [
     "ModelSpec",
@@ -150,15 +154,9 @@ def _filter_for(spec: ModelSpec) -> FilterSpec:
     )
 
 
-def _distinct_per_group(values: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
-    starts, codes = distinct_codes(values)
-    held = np.bincount(group * len(starts) + codes, minlength=n_groups * len(starts))
-    return np.count_nonzero(held.reshape(n_groups, len(starts)), axis=1)
-
-
 class _SpecFits:
     """One spec over every country of a survey, or over the pooled
-    sample, filtered and encoded once; :meth:`fit` fits one country.
+    sample, filtered and encoded once; :meth:`fit` fits countries.
 
     A row's group is its country code (0 for the pooled sample); the
     rows the spec drops form one more group, which is never fitted.
@@ -179,13 +177,13 @@ class _SpecFits:
         keep, _ = filter_mask(survey, _filter_for(spec))
         group = np.where(keep, codes, n_groups)
         self.held = np.bincount(group, minlength=n_groups + 1)
-        self.n_periods = _distinct_per_group(survey.period_year, group, n_groups + 1)
-        self.design = group_designs(survey, terms_for(spec), group, n_groups + 1)
+        self.designs = GroupedDesigns(survey, terms_for(spec), group, n_groups + 1)
+        self.n_periods = self.designs.held_levels("period_factor")
 
-    def fit(self, country: str | None) -> FitResult:
-        """The fit of one country (``None``: the pooled sample), as
-        :func:`fit_spec` describes it: the one place that decides
-        whether a spec is identified on a sample."""
+    def _layout(self, country: str | None) -> tuple[int, np.ndarray, list[str]]:
+        """A country's group and its design's columns (see
+        :meth:`GroupedDesigns.layout`), or the error that says why the
+        spec is not identified on it."""
         if country not in self.index:
             raise EmptySampleError(f"country {country!r} not in the survey")
         g = self.index[country]
@@ -197,7 +195,39 @@ class _SpecFits:
                 f"only {n_periods} distinct survey round(s); "
                 "cohort-controlled fit skipped"
             )
-        fit = fit_wls(self.design(g))
+        return (g, *self.designs.layout(g))
+
+    def fit(self, countries: Iterable[str | None]) -> dict[str | None, FitResult | ValueError]:
+        """Each country's fit (``None``: the pooled sample), as
+        :func:`fit_spec` describes it, or the error it raises: the one
+        place that decides whether a spec is identified on a sample.
+
+        Every country with more rows than columns is solved in one
+        stack from the grouped sufficient statistics. A country that the
+        stack's certificate does not clear, or with too few rows, has
+        its dense design built and goes through :func:`fit_wls`, which
+        names the suspect columns of a rank-deficient design."""
+        out: dict[str | None, FitResult | ValueError] = {}
+        stack, dense = [], []
+        for country in dict.fromkeys(countries):
+            try:
+                g, columns, labels = self._layout(country)
+            except ValueError as exc:
+                out[country] = exc
+                continue
+            (stack if self.held[g] > len(labels) else dense).append((country, g, columns, labels))
+        if stack:
+            dense.extend(self._solve(stack, out))
+        for country, g, _, _ in dense:
+            try:
+                out[country] = self._noted(country, g, fit_wls(self.designs.design(g)))
+            except ValueError as exc:
+                out[country] = exc
+        return out
+
+    def _noted(self, country: str | None, g: int, fit: FitResult) -> FitResult:
+        """``fit``, with a note when it rests on fewer than three rounds."""
+        n_periods = int(self.n_periods[g])
         if n_periods >= 3:
             return fit
         label = country if country is not None else "pooled sample"
@@ -206,6 +236,45 @@ class _SpecFits:
             "and cohort factors have little leverage"
         )
         return replace(fit, notes=(note,))
+
+    def _solve(self, stack: list, out: dict) -> list:
+        """Fit the countries of ``stack`` in one stacked solve into
+        ``out``; returns those the certificate does not clear."""
+        gram, xty, yty = self.designs.moments()
+        spare = self.designs.width
+        widths = np.array([len(labels) for *_, labels in stack])
+        groups = np.array([g for _, g, _, _ in stack])
+        # each country's columns, then the all-zero spare column
+        index = np.full((len(stack), widths.max()), spare)
+        for i, (_, _, columns, _) in enumerate(stack):
+            index[i, : len(columns)] = columns
+
+        def spread(beta: np.ndarray) -> np.ndarray:
+            coef = np.zeros_like(xty)
+            coef[groups[:, None], index] = beta
+            return coef
+
+        certified, beta, r_inv, rss = _csne(
+            gram[groups[:, None, None], index[:, :, None], index[:, None, :]],
+            xty[groups[:, None], index],
+            widths,
+            lambda b: self.designs.xte(spread(b))[groups[:, None], index],
+            lambda b: self.designs.rss(spread(b))[groups],
+            DEFAULT_RANK_TOL,
+        )
+        rejected = []
+        for i, (country, g, columns, labels) in enumerate(stack):
+            if not certified[i]:
+                rejected.append(stack[i])
+                continue
+            k = len(labels)
+            # the intercept row of the Gram matrix holds Σw·x for every column
+            sums = gram[g, columns[labels.index("const")], columns]
+            out[country] = self._noted(country, g, _fit_result(
+                labels, int(self.held[g]), beta[i, :k], r_inv[i, :k, :k], float(rss[i]),
+                float(yty[g]), sums / sums[labels.index("const")], DEFAULT_RANK_TOL,
+            ))
+        return rejected
 
 
 def fit_spec(
@@ -225,7 +294,10 @@ def fit_spec(
     cohort factors are identified but have little leverage, and the
     fit's ``notes`` say so.
     """
-    return _SpecFits(survey, spec, pooled=country is None).fit(country)
+    fit = _SpecFits(survey, spec, pooled=country is None).fit([country])[country]
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
 
 _AGE_BLOCK = ("const", "age", "age_sq")
@@ -379,13 +451,17 @@ def batch_fit(
     A fitted country's notes are its fit's notes.
     """
     fits = _SpecFits(survey, spec, pooled=False)
+    if countries is None:
+        countries = list(fits.index)
+    outcomes = fits.fit(countries)
     results: list[CountryResult] = []
-    for country in fits.index if countries is None else countries:
+    for country in countries:
         result = CountryResult(country=country)
-        try:
-            result.fit = fits.fit(country)
-            result.notes.extend(result.fit.notes)
-        except ValueError as exc:
-            result.error = str(exc)
+        outcome = outcomes[country]
+        if isinstance(outcome, ValueError):
+            result.error = str(outcome)
+        else:
+            result.fit = outcome
+            result.notes.extend(outcome.notes)
         results.append(result)
     return results

@@ -1,27 +1,39 @@
 """Weighted least squares on numpy alone: a certified Cholesky solve,
 with a pivoted QR for the designs the certificate cannot clear.
 
-Let ``X̃ = √w·X`` and ``ỹ = √w·y``. The fast path takes the Cholesky
-factor R of the Gram matrix ``X̃ᵀX̃`` and certifies full rank from the
-singular values of that p×p triangle, which are those of X̃ up to
-rounding. In any column-pivoted QR of X̃, ``|r_11| ≤ σ_max`` and
-``|r_kk| ≥ σ_min``; so when ``σ_min/σ_max`` exceeds 1e-6, every
-diagonal entry of a pivoted QR exceeds 1e-10 of the first by a wide
-margin, and the rank rule below must find full rank without running it.
-(A rank tolerance looser than the default 1e-10 raises the 1e-6 bound
-in proportion.)
+Let ``X̃ = √w·X`` and ``ỹ = √w·y``. The fast path works from the Gram
+matrix ``X̃ᵀX̃`` and ``X̃ᵀỹ`` alone, so one kernel solves a whole stack of
+problems at once: :func:`fit_wls` passes a stack of one, formed from a
+dense design, and :func:`agecurve.models.batch_fit` passes every
+country of a spec, formed from grouped sufficient statistics (see
+:class:`agecurve.design.GroupedDesigns`). Members of one width are
+factored together; numpy.linalg raises for a whole stack when one
+member has no Cholesky factor, and that stack is then redone one matrix
+at a time.
+
+The kernel takes the Cholesky factor R of each Gram matrix and
+certifies full rank from the singular values of that p×p triangle,
+which are those of X̃ up to rounding. In any column-pivoted QR of X̃,
+``|r_11| ≤ σ_max`` and ``|r_kk| ≥ σ_min``; so when ``σ_min/σ_max``
+exceeds 1e-6, every diagonal entry of a pivoted QR exceeds 1e-10 of the
+first by a wide margin, and the rank rule below must find full rank
+without running it. (A rank tolerance looser than the default 1e-10
+raises the 1e-6 bound in proportion.) ``1/(‖R‖_F·‖R⁻¹‖_F)`` never
+exceeds ``σ_min/σ_max`` and costs nothing once R⁻¹ is formed, so only a
+design that this bound does not clear has its singular values computed.
 The coefficients then come from the corrected semi-normal equations
 (Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996,
 §2.5 and §6.6): one solve of ``RᵀRβ = X̃ᵀỹ`` followed by one
-refinement step on the explicit residual ``ỹ − X̃β``, which brings the
-coefficients to the accuracy of a QR solve at the condition numbers the
-certificate admits. The weighted RSS is the squared norm of the
-residual after that step, and the covariance is ``R⁻¹R⁻ᵀ·σ²``, which
-carries the Gram matrix's rounding: about machine epsilon times the
-squared condition number of the column-scaled design, relative.
+refinement step on the explicit residual ``ỹ − X̃β``, formed row by
+row, which brings the coefficients to the accuracy of a QR solve at the
+condition numbers the certificate admits. The weighted RSS is the
+squared norm of the residual after that step, and the covariance is
+``R⁻¹R⁻ᵀ·σ²``, which carries the Gram matrix's rounding: about machine
+epsilon times the squared condition number of the column-scaled design,
+relative.
 
-When Cholesky fails or the certificate does not hold, the fit falls
-back to a Householder QR of ``[X̃ | ỹ]`` that keeps only its
+When Cholesky fails or the certificate does not hold, :func:`fit_wls`
+falls back to a Householder QR of ``[X̃ | ỹ]`` that keeps only its
 (p+1)×(p+1) triangle (its last column is ``Qᵀỹ``, its corner entry the
 norm of the weighted residual), followed by a column-pivoted QR of the
 leading p×p block. That block has the same column norms and RᵀR as X̃,
@@ -48,7 +60,7 @@ absolute values, matching how the detection rules consume them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -136,17 +148,129 @@ def _weighted(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     return design.values * sqrt_w[:, None], design.response * sqrt_w
 
 
-def _certified_cholesky(xs: np.ndarray, tol: float) -> np.ndarray | None:
-    """The upper Cholesky factor R of ``xsᵀxs``, or None when Cholesky
-    fails or R's singular values do not certify full rank under the
-    rank tolerance ``tol``."""
+def _each(func, stack: np.ndarray, fill: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``func`` over a stack of matrices, and the members it failed on,
+    whose results are ``fill``: numpy.linalg raises for the whole stack
+    when one member fails, so each member is then tried alone."""
     try:
-        r = np.linalg.cholesky(xs.T @ xs).T
-        sigma = np.linalg.svd(r, compute_uv=False)
-    except np.linalg.LinAlgError:  # not positive definite, or no SVD
-        return None
+        return func(stack), np.zeros(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    results, failed = [], []
+    for member in stack:
+        try:
+            results.append(func(member))
+            failed.append(False)
+        except np.linalg.LinAlgError:
+            results.append(fill)
+            failed.append(True)
+    return np.array(results), np.array(failed)
+
+
+def _certified_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of Gram matrices ``X̃ᵀX̃``: each member's R⁻¹, R its
+    upper Cholesky factor, and whether R's singular values certify full
+    rank under the rank tolerance ``tol``. A member without a Cholesky
+    factor is not certified, and its R⁻¹ is the identity.
+
+    ``1/(‖R‖_F·‖R⁻¹‖_F)`` never exceeds σ_min/σ_max, so a member whose
+    bound clears the certificate needs no SVD; only the others have
+    their singular values computed."""
+    eye = np.eye(gram.shape[-1])
+    lower, failed = _each(np.linalg.cholesky, gram, eye)
+    r = lower.swapaxes(-1, -2)
+    r_inv, singular = _each(np.linalg.inv, r, eye)
+    failed |= singular
     bound = _CERTIFICATE * max(1.0, tol / DEFAULT_RANK_TOL)
-    return r if sigma[-1] > bound * sigma[0] else None
+    norms = np.sqrt(np.sum(r**2, axis=(-2, -1)) * np.sum(r_inv**2, axis=(-2, -1)))
+    certified = ~failed & (bound * norms < 1.0)
+    doubt = np.flatnonzero(~failed & ~certified)
+    if doubt.size:
+        sigma, no_svd = _each(
+            lambda a: np.linalg.svd(a, compute_uv=False), r[doubt], np.zeros(len(eye))
+        )
+        certified[doubt] = ~no_svd & (sigma[:, -1] > bound * sigma[:, 0])
+    return r_inv, certified
+
+
+def _csne(
+    gram: np.ndarray,
+    xty: np.ndarray,
+    widths: np.ndarray,
+    xte: Callable[[np.ndarray], np.ndarray],
+    rss: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a stack of weighted least squares problems from their Gram
+    matrices ``gram`` (k×p×p) and right-hand sides ``xty`` (k×p) by the
+    corrected semi-normal equations: one solve of ``RᵀRβ = X̃ᵀỹ``, then
+    one refinement step on the explicit residual.
+
+    Member i uses the leading ``widths[i]`` rows and columns. Members of
+    one width are solved together and never padded, so each member's
+    result is the one it would get alone. ``xte(beta)`` gives each
+    member's ``X̃ᵀ(ỹ − X̃β)`` and ``rss(beta)`` each member's
+    ``‖ỹ − X̃β‖²``, for a k×p stack of coefficients that is 0 beyond
+    each width; both must form the residual row by row. Returns which
+    members are certified full rank (see :func:`_certified_cholesky`),
+    the coefficients, R⁻¹ and the weighted RSS; a member that is not
+    certified has zero coefficients and R⁻¹.
+    """
+    certified = np.zeros(len(gram), dtype=bool)
+    r_inv = np.zeros_like(gram)
+    parts = []
+    for w in sorted(set(widths.tolist())):
+        members = np.flatnonzero(widths == w)
+        part, ok = _certified_cholesky(gram[members, :w, :w], tol)
+        part[~ok] = 0.0  # so a member that is not certified keeps β = 0
+        certified[members] = ok
+        r_inv[members, :w, :w] = part
+        parts.append((w, members, part, part.swapaxes(-1, -2)))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(rhs)
+        for w, members, part, part_t in parts:
+            out[members, :w] = (part @ (part_t @ rhs[members, :w, None]))[..., 0]
+        return out
+
+    beta = solve(xty)
+    beta += solve(xte(beta))
+    return certified, beta, r_inv, rss(beta)
+
+
+def _fit_result(
+    labels: Sequence[str],
+    n: int,
+    beta: np.ndarray,
+    r_inv: np.ndarray,
+    rss: float,
+    yty: float,
+    column_means: np.ndarray,
+    rank_tol: float,
+) -> FitResult:
+    """The fit of a full-rank design with ``n`` rows, from its
+    coefficients, R⁻¹, weighted RSS and ``yty = ‖ỹ‖²``."""
+    # a residual at or below the rank tolerance relative to ‖√w·y‖ is
+    # rounding, and the fit is exact
+    if np.sqrt(rss) <= rank_tol * np.sqrt(yty):
+        rss = 0.0
+    dof = n - len(labels)
+    covariance = (r_inv @ r_inv.T) * (rss / dof)
+    std_errors = np.sqrt(np.diag(covariance))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = np.where(std_errors > 0, np.abs(beta) / std_errors, np.nan)
+    return FitResult(
+        labels=tuple(labels),
+        coefficients=beta,
+        std_errors=std_errors,
+        t_stats=t_stats,
+        covariance=covariance,
+        n_obs=n,
+        dof=dof,
+        rank=len(labels),
+        weighted_rss=float(rss),
+        column_means=column_means,
+    )
 
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +358,7 @@ def rank_check(design: DesignMatrix, tol: float = DEFAULT_RANK_TOL) -> RankRepor
     """Report the numerical rank of a design without fitting it."""
     p = design.p
     xs, ys = _weighted(design)
-    if p and _certified_cholesky(xs, tol) is not None:
+    if p and _certified_cholesky((xs.T @ xs)[None], tol)[1][0]:
         rank, suspects = p, []
     else:
         rank, suspects = _revealed_rank(_triangle(xs, ys), design.column_labels, tol)
@@ -262,8 +386,15 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
         raise ValueError(f"{n} observations cannot identify {p} coefficients")
 
     xs, ys = _weighted(design)
-    r = _certified_cholesky(xs, rank_tol)
-    if r is None:
+    certified, beta, r_inv, rss = _csne(
+        (xs.T @ xs)[None],
+        (xs.T @ ys)[None],
+        np.array([p]),
+        lambda b: (xs.T @ (ys - xs @ b[0]))[None],
+        lambda b: np.array([np.sum((ys - xs @ b[0]) ** 2)]),
+        rank_tol,
+    )
+    if not certified[0]:
         r_aug = _triangle(xs, ys)
         rank, suspects = _revealed_rank(r_aug, design.column_labels, rank_tol)
         if rank < p:
@@ -272,51 +403,20 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
                 f"dependent columns: {suspects}",
                 suspects,
             )
-    dof = n - p
-    if dof < 1:
+    if n - p < 1:
         raise ValueError(
             f"no residual degrees of freedom (n={n}, rank={p}); "
             "standard errors are undefined"
         )
-
-    if r is not None:
-        # corrected semi-normal equations: solve, then refine once on
-        # the explicit residual
-        r_inv = np.linalg.inv(r)
-        beta = r_inv @ (r_inv.T @ (xs.T @ ys))
-        beta += r_inv @ (r_inv.T @ (xs.T @ (ys - xs @ beta)))
-        residual_norm = float(np.linalg.norm(ys - xs @ beta))
-        response_norm = float(np.linalg.norm(ys))
+    if certified[0]:
+        beta, r_inv, rss, yty = beta[0], r_inv[0], float(rss[0]), float(ys @ ys)
     else:
         r = r_aug[:p, :p]
         r_inv = np.linalg.inv(r)
         beta = np.linalg.solve(r, r_aug[:p, p])
         # the corner entry is the norm of the weighted residual
-        residual_norm = abs(float(r_aug[p, p]))
-        response_norm = float(np.linalg.norm(r_aug[:, p]))
-
-    # a residual at or below the rank tolerance relative to ‖√w·y‖ is
-    # rounding, and the fit is exact
-    if residual_norm <= rank_tol * response_norm:
-        residual_norm = 0.0
-    weighted_rss = residual_norm**2
-    covariance = (r_inv @ r_inv.T) * (weighted_rss / dof)
-
-    std_errors = np.sqrt(np.diag(covariance))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(
-            std_errors > 0, np.abs(beta) / std_errors, np.nan
-        )
-
-    return FitResult(
-        labels=tuple(design.column_labels),
-        coefficients=beta,
-        std_errors=std_errors,
-        t_stats=t_stats,
-        covariance=covariance,
-        n_obs=n,
-        dof=dof,
-        rank=p,
-        weighted_rss=weighted_rss,
-        column_means=design.weighted_column_means(),
+        rss, yty = float(r_aug[p, p]) ** 2, float(r_aug[:, p] @ r_aug[:, p])
+    return _fit_result(
+        design.column_labels, n, beta, r_inv, rss, yty,
+        design.weighted_column_means(), rank_tol,
     )

@@ -515,8 +515,8 @@ class TestSharedFits:
     def test_report_filters_once_per_spec_and_fits_once_per_country_and_spec(
         self, survey_csv, tmp_path, monkeypatch
     ):
-        calls = {"filter_mask": 0, "fit_wls": 0}
-        rows_filtered = []
+        calls = {"filter_mask": 0, "_csne": 0, "fit_wls": 0}
+        rows_filtered, stacked = [], []
         for name in calls:
             original = getattr(agecurve.models, name)
 
@@ -525,6 +525,8 @@ class TestSharedFits:
                 result = _original(*args, **kwargs)
                 if _name == "filter_mask":
                     rows_filtered.append(result[1].n_in)
+                elif _name == "_csne":
+                    stacked.append(len(args[0]))
                 return result
 
             monkeypatch.setattr(agecurve.models, name, counted)
@@ -534,8 +536,10 @@ class TestSharedFits:
         ])
         assert code == 0
         # four quadratic presets, ranges-coarse and ranges-fine, two
-        # countries: one filter per spec, one fit per (country, spec)
-        assert calls == {"filter_mask": 6, "fit_wls": 6 * 2}
+        # countries: one filter per spec, one stacked solve per spec
+        # holding both countries, and no dense fallback fit
+        assert calls == {"filter_mask": 6, "_csne": 6, "fit_wls": 0}
+        assert stacked == [2] * 6
         # each spec filters every row of the file once
         with survey_csv.open(newline="", encoding="utf-8") as handle:
             file_rows = sum(1 for _ in csv.reader(handle)) - 1

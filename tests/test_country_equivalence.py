@@ -2,27 +2,33 @@
 against the per-country reference in ``country_path.py``.
 
 Random small surveys with interleaved countries are fitted under every
-preset by both paths, which must agree exactly: the same countries in
-the same order, the same labels, bit-identical coefficients, standard
-errors, covariances, weighted RSS and column means, the same counts and
-notes, and the same error class and message for every country that
-cannot be fitted. The surveys hold countries with one or two rounds,
-countries that the age cap or listwise deletion empties, countries with
-nobody in the fine scheme's reference bin, control levels seen in one
-country only, numeric levels whose text order differs from their value
-order, and unit or non-unit weights.
+preset by both paths. The package fits each spec from grouped
+sufficient statistics in one stacked solve, the reference fills each
+country's dense design and calls ``fit_wls``, so the two sum in another
+order and agree to rounding: the same countries in the same order, the
+same labels, counts and notes, and the same error class and message for
+every country that cannot be fitted; coefficients, column means and
+weighted RSS within 1e-10 relative, and covariances, standard errors
+and t statistics within eps·cond², the Gram matrix's rounding. The
+surveys hold countries with one or two rounds, countries that the age
+cap or listwise deletion empties, countries with nobody in the fine
+scheme's reference bin, control levels seen in one country only,
+numeric levels whose text order differs from their value order, and
+unit or non-unit weights. Designs stay bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import country_path
-from agecurve import Survey, design, models
+from agecurve import RankDeficientError, Survey, design, models
 from agecurve.dataset import CONTROL_VARS, FilterSpec
 from agecurve.design import TermSpec
 from agecurve.models import PRESETS
+from conftest import FITTABLE, synth_rows
 
 NAMES = ("AA", "BB", "CC", "DD")
 # Ages and rounds per kind of country. "old" is emptied by the age-69
@@ -111,12 +117,32 @@ def outcome(func, *args):
         return None, (type(exc), str(exc))
 
 
+REL = 1e-10
+EPS = np.finfo(float).eps
+
+
+def _close(actual, expected, rel):
+    scale = float(np.max(np.abs(expected))) if np.size(expected) else 0.0
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * scale)
+
+
 def assert_fits_equal(new, old):
+    """Equal labels, counts and notes; coefficients, column means and
+    weighted RSS within 1e-10 relative; covariance, standard errors and
+    t statistics within eps·cond², cond² being the condition number of
+    the covariance, which is that of the Gram matrix. An exact fit is
+    exact on both paths."""
     assert new.labels == old.labels
-    for name in ("coefficients", "std_errors", "t_stats", "covariance", "column_means"):
-        assert np.array_equal(getattr(new, name), getattr(old, name), equal_nan=True), name
-    assert np.array_equal(new.weighted_rss, old.weighted_rss, equal_nan=True)
     assert (new.n_obs, new.dof, new.rank, new.notes) == (old.n_obs, old.dof, old.rank, old.notes)
+    _close(new.coefficients, old.coefficients, REL)
+    _close(new.column_means, old.column_means, REL)
+    _close(new.weighted_rss, old.weighted_rss, REL)
+    if old.weighted_rss == 0.0:
+        assert not np.any(new.covariance) and np.all(np.isnan(new.t_stats))
+        return
+    rel = EPS * np.linalg.cond(old.covariance)
+    for name in ("covariance", "std_errors", "t_stats"):
+        _close(getattr(new, name), getattr(old, name), rel)
 
 
 def assert_results_equal(new, old):
@@ -181,3 +207,65 @@ def test_build_design_matches_per_country_path(survey):
             assert new_error == old_error
             if old is not None:
                 assert_designs_equal(new, old)
+
+
+def _old_row(country, age, rnd, weight=1.0):
+    return dict(
+        country=country, round=rnd, period_year=2000 + 2 * rnd, age=age,
+        happiness=7.0, weight=weight, sex="female", education="2",
+        marital="married", labor_status="retired",
+    )
+
+
+def test_mixed_stack_sends_only_its_failures_to_the_dense_fit(monkeypatch):
+    """Under ranges-fine, DEF's one respondent aged 85+ is also its only
+    one born 1930-1934, so its bin is collinear with the cohorts; ILL's
+    one respondent aged 85+ has weight 1e-12, so its design is full rank
+    but fails the certificate. Only those two go through the dense
+    ``fit_wls``: DEF fails as the reference does, naming the same
+    columns, ILL's fit is the dense one, and every other country's fit
+    is bit-identical to its own ``fit_spec``, solved alone."""
+    rows = synth_rows(n=150, seed=31, country="AA", **FITTABLE)
+    rows += synth_rows(n=150, seed=32, country="DEF", age_high=65, rounds=(1, 2, 3, 8), **FITTABLE)
+    rows += [_old_row("DEF", 85, 8)]
+    rows += synth_rows(n=150, seed=33, country="ILL", age_high=84, **FITTABLE)
+    rows += [_old_row("ILL", 83, 1), _old_row("ILL", 84, 1), _old_row("ILL", 90, 4, weight=1e-12)]
+    rows += synth_rows(n=150, seed=34, country="BB", **FITTABLE)
+    survey = Survey.from_rows(rows)
+    spec = PRESETS["ranges-fine"]
+
+    rows_in, fitted = [], []
+    fit_wls = models.fit_wls
+
+    def recorded(design):
+        rows_in.append(design.n)
+        fitted.append(fit_wls(design))
+        return fitted[-1]
+
+    monkeypatch.setattr(models, "fit_wls", recorded)
+    results = {r.country: r for r in models.batch_fit(survey, spec)}
+    assert rows_in == [151, 153]
+
+    _, expected = outcome(country_path.fit_spec, survey, spec, "DEF")
+    assert expected[0] is RankDeficientError
+    assert results["DEF"].error == expected[1]
+    with pytest.raises(RankDeficientError) as raised:
+        models.fit_spec(survey, spec, "DEF")
+    try:
+        country_path.fit_spec(survey, spec, "DEF")
+    except RankDeficientError as exc:
+        assert (str(raised.value), raised.value.suspect_labels) == (str(exc), exc.suspect_labels)
+        assert "bin:85+" in exc.suspect_labels
+
+    assert results["ILL"].fit is fitted[-1]
+    assert_fits_equal(results["ILL"].fit, country_path.fit_spec(survey, spec, "ILL"))
+
+    for country in ("AA", "BB"):
+        alone = models.fit_spec(survey, spec, country)
+        fit = results[country].fit
+        assert all(fit is not other for other in fitted)
+        assert fit.labels == alone.labels
+        for name in ("coefficients", "std_errors", "t_stats", "covariance", "column_means"):
+            assert np.array_equal(getattr(fit, name), getattr(alone, name)), name
+        assert fit.weighted_rss == alone.weighted_rss
+        assert_fits_equal(fit, country_path.fit_spec(survey, spec, country))

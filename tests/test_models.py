@@ -297,13 +297,13 @@ class TestBatchFit:
     def test_warnings_reach_the_caller(self, monkeypatch):
         """A warning raised inside a fit is the caller's to handle, not
         a note."""
-        fit_wls = models.fit_wls
+        solve = models._csne
 
-        def warning_fit_wls(*args, **kwargs):
+        def warning_solve(*args, **kwargs):
             warnings.warn("overflow in a design column", RuntimeWarning)
-            return fit_wls(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(models, "fit_wls", warning_fit_wls)
+        monkeypatch.setattr(models, "_csne", warning_solve)
         survey = synth_survey(n=150, seed=21, country="AA", rounds=(1, 2, 3))
         with pytest.warns(RuntimeWarning, match="overflow in a design column"):
             results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])

@@ -196,6 +196,77 @@ class TestRankHandling:
         assert not report.deficient and report.suspect_labels == ()
 
 
+class TestStackedSolve:
+    """The stack-shaped kernel that ``fit_wls`` and the per-spec fits
+    share."""
+
+    @staticmethod
+    def solve(xs, ys):
+        """``wls._csne`` on one stack of the dense problems ``xs``/``ys``,
+        each padded to the widest."""
+        k, p = len(xs), max(x.shape[1] for x in xs)
+        widths = np.array([x.shape[1] for x in xs])
+        gram, xty = np.zeros((k, p, p)), np.zeros((k, p))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            gram[i, : x.shape[1], : x.shape[1]] = x.T @ x
+            xty[i, : x.shape[1]] = x.T @ y
+
+        def xte(beta):
+            out = np.zeros_like(beta)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                out[i, : x.shape[1]] = x.T @ (y - x @ beta[i, : x.shape[1]])
+            return out
+
+        def rss(beta):
+            return np.array([
+                np.sum((y - x @ beta[i, : x.shape[1]]) ** 2) for i, (x, y) in enumerate(zip(xs, ys))
+            ])
+
+        return agecurve.wls._csne(gram, xty, widths, xte, rss, agecurve.wls.DEFAULT_RANK_TOL)
+
+    def test_members_are_solved_as_if_alone(self):
+        """Members of two widths share a stack with one whose Gram
+        matrix [[4, 4], [4, 4]] has no Cholesky factor: that one alone
+        is not certified, and every other member's coefficients, R⁻¹
+        and RSS are bit-identical to those it gets in a stack of its
+        own."""
+        rng = np.random.default_rng(5)
+        xs = [rng.normal(size=(12, 3)), np.ones((4, 2)), rng.normal(size=(9, 2)), rng.normal(size=(12, 3))]
+        ys = [rng.normal(size=len(x)) for x in xs]
+        certified, *together = self.solve(xs, ys)
+        assert certified.tolist() == [True, False, True, True]
+        for i in (0, 2, 3):
+            w = xs[i].shape[1]
+            _, *alone = self.solve([xs[i]], [ys[i]])
+            assert np.array_equal(together[0][i, :w], alone[0][0])
+            assert np.array_equal(together[1][i, :w, :w], alone[1][0])
+            assert together[2][i] == alone[2][0]
+            assert not np.any(together[0][i, w:])
+
+    def test_certificate_is_the_singular_value_test(self, monkeypatch):
+        """A nearly repeated column moves σ_min/σ_max through the 1e-6
+        certificate: the decision is the SVD's, also for designs between
+        the norm bound and the σ ratio, and a design the norm bound
+        clears computes no singular values."""
+        rng = np.random.default_rng(8)
+        base = np.column_stack([np.ones(40), rng.normal(size=40)])
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        between = 0
+        for delta in 10.0 ** np.arange(-7.0, -1.0, 0.02):
+            x = np.column_stack([base, base[:, 1] + delta * rng.normal(size=40)])
+            r = np.linalg.cholesky(x.T @ x).T
+            sigma = svd(r, compute_uv=False)
+            calls.clear()
+            _, certified = agecurve.wls._certified_cholesky((x.T @ x)[None], 1e-10)
+            assert certified[0] == (sigma[-1] > 1e-6 * sigma[0]), delta
+            bound = 1.0 / (np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r)))
+            assert bound <= sigma[-1] / sigma[0] * (1 + 1e-12)
+            assert len(calls) == int(bound <= 1e-6)
+            between += bound <= 1e-6 < sigma[-1] / sigma[0]
+        assert between
+
+
 class TestGuards:
     def test_more_columns_than_rows(self):
         x = np.ones((2, 3))
