@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -326,7 +327,17 @@ def _parse_number(text: str, missing: frozenset[str]) -> float | None:
 
 def _numbers(cells: Sequence[str], missing: frozenset[str]) -> np.ndarray:
     """:func:`_parse_number` over a column, NaN where it gives ``None``.
-    Each distinct cell text is parsed once."""
+    ``float`` reads the cells directly, a non-finite value becoming NaN,
+    unless a missing token is itself a finite number; a cell it rejects
+    sends the column to one parse per distinct cell."""
+    if all(_parse_number(token, frozenset()) is None for token in missing):
+        try:
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            pass
+        else:
+            values[~np.isfinite(values)] = np.nan
+            return values
     value = {}
     for text in set(cells):
         number = _parse_number(text, missing)
@@ -371,6 +382,63 @@ def _tally(n: int, rules: Iterable[tuple[str, np.ndarray]]) -> tuple[np.ndarray,
     return keep, dropped
 
 
+# Characters read per block of lines on the split path: the cells of one
+# block, not the width of the file, set the memory the read needs.
+_BLOCK_BYTES = 1 << 20
+
+
+def _split_block(lines: list[str], width: int) -> list[str] | None:
+    """The cells of a block of lines, ``width`` per row in row order, or
+    ``None`` when the :mod:`csv` module might read the block otherwise:
+    it holds a quote, ``\\r`` or NUL, a line longer than the field size
+    limit, or a row of another width. A blank line is not a row."""
+    if lines.count("\n"):
+        lines = [line for line in lines if line != "\n"]
+    if not lines:
+        return []
+    text = ",".join(lines)
+    if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # Only the file's last line can lack its newline.
+    cells = (text if text.endswith("\n") else text + "\n").split(",")
+    if len(cells) != width * len(lines):
+        return None
+    # A newline ends a cell only at a line's end, so with that count every
+    # row has ``width`` cells exactly when each ``width``-th cell holds one.
+    ends = "".join(cells[width - 1 :: width]).split("\n")
+    if len(ends) != len(lines) + 1:
+        return None
+    cells[width - 1 :: width] = ends[:-1]
+    return cells
+
+
+def _read_columns(handle: TextIO, width: int, positions: list[int]) -> list[list[str]]:
+    """The cells at ``positions`` of each row left in ``handle``, one list
+    per position. Blocks of lines are split at commas until one fails
+    :func:`_split_block`; csv reads the rest of the file from there, which
+    is exact because no earlier block held a quote, so no record crosses
+    into it. As with csv.DictReader, a short row reads as empty cells and
+    a blank line is not a row."""
+    columns = [[] for _ in positions]
+    while block := handle.readlines(_BLOCK_BYTES):
+        cells = _split_block(block, width)
+        if cells is None:
+            get = operator.itemgetter(*positions)
+            pad = [""] * width
+            rows = [
+                get(row) if len(row) >= width else get(row + pad)
+                for row in csv.reader(itertools.chain(block, handle))
+                if row
+            ]
+            for column, texts in zip(columns, zip(*rows)):
+                column.extend(texts)
+            break
+        for column, j in zip(columns, positions):
+            column += cells[j::width]
+        del block, cells  # before the next block is read: one block sets the peak
+    return columns
+
+
 def load_csv(
     path: str | Path,
     schema: Mapping[str, str] | None = None,
@@ -394,11 +462,15 @@ def load_csv(
     used as synthetic round numbers (the year values themselves stay
     untouched).
 
-    The country and each control are coded once, into levels in
-    first-appearance order over every row of the file (so a level may
-    hold no kept row), each distinct cell stripped once. A numeric cell
-    counts as parseable when ``float`` reads it as a finite number, so
-    ``inf`` and ``NaN`` are unparseable. Rows that
+    Rows are read in blocks of lines. A block with no quote, ``\\r`` or
+    NUL whose rows all have the header's width is split at its commas;
+    from the first other block on, the :mod:`csv` module reads the rest
+    of the file, with the same cells. The country and each control are
+    coded once, into levels in first-appearance order over every row of
+    the file (so a level may hold no kept row), each distinct cell
+    stripped once. A numeric cell counts as parseable when ``float``
+    reads it as a finite number, so ``inf`` and ``NaN`` are
+    unparseable. Rows that
     cannot be used are dropped and tallied, each under the first rule it
     fails, in the returned :class:`LoadReport`; the row order of the
     file is preserved. Raises :class:`DataError` for a schema key that
@@ -429,26 +501,24 @@ def load_csv(
         if absent:
             raise DataError(f"columns not in file header: {absent}")
         # Only the read columns are kept. A repeated column name refers to
-        # its last occurrence, a short row reads as empty cells, as with
-        # csv.DictReader, and a blank line is not a row.
+        # its last occurrence.
         position = {col: j for j, col in enumerate(header)}
-        get = operator.itemgetter(*(position[col] for col in schema.values()))
-        pad = [""] * len(header)
-        rows = [get(row) if len(row) >= len(pad) else get(row + pad) for row in reader if row]
-    if not rows:
+        texts = _read_columns(handle, len(header), [position[col] for col in schema.values()])
+    if not texts[0]:
         raise DataError(f"no usable rows in {path}")
-    # The rows, then the cells, are released once used: they set the peak.
-    cells = dict(zip(schema, zip(*rows)))
-    del rows
+    # Each column's cells are released once it is coded: they set the peak.
+    cells = dict(zip(schema, texts))
+    del texts
     column = {}
-    for name, texts in cells.items():
+    for name in schema:
+        texts = cells.pop(name)
         if name == "country":
             column[name] = _factor(texts, str.strip)
         elif name in CONTROL_VARS:
             column[name] = _control(texts, missing, labor_merge if name == "labor_status" else {})
         else:
             column[name] = _numbers(texts, missing)
-    del cells
+    del texts
 
     age, happy, weight = column["age"], column["happiness"], column["weight"]
     rules = [

@@ -336,8 +336,13 @@ def _finalize(
     metrics: dict[str, float],
     checks: list[HypothesisCheck],
 ) -> SimResult:
-    mc_mean = {k: float(np.nanmean(v)) for k, v in estimates.items()}
-    mc_sd = {k: float(np.nanstd(v, ddof=1)) for k, v in estimates.items()}
+    # NaN, without numpy's warning, for a series too short to give one.
+    held = {k: np.count_nonzero(~np.isnan(v)) for k, v in estimates.items()}
+    mc_mean = {k: float(np.nanmean(v)) if held[k] else float("nan") for k, v in estimates.items()}
+    mc_sd = {
+        k: float(np.nanstd(v, ddof=1)) if held[k] > 1 else float("nan")
+        for k, v in estimates.items()
+    }
     return SimResult(
         experiment=experiment,
         master_seed=master_seed,
@@ -568,27 +573,29 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
         finite = diffs[np.isfinite(diffs)]
         frac_positive = float(np.mean(finite > 0)) if finite.size else float("nan")
         metrics[f"frac_positive:{label}"] = frac_positive
+        empty = reps - finite.size
+        gaps = f"; {empty} of {reps} replicates have no respondent in the bin" if empty else ""
         if strength > 0:
             checks.append(
                 HypothesisCheck(
                     name=f"late_bin_inflated:{label}",
-                    passed=bool(finite.size == reps and frac_positive >= 0.95),
+                    passed=bool(not empty and frac_positive >= 0.95),
                     observed=frac_positive,
                     target=0.95,
-                    detail=f"attrited > full in {frac_positive:.1%} of replicates",
+                    detail=f"attrited > full in {frac_positive:.1%} of replicates{gaps}",
                 )
             )
         else:
-            mean = float(np.mean(finite))
+            mean = float(np.mean(finite)) if finite.size else float("nan")
             sd = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
             tolerance = 3.0 * sd / np.sqrt(max(finite.size, 1))
             checks.append(
                 HypothesisCheck(
                     name=f"late_bin_unbiased:{label}",
-                    passed=bool(finite.size == reps and abs(mean) <= tolerance),
+                    passed=bool(not empty and abs(mean) <= tolerance),
                     observed=mean,
                     target=0.0,
-                    detail=f"|mean| {abs(mean):.5f} <= 3 MC SE {tolerance:.5f}",
+                    detail=f"|mean| {abs(mean):.5f} <= 3 MC SE {tolerance:.5f}{gaps}",
                 )
             )
     return _finalize("attrition", config.seed, seeds, estimates, {}, metrics, checks)

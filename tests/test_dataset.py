@@ -1,8 +1,11 @@
 import csv
+import math
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agecurve import (
     PRESETS,
@@ -18,7 +21,8 @@ from agecurve import (
     load_csv,
     save_csv,
 )
-from agecurve.dataset import ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap
+from agecurve import dataset
+from agecurve.dataset import DEFAULT_MISSING, ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap
 from record_path import SurveyRecord, rows
 
 
@@ -295,6 +299,175 @@ def test_save_load_round_trip(tmp_path):
     loaded, report = load_csv(path)
     assert report.rows_kept == 2
     assert rows(loaded) == rows(survey)
+
+
+# Cells that a plain file can hold as they are, and cells that need the
+# csv module: a quote, a line break, NUL or a comma.
+PLAIN_CELLS = ("DE", "FR", "1", "2", "40", "7", "1.5", "NA", "", "x", " 7 ", "1_0", "inf")
+SPECIAL_CELLS = (",", '"', "\n", "\r\n", "\r", "\0", "a,b", 'say "hi"', '"DE"')
+READ_NAMES = ("country", "round", "age", "happiness", "weight")
+
+
+@st.composite
+def tables(draw, cells):
+    """A header (possibly empty) and rows of ``cells``; rows may be empty,
+    short or long, and a header name may repeat or be one no schema reads."""
+    header = draw(st.permutations(
+        READ_NAMES + tuple(draw(st.lists(st.sampled_from(READ_NAMES + ("sex", "idno")), max_size=3)))
+    ))
+    if draw(st.integers(0, 9)) == 0:
+        header = []
+    # Most rows have the header's width, so that blocks reach the split
+    # path; the rest are blank, short or long.
+    width = len(header)
+    size = st.sampled_from((width,) * 4 + (0, max(width - 1, 0), width + 1))
+    rows = draw(st.lists(
+        size.flatmap(lambda n: st.lists(st.sampled_from(cells), min_size=n, max_size=n)),
+        max_size=12,
+    ))
+    return header, rows
+
+
+def outcome(path):
+    """What :func:`load_csv` gives for ``path``, as comparable values."""
+    try:
+        survey, report = load_csv(path)
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    columns = {
+        name: getattr(survey, name).tolist()
+        for name in ("country_codes", "round", "period_year", "age", "happiness", "weight")
+    }
+    controls = {name: (codes.tolist(), levels) for name, (codes, levels) in survey.controls.items()}
+    return survey.country_levels, columns, controls, vars(report)
+
+
+def csv_outcome(path, read=outcome):
+    """``read(path)`` with every block sent to the csv module."""
+    with mock.patch.object(dataset, "_split_block", return_value=None):
+        return read(path)
+
+
+def cells_read(path):
+    """The cells of every column of ``path`` after its header, as
+    :func:`load_csv` reads them before any cell is stripped."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        width = len(next(csv.reader(handle)))
+        try:
+            return dataset._read_columns(handle, width, list(range(width)))
+        except csv.Error as exc:
+            return str(exc)
+
+
+def write_plain(path, header, rows):
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]), encoding="utf-8")
+
+
+def write_quoted(path, header, rows):
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows([header, *rows])
+
+
+class TestReadPaths:
+    """A block with no quote, \\r or NUL whose rows have the header's
+    width is split at commas; every other block, and all after it, goes
+    to the csv module. Both must read any file alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables(PLAIN_CELLS * 3 + SPECIAL_CELLS), block=st.integers(1, 200),
+           last_newline=st.booleans(), long_cell=st.integers(0, 9).map(lambda k: k == 0))
+    def test_split_path_reads_as_csv(self, tmp_path_factory, table, block, last_newline, long_cell):
+        header, rows = table
+        if long_cell and rows and rows[-1]:
+            # csv refuses a field past its size limit; so must the split path.
+            rows[-1][0] = "x" * (csv.field_size_limit() + 1)
+        path = tmp_path_factory.getbasetemp() / "read_paths.csv"
+        for write in (write_plain, write_quoted):
+            try:
+                write(path, header, rows)
+            except csv.Error:
+                continue  # before 3.11, csv.writer refuses NUL
+            if not last_newline:
+                path.write_text(path.read_text(encoding="utf-8").rstrip("\r\n"), encoding="utf-8")
+            with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+                assert outcome(path) == csv_outcome(path)
+                if header:
+                    assert cells_read(path) == csv_outcome(path, cells_read)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=tables(PLAIN_CELLS), block=st.integers(1, 200))
+    def test_plain_and_quoted_files_load_alike(self, tmp_path_factory, table, block):
+        header, rows = table
+        # A row of one empty cell is a blank line when written plain.
+        rows = [row if any(row) or len(row) > 1 else [] for row in rows]
+        # One path for both files, as error messages name it.
+        path = tmp_path_factory.getbasetemp() / "plain_or_quoted.csv"
+        got = []
+        for write in (write_plain, write_quoted):
+            write(path, header, rows)
+            with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+                got.append(outcome(path))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("lines", [
+        ["DE,1,40,7", "DE,1,41,7,1.0,x"],           # a short and a long row, 10 cells
+        ["DE,1,40,7,1.0,FR,2,41,6,2.0"],            # a row twice the header's width
+        ['"DE",1,40,7,1.0', 'DE,1,41,"7",1.0'],     # quoted cells
+        ["DE,1,40,7,1.0\rDE,1,41,7,1.0"],           # a lone carriage return
+        ["DE,1,40,7,1.0\r", "DE,1,41,7,1.0\r"],     # CRLF line ends
+        ["DE,1,40,7,1.0", "D\0E,1,41,7,1.0"],        # NUL, which csv refuses before 3.11
+        ["DE,1,40,7,1.0", "x" * (csv.field_size_limit() + 1) + ",1,41,7,1.0"],  # past the size limit
+    ])
+    def test_blocks_the_split_path_refuses(self, tmp_path, lines):
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(["country,round,age,happiness,weight", *lines, ""]), encoding="utf-8")
+        assert outcome(path) == csv_outcome(path)
+        assert cells_read(path) == csv_outcome(path, cells_read)
+
+    def test_quote_after_the_first_block(self, tmp_path, monkeypatch):
+        """A quoted field that holds a comma and a line break, after
+        blocks already split, is read whole by the csv module."""
+        header = ["country", "round", "age", "happiness", "weight", "sex"]
+        rows = [["DE", "1", str(20 + i), "7", "1.0", "male"] for i in range(40)]
+        rows.append(["FR", "2", "60", "5", "2.0", "not,\nsure"])
+        rows += [["DE", "1", "30", "6", "1.0", ""], ["DE", "1", "31"]]
+        path = tmp_path / "d.csv"
+        write_plain(path, header, rows[:40])
+        with path.open("a", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows[40:])
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", 64)
+        got = outcome(path)
+        assert got == csv_outcome(path)
+        levels, columns, controls, report = got
+        assert levels == ("DE", "FR") and columns["age"][40:] == [60, 30]
+        assert controls["sex"] == ([0] * 40 + [1, -1], ("male", "not,\nsure"))
+        assert report["dropped"] == {"unparseable happiness": 1}
+
+
+class TestNumbers:
+    """``_numbers`` parses with ``float`` directly where it can, and gives
+    what one :func:`_parse_number` per cell gives."""
+
+    @staticmethod
+    def expected(cells, missing):
+        values = [dataset._parse_number(cell, missing) for cell in cells]
+        return [math.nan if value is None else value for value in values]
+
+    @pytest.mark.parametrize("missing", [DEFAULT_MISSING, frozenset({"-9"}), frozenset({" 7 "})])
+    @pytest.mark.parametrize("tail", [[], ["NA"], ["x"]])
+    def test_pinned_cells(self, missing, tail):
+        cells = [" 7 ", "1_0", "inf", "-inf", "NaN", "1e999", "-9", "2.5", *tail]
+        got = dataset._numbers(cells, missing)
+        np.testing.assert_array_equal(got, self.expected(cells, missing))
+        assert got[:2].tolist() == [7.0, 10.0] and np.isnan(got[2:6]).all()
+        assert math.isnan(got[6]) == ("-9" in missing)
+
+    @given(cells=st.lists(st.one_of(st.sampled_from(PLAIN_CELLS), st.text("09.-eE_ inaNf", max_size=5))),
+           missing=st.sets(st.sampled_from(("", "NA", "-9", "0", " 1", "nan", "1e999", "x"))))
+    def test_matches_one_parse_per_cell(self, cells, missing):
+        np.testing.assert_array_equal(
+            dataset._numbers(cells, frozenset(missing)), self.expected(cells, frozenset(missing))
+        )
 
 
 def test_survey_columns_are_read_only():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +260,21 @@ class TestExperiments:
         config = replace(default_attrition_config(seed=56), n=2000, age_high=84)
         with pytest.raises(ValueError, match=r"\['85\+'\] begin above age_high 84"):
             experiment_attrition(config, reps=2)
+
+    @pytest.mark.parametrize("reps", [2, 1])
+    def test_attrition_names_replicates_without_the_bin(self, reps):
+        # Ages stop at 85, so a replicate of 60 may draw no one into 85+:
+        # with seed 2 the first replicate does, the second does not.
+        config = replace(default_attrition_config(seed=2, strength=0.0), n=60, age_high=85)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = experiment_attrition(config, reps=reps)
+        held, top = result.checks
+        assert held.passed and "replicates" not in held.detail
+        assert not top.passed
+        assert top.detail.endswith(f"; 1 of {reps} replicates have no respondent in the bin")
+        assert np.isnan(top.observed) == (reps == 1)
+        assert np.isnan(result.mc_mean["inflation:85+"]) == (reps == 1)
 
     def test_experiments_are_reproducible(self):
         a = experiment_truncation(default_truncation_config(seed=55), reps=3)
