@@ -245,11 +245,13 @@ def _write_table(out: Path, formats: set[str], stem: str, header, rows, fmts) ->
 
 def _write_fit(fits: _Fits, out: Path, formats: set[str], name: str) -> None:
     rows = [
-        [res.country, name, label, res.fit.coef(label), res.fit.se(label),
-         res.fit.t(label), res.fit.n_obs, res.fit.rank]
+        [res.country, name, label, coef, se, t, res.fit.n_obs, res.fit.rank]
         for res in fits[name]
         if res.ok
-        for label in res.fit.labels
+        for label, coef, se, t in zip(
+            res.fit.labels, res.fit.coefficients.tolist(),
+            res.fit.std_errors.tolist(), res.fit.t_stats.tolist(),
+        )
     ]
     _write_table(out, formats, f"fit_{name}", FIT_HEADER, rows, FIT_FORMATS)
 
@@ -372,25 +374,11 @@ def _detect_from_fixture(rule: str) -> list:
     for row in rows:
         country = str(row["country"])
         if rule == "quad_t15":
-            verdicts.append(
-                detect_quad_values(
-                    country,
-                    float(row["coef_age"]),
-                    float(row["t_age"]),
-                    float(row["coef_age_sq"]),
-                    float(row["t_age_sq"]),
-                )
-            )
+            keys = ("coef_age", "t_age", "coef_age_sq", "t_age_sq")
+            verdicts.append(detect_quad_values(country, *(float(row[k]) for k in keys)))
         elif rule == "range_t1":
-            verdicts.append(
-                detect_ranges_values(
-                    country,
-                    float(row["coef_15-34"]),
-                    float(row["t_15-34"]),
-                    float(row["coef_60-74"]),
-                    float(row["t_60-74"]),
-                )
-            )
+            keys = ("coef_15-34", "t_15-34", "coef_60-74", "t_60-74")
+            verdicts.append(detect_ranges_values(country, *(float(row[k]) for k in keys)))
         else:
             verdicts.append(classify_curve(_fixture_curve(row)))
     return verdicts
@@ -464,10 +452,8 @@ def cmd_simulate(args) -> int:
 
     if "csv" in formats:
         header = ["replicate", "seed", *result.estimates.keys()]
-        rows = [
-            [i, result.seeds[i], *[float(result.estimates[k][i]) for k in result.estimates]]
-            for i in range(result.n_reps)
-        ]
+        estimates = [values.tolist() for values in result.estimates.values()]
+        rows = zip(range(result.n_reps), result.seeds, *estimates)
         path = out / f"simulate_{result.experiment}.csv"
         write_csv(path, header, rows)
         print(f"wrote {path}")

@@ -8,28 +8,62 @@ can be diffed.
 from __future__ import annotations
 
 import csv
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = [
-    "write_csv",
-    "read_csv",
-    "format_table",
-    "bin_midpoint",
-    "svg_line_chart",
-]
+import numpy as np
 
-Cell = "str | float | int | None"
+__all__ = ["write_csv", "read_csv", "format_table", "bin_midpoint", "svg_line_chart"]
+
+# write_csv formats and writes this many rows at a time, so its memory is flat in rows.
+_BLOCK_ROWS = 1024
+
+_NUMBERS = (int, float, np.number, np.bool_)
+
+
+def _columns(rows: Sequence[Sequence], width: int) -> list[tuple]:
+    columns = list(zip(*rows, strict=True)) if rows else [()] * width
+    if len(columns) != width:
+        raise ValueError(f"rows of {len(columns)} cells under {width} column names")
+    return columns
+
+
+def _has_text(column: tuple) -> bool:
+    """Whether a column holds a str or None; a cell that is neither of
+    these nor a number raises TypeError."""
+    kinds = [kind for kind in set(map(type, column)) if not issubclass(kind, _NUMBERS)]
+    for kind in kinds:
+        if kind is not type(None) and not issubclass(kind, str):
+            raise TypeError(f"a table cell must be None, a str or a number, not {kind.__name__}")
+    return bool(kinds)
+
+
+def _csv_cells(column: tuple) -> list[str]:
+    if not _has_text(column):
+        return list(map(str, column))
+    quoted = {s: '"%s"' % s.replace('"', '""') for s in set(column) if isinstance(s, str)}
+    quoted[None] = '""'
+    return [quoted[cell] if cell in quoted else str(cell) for cell in column]
+
+
+def _text_cells(column: tuple, fmt: str) -> list[str]:
+    if not _has_text(column):
+        return list(map(fmt.__mod__, column))
+    return ["" if c is None else c if isinstance(c, str) else fmt % c for c in column]
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows with quoted strings and bare numbers (numeric cells stay
-    machine-readable after a round trip). ``None`` becomes an empty cell."""
+    """Write rows with every string quoted (``"`` doubled) and numbers
+    bare as ``str`` gives them, so numeric cells stay machine-readable
+    after a round trip; ``None`` gives ``""``. Lines end in CRLF."""
+    rows = iter(rows)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(["" if cell is None else cell for cell in row])
+        block = [header]
+        while block:
+            cells = [_csv_cells(column) for column in _columns(block, len(header))]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            block = list(islice(rows, _BLOCK_ROWS))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list]]:
@@ -57,32 +91,20 @@ def format_table(
     rows: Sequence[Sequence],
     formats: Sequence[str] | None = None,
 ) -> str:
-    """Right-aligned plain-text table.
+    """Right-aligned plain-text table, two spaces between columns.
 
-    ``formats`` gives one printf-style format per column for non-string
-    cells (default ``"%g"``); strings and None pass through.
+    ``formats`` gives one printf-style format per column for numeric
+    cells (default ``"%g"``); strings pass through and None is blank.
     """
     if formats is None:
         formats = ["%g"] * len(header)
     if len(formats) != len(header):
         raise ValueError(f"{len(formats)} formats for {len(header)} columns")
-
-    def render(cell, fmt: str) -> str:
-        if cell is None:
-            return ""
-        if isinstance(cell, str):
-            return cell
-        return fmt % cell
-
-    text_rows = [[render(c, f) for c, f in zip(row, formats)] for row in rows]
-    widths = [
-        max(len(header[j]), *(len(r[j]) for r in text_rows)) if text_rows else len(header[j])
-        for j in range(len(header))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in text_rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    texts = [_text_cells(column, fmt) for column, fmt in zip(_columns(rows, len(header)), formats)]
+    widths = [max(len(h), max(map(len, column), default=0)) for h, column in zip(header, texts)]
+    line = "  ".join(f"%{w}s" for w in widths)
+    lines = [line % tuple(header), "  ".join("-" * w for w in widths)]
+    lines.extend(map(line.__mod__, zip(*texts)))
     return "\n".join(lines) + "\n"
 
 
@@ -179,68 +201,54 @@ def svg_line_chart(
         )
 
     axis_style = 'stroke="#333" stroke-width="1"'
-    out.append(
+    out += [
         f'<line x1="{margin_left}" y1="{margin_top + plot_h}" '
-        f'x2="{margin_left + plot_w}" y2="{margin_top + plot_h}" {axis_style}/>'
-    )
-    out.append(
+        f'x2="{margin_left + plot_w}" y2="{margin_top + plot_h}" {axis_style}/>',
         f'<line x1="{margin_left}" y1="{margin_top}" '
-        f'x2="{margin_left}" y2="{margin_top + plot_h}" {axis_style}/>'
-    )
+        f'x2="{margin_left}" y2="{margin_top + plot_h}" {axis_style}/>',
+    ]
     for tick in _ticks(y_low, y_high):
         y = sy(tick)
-        out.append(
+        out += [
             f'<line x1="{margin_left - 4}" y1="{y:.2f}" x2="{margin_left}" '
-            f'y2="{y:.2f}" {axis_style}/>'
-        )
-        out.append(
+            f'y2="{y:.2f}" {axis_style}/>',
             f'<line x1="{margin_left}" y1="{y:.2f}" '
             f'x2="{margin_left + plot_w}" y2="{y:.2f}" '
-            f'stroke="#ddd" stroke-width="0.5"/>'
-        )
-        out.append(
+            f'stroke="#ddd" stroke-width="0.5"/>',
             f'<text x="{margin_left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:g}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{tick:g}</text>',
+        ]
     for tick in _ticks(x_low, x_high):
         x = sx(tick)
-        out.append(
+        out += [
             f'<line x1="{x:.2f}" y1="{margin_top + plot_h}" x2="{x:.2f}" '
-            f'y2="{margin_top + plot_h + 4}" {axis_style}/>'
-        )
-        out.append(
+            f'y2="{margin_top + plot_h + 4}" {axis_style}/>',
             f'<text x="{x:.2f}" y="{margin_top + plot_h + 18}" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="11">{tick:g}</text>'
-        )
-    out.append(
+            f'font-size="11">{tick:g}</text>',
+        ]
+    out += [
         f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 12}" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12">{x_label}</text>'
-    )
-    out.append(
+        f'font-size="12">{x_label}</text>',
         f'<text x="16" y="{margin_top + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {margin_top + plot_h / 2:.1f})">{y_label}</text>'
-    )
+        f'transform="rotate(-90 16 {margin_top + plot_h / 2:.1f})">{y_label}</text>',
+    ]
 
     for k, (name, pts) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"/>'
-        )
         legend_y = margin_top + 16 * k
-        out.append(
+        out += [
+            f'<polyline points="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="1.8"/>',
             f'<line x1="{margin_left + plot_w + 12}" y1="{legend_y:.1f}" '
             f'x2="{margin_left + plot_w + 34}" y2="{legend_y:.1f}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
-        )
-        out.append(
+            f'stroke="{color}" stroke-width="1.8"/>',
             f'<text x="{margin_left + plot_w + 40}" y="{legend_y + 4:.1f}" '
-            f'font-family="sans-serif" font-size="11">{name}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{name}</text>',
+        ]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -41,7 +41,7 @@ import numpy as np
 from .dataset import DEFAULT_ROUND_MAP, Survey
 from .design import FINE_BINS, DesignMatrix, TermSpec, build_design
 from .models import adjusted_means
-from .wls import fit_wls
+from .wls import RankDeficientError, fit_wls
 
 __all__ = [
     "AgeEffect",
@@ -527,6 +527,8 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     :func:`generate`), so each replicate draws and fits it once and
     every difference is exactly zero. A late bin that begins above
     ``config.age_high`` can hold no respondent and is refused up front.
+    A replicate whose design is rank deficient (as when a late bin holds
+    one respondent) gets no estimate and fails every check.
     """
     if config is None:
         config = default_attrition_config()
@@ -549,16 +551,17 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
 
     seeds = _replicate_seeds(config.seed, reps)
     inflations = {label: np.full(reps, np.nan) for label in late_bins}
+    unfitted = 0
     for i, seed in enumerate(seeds):
         cfg = replace(config, seed=seed)
-        full_curve = adjusted_means(
-            generate(replace(cfg, attrition=None)), cfg.country, "fine"
-        )
-        attrited_curve = (
-            full_curve
-            if strength == 0.0
-            else adjusted_means(generate(cfg), cfg.country, "fine")
-        )
+        try:
+            full_curve = adjusted_means(generate(replace(cfg, attrition=None)), cfg.country)
+            attrited_curve = (
+                full_curve if strength == 0.0 else adjusted_means(generate(cfg), cfg.country)
+            )
+        except RankDeficientError:
+            unfitted += 1
+            continue
         for label in late_bins:
             if label in full_curve.bin_labels and label in attrited_curve.bin_labels:
                 inflations[label][i] = attrited_curve.level(label) - full_curve.level(
@@ -573,13 +576,16 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
         finite = diffs[np.isfinite(diffs)]
         frac_positive = float(np.mean(finite > 0)) if finite.size else float("nan")
         metrics[f"frac_positive:{label}"] = frac_positive
-        empty = reps - finite.size
+        missing = reps - finite.size
+        empty = missing - unfitted
         gaps = f"; {empty} of {reps} replicates have no respondent in the bin" if empty else ""
+        if unfitted:
+            gaps += f"; {unfitted} of {reps} replicates could not be fitted"
         if strength > 0:
             checks.append(
                 HypothesisCheck(
                     name=f"late_bin_inflated:{label}",
-                    passed=bool(not empty and frac_positive >= 0.95),
+                    passed=bool(not missing and frac_positive >= 0.95),
                     observed=frac_positive,
                     target=0.95,
                     detail=f"attrited > full in {frac_positive:.1%} of replicates{gaps}",
@@ -592,7 +598,7 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
             checks.append(
                 HypothesisCheck(
                     name=f"late_bin_unbiased:{label}",
-                    passed=bool(not empty and abs(mean) <= tolerance),
+                    passed=bool(not missing and abs(mean) <= tolerance),
                     observed=mean,
                     target=0.0,
                     detail=f"|mean| {abs(mean):.5f} <= 3 MC SE {tolerance:.5f}{gaps}",

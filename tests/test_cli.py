@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import agecurve.cli
 import agecurve.models
 from agecurve.cli import EXIT_CHECK_FAILED, RULES, main
 from agecurve.render import read_csv
+from agecurve.simulate import default_attrition_config, experiment_attrition
 from conftest import FITTABLE, survey_file, ushape
 
 
@@ -456,6 +458,23 @@ class TestSimulate:
         assert code == EXIT_CHECK_FAILED == 3
         assert capsys.readouterr().out.rstrip().endswith("overall: FAIL")
         assert (out / "simulate_attrition.csv").is_file()
+        assert (out / "simulate_attrition.txt").is_file()
+
+    def test_unfittable_replicate_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        """One replicate of this run cannot be fitted: the run still writes
+        its files and reports FAIL instead of stopping with an error."""
+        sparse = lambda seed: replace(default_attrition_config(seed), age_high=85)
+        monkeypatch.setitem(agecurve.cli.EXPERIMENTS, "attrition", (sparse, experiment_attrition))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--experiment", "attrition", "--reps", "4", "--n", "200",
+            "--seed", "4", "--strength", "0.5", "--out", str(out), "--format", "csv,text",
+        ])
+        assert code == EXIT_CHECK_FAILED
+        stdout, stderr = capsys.readouterr()
+        assert "1 of 4 replicates could not be fitted" in stdout and not stderr
+        _, rows = read_csv(out / "simulate_attrition.csv")
+        assert np.isnan([row[2] for row in rows]).tolist() == [False, False, True, False]
         assert (out / "simulate_attrition.txt").is_file()
 
 

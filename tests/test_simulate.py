@@ -276,6 +276,18 @@ class TestExperiments:
         assert np.isnan(top.observed) == (reps == 1)
         assert np.isnan(result.mc_mean["inflation:85+"]) == (reps == 1)
 
+    def test_attrition_counts_replicates_it_cannot_fit(self):
+        # The third replicate's 85+ bin holds one respondent, whose bin
+        # dummy is then collinear with the cohort dummies.
+        config = replace(default_attrition_config(seed=4, strength=0.5), n=200, age_high=85)
+        result = experiment_attrition(config, reps=4)
+        assert not result.passed
+        for check in result.checks:
+            assert not check.passed
+            assert check.detail.endswith("; 1 of 4 replicates could not be fitted")
+        for values in result.estimates.values():
+            assert np.isnan(values).tolist() == [False, False, True, False]
+
     def test_experiments_are_reproducible(self):
         a = experiment_truncation(default_truncation_config(seed=55), reps=3)
         b = experiment_truncation(default_truncation_config(seed=55), reps=3)
