@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .render import write_csv
+from .render import write_columns
 
 __all__ = [
     "CONTROL_VARS",
@@ -126,12 +126,7 @@ def _factor(cells: Sequence, level: Callable = lambda cell: cell) -> tuple[np.nd
     """Int codes of each cell's ``level(cell)`` (-1 where that is
     ``None``) into a level tuple in first-appearance order; ``level``
     runs once per distinct cell."""
-    index: dict[str, int] = {}
-    code = {}
-    for cell in dict.fromkeys(cells):
-        value = level(cell)
-        code[cell] = -1 if value is None else index.setdefault(value, len(index))
-    return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells)), tuple(index)
+    return _Codes(level).add(cells).result()
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -345,18 +340,11 @@ def _numbers(cells: Sequence[str], missing: frozenset[str]) -> np.ndarray:
     return np.fromiter(map(value.__getitem__, cells), np.float64, len(cells))
 
 
-def _control(
-    cells: Sequence[str], missing: frozenset[str], merge: Mapping[str, str]
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """:func:`_factor` of a control column: a cell is missing when its
-    stripped text is a missing token, else its level is that text after
-    ``merge``."""
-
-    def level(text: str) -> str | None:
-        value = text.strip()
-        return None if value in missing else merge.get(value, value)
-
-    return _factor(cells, level)
+def _control_level(missing: frozenset[str], merge: Mapping[str, str], text: str) -> str | None:
+    """A control cell's level: its stripped text after ``merge``, or
+    ``None`` for a missing token."""
+    value = text.strip()
+    return None if value in missing else merge.get(value, value)
 
 
 def _not_whole(values: np.ndarray) -> np.ndarray:
@@ -382,61 +370,168 @@ def _tally(n: int, rules: Iterable[tuple[str, np.ndarray]]) -> tuple[np.ndarray,
     return keep, dropped
 
 
-# Characters read per block of lines on the split path: the cells of one
-# block, not the width of the file, set the memory the read needs.
+# Bytes read per block on the byte path; csv reads rows in batches of one
+# per 64 of these bytes. One block, not the file, sets the read's memory.
 _BLOCK_BYTES = 1 << 20
 
-
-def _split_block(lines: list[str], width: int) -> list[str] | None:
-    """The cells of a block of lines, ``width`` per row in row order, or
-    ``None`` when the :mod:`csv` module might read the block otherwise:
-    it holds a quote, ``\\r`` or NUL, a line longer than the field size
-    limit, or a row of another width. A blank line is not a row."""
-    if lines.count("\n"):
-        lines = [line for line in lines if line != "\n"]
-    if not lines:
-        return []
-    text = ",".join(lines)
-    if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    # Only the file's last line can lack its newline.
-    cells = (text if text.endswith("\n") else text + "\n").split(",")
-    if len(cells) != width * len(lines):
-        return None
-    # A newline ends a cell only at a line's end, so with that count every
-    # row has ``width`` cells exactly when each ``width``-th cell holds one.
-    ends = "".join(cells[width - 1 :: width]).split("\n")
-    if len(ends) != len(lines) + 1:
-        return None
-    cells[width - 1 :: width] = ends[:-1]
-    return cells
+# The decimal kernel reads at most this many digits: below 2**53, so the
+# mantissa and its power of ten are exact doubles.
+_DIGITS = 15
+_SCALES = 10.0 ** np.arange(_DIGITS + 3)
+# The low k bytes of a little-endian 64-bit word, k = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 
-def _read_columns(handle: TextIO, width: int, positions: list[int]) -> list[list[str]]:
-    """The cells at ``positions`` of each row left in ``handle``, one list
-    per position. Blocks of lines are split at commas until one fails
-    :func:`_split_block`; csv reads the rest of the file from there, which
-    is exact because no earlier block held a quote, so no record crosses
-    into it. As with csv.DictReader, a short row reads as empty cells and
-    a blank line is not a row."""
-    columns = [[] for _ in positions]
-    while block := handle.readlines(_BLOCK_BYTES):
-        cells = _split_block(block, width)
-        if cells is None:
-            get = operator.itemgetter(*positions)
-            pad = [""] * width
-            rows = [
-                get(row) if len(row) >= width else get(row + pad)
-                for row in csv.reader(itertools.chain(block, handle))
-                if row
-            ]
-            for column, texts in zip(columns, zip(*rows)):
-                column.extend(texts)
+def _decimals(words: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each cell of the form ``-?digits[.digits]`` with one to
+    :data:`_DIGITS` digits (``1.`` and ``.5`` too), and the mask of those
+    cells. The mantissa over a power of ten is one correctly rounded
+    division of exact doubles, so bit for bit what ``float`` reads
+    (Clinger 1990). ``words`` holds the 8 bytes from each block offset."""
+    minus = words[starts] & _LOW_BYTES[1] == 45
+    mantissa = count = points = places = np.zeros(len(lens), np.int64)
+    for k in range(min(int(lens.max(initial=0)), _DIGITS + 2)):
+        if k % 8 == 0:  # the cells' next 8 bytes, zero past each end
+            word = words[starts + k] & _LOW_BYTES[np.clip(lens - k, 0, 8)]
+        byte = (word >> np.uint64(8 * (k % 8))).astype(np.uint8)
+        digit = byte - np.uint8(48)
+        is_digit = digit < 10
+        mantissa = np.where(is_digit, mantissa * 10 + digit, mantissa)
+        count, places = count + is_digit, places + (is_digit & (points > 0))
+        points = points + (byte == 46)
+    ok = (count + points + minus == lens) & (points <= 1) & (count >= 1) & (count <= _DIGITS)
+    values = mantissa / _SCALES[places]
+    return np.where(minus, -values, values), ok
+
+
+def _texts(data: bytes, starts: np.ndarray, lens: np.ndarray) -> list[str]:
+    return [data[s : s + n].decode() for s, n in zip(starts.tolist(), lens.tolist())]
+
+
+class _Numbers:
+    """A numeric column read block by block: :func:`_parse_number` of each
+    cell, NaN where it gives ``None``."""
+
+    def __init__(self, missing: frozenset[str]) -> None:
+        self.missing, self.parts = missing, [np.empty(0)]
+        # A missing token that is a number sends every cell to ``_numbers``.
+        self.exact = all(_parse_number(token, frozenset()) is None for token in missing)
+
+    def add(self, texts: Sequence[str]) -> None:
+        self.parts.append(_numbers(texts, self.missing))
+
+    def add_block(self, data: bytes, words: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> None:
+        values, ok = _decimals(words, starts, lens)
+        ok &= self.exact
+        if not ok.all():
+            values[~ok] = _numbers(_texts(data, starts[~ok], lens[~ok]), self.missing)
+        self.parts.append(values)
+
+    def result(self) -> np.ndarray:
+        return np.concatenate(self.parts)
+
+
+class _Codes:
+    """A coded column read block by block: int codes of each cell's
+    ``level(text)`` (-1 where that is ``None``) into levels in
+    first-appearance order; ``level`` runs once per distinct text."""
+
+    def __init__(self, level: Callable = lambda cell: cell) -> None:
+        self.level, self.code, self.index = level, {}, {}
+        self.parts = [np.empty(0, np.int64)]
+
+    def _merge(self, texts: Iterable) -> None:
+        for text in texts:
+            if text not in self.code:
+                value = self.level(text)
+                self.code[text] = -1 if value is None else self.index.setdefault(value, len(self.index))
+
+    def add(self, texts: Sequence) -> _Codes:
+        self._merge(dict.fromkeys(texts))
+        self.parts.append(np.fromiter(map(self.code.__getitem__, texts), np.int64, len(texts)))
+        return self
+
+    def add_block(self, data: bytes, words: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> None:
+        if lens.max(initial=0) > 7:
+            self.add(_texts(data, starts, lens))
+            return
+        # A cell's bytes and its length, packed into one key.
+        keys = words[starts] & _LOW_BYTES[lens] | lens.astype(np.uint64) << np.uint64(56)
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        texts = [key.to_bytes(8, "little")[: key >> 56].decode() for key in distinct.tolist()]
+        if any(text not in self.code for text in texts):  # code new texts by first appearance
+            first = np.full(len(texts), len(keys))
+            np.minimum.at(first, inverse, np.arange(len(keys)))
+            self._merge([texts[i] for i in np.argsort(first)])
+        self.parts.append(np.array([self.code[text] for text in texts], np.int64)[inverse])
+
+    def result(self) -> tuple[np.ndarray, tuple]:
+        return np.concatenate(self.parts), tuple(self.index)
+
+
+def _plain_block(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The 8 bytes from each offset of a block of whole, nonblank lines,
+    and where each cell ends, one row of ``width`` a line; or ``None``
+    when csv might read the block otherwise: it holds a quote, ``\\r`` or
+    NUL, a line longer than the field size limit, or a row of another
+    width."""
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    buf = np.frombuffer(data + bytes(24), np.uint8)  # so that each offset starts a word
+    ends = np.flatnonzero((buf == 44) | (buf == 10))
+    rows = data.count(b"\n")
+    # With ``rows`` newlines in all, every row has ``width`` cells exactly
+    # when each ``width``-th cell ends in one.
+    if len(ends) != rows * width or not (buf[ends[width - 1 :: width]] == 10).all():
+        return None
+    ends = ends.reshape(rows, width)
+    if np.diff(ends[:, -1], prepend=-1).max(initial=0) > csv.field_size_limit() + 1:
+        return None
+    return np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,)), ends
+
+
+def _header(handle: BinaryIO) -> list[str]:
+    """csv's first record of a binary file, leaving ``handle`` at the next."""
+    lines = []
+    text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+    header = next(csv.reader(lines.append(line) or line for line in iter(text.readline, "")), [])
+    text.detach().seek(len("".join(lines).encode()))
+    return header
+
+
+def _read_columns(handle: BinaryIO, width: int, columns: Sequence[tuple[int, _Numbers | _Codes]]) -> None:
+    """Feed each ``(position, column)`` the cells at that position of each
+    row left in the binary ``handle``: from its bytes while
+    :func:`_plain_block` accepts the blocks, each column sending the
+    cells its kernel cannot read to the str route, then as str cells from
+    csv, which is exact because no earlier block held a quote. As with
+    csv.DictReader, a short row reads as empty cells and a blank line is
+    not a row. Raises ``UnicodeDecodeError`` for bytes that are not
+    UTF-8, and :class:`csv.Error` where csv refuses a row."""
+    while True:
+        start = handle.tell()
+        data = handle.read(_BLOCK_BYTES) + handle.readline()
+        if not data:
+            return
+        data += b"" if data.endswith(b"\n") else b"\n"  # only the last line can lack one
+        data.decode()  # the check that the block is UTF-8
+        while b"\n\n" in data or data.startswith(b"\n"):  # a blank line is not a row
+            data = data.replace(b"\n\n", b"\n").lstrip(b"\n")
+        block = _plain_block(data, width)
+        if block is None:
             break
-        for column, j in zip(columns, positions):
-            column += cells[j::width]
-        del block, cells  # before the next block is read: one block sets the peak
-    return columns
+        words, ends = block
+        line_starts = np.concatenate(([-1], ends[:, -1]))[:-1] + 1
+        for j, column in columns:
+            starts = ends[:, j - 1] + 1 if j else line_starts
+            column.add_block(data, words, starts, ends[:, j] - starts)
+    handle.seek(start)
+    reader = csv.reader(io.TextIOWrapper(handle, encoding="utf-8", newline=""))
+    pad = [""] * width
+    while batch := list(itertools.islice(reader, max(_BLOCK_BYTES >> 6, 1))):
+        rows = [row if len(row) >= width else row + pad for row in batch if row]
+        for j, column in columns:
+            column.add([row[j] for row in rows])
 
 
 def load_csv(
@@ -462,21 +557,26 @@ def load_csv(
     used as synthetic round numbers (the year values themselves stay
     untouched).
 
-    Rows are read in blocks of lines. A block with no quote, ``\\r`` or
-    NUL whose rows all have the header's width is split at its commas;
-    from the first other block on, the :mod:`csv` module reads the rest
-    of the file, with the same cells. The country and each control are
-    coded once, into levels in first-appearance order over every row of
-    the file (so a level may hold no kept row), each distinct cell
-    stripped once. A numeric cell counts as parseable when ``float``
-    reads it as a finite number, so ``inf`` and ``NaN`` are
-    unparseable. Rows that
-    cannot be used are dropped and tallied, each under the first rule it
-    fails, in the returned :class:`LoadReport`; the row order of the
-    file is preserved. Raises :class:`DataError` for a schema key that
-    is not a logical field, a required field the schema does not map, a
-    required column absent from the header, a file with neither a round
-    nor a year column, or no usable rows.
+    The :mod:`csv` module reads the header; the rows are read as bytes, in
+    blocks of whole lines of about 1 MiB. A block with no quote, ``\\r`` or
+    NUL, no line past the csv field size limit, and rows all of the header's
+    width takes the byte path, where numpy reads a numeric cell
+    ``-?digits[.digits]`` of at most 15 digits and codes a country or
+    control cell of at most 7 bytes; ``float`` reads any other numeric cell
+    (every one, when a missing token is a number), and a coded column's
+    cells are read as text in a block where one is longer. From the first
+    other block on, csv reads the rows, with the same cells. The country and
+    each control are coded once, into levels in first-appearance order over
+    every row of the file (so a level may hold no kept row), each distinct
+    cell stripped once. A numeric cell counts as parseable when ``float``
+    reads it as a finite number, so ``inf`` and ``NaN`` are unparseable.
+    Rows that cannot be used are dropped and tallied, each under the first
+    rule it fails, in the returned :class:`LoadReport`; the row order of the
+    file is preserved. Raises :class:`DataError` for a schema key that is
+    not a logical field, a required field the schema does not map, a
+    required column absent from the header, a file with neither a round nor
+    a year column, bytes that are not UTF-8, a row that csv refuses (such as
+    a field past its size limit), or no usable rows.
     """
     schema = dict(IDENTITY_SCHEMA if schema is None else schema)
     missing = frozenset(missing)
@@ -491,34 +591,35 @@ def load_csv(
         raise DataError("schema must map 'round' or 'period_year' (or both)")
 
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        absent = [col for name, col in schema.items() if name not in _OPTIONAL and col not in header]
-        schema = {name: col for name, col in schema.items() if col in header}
-        if "round" not in schema and "period_year" not in schema:
-            raise DataError(f"{path} has neither a 'round' nor a 'period_year' column")
-        if absent:
-            raise DataError(f"columns not in file header: {absent}")
-        # Only the read columns are kept. A repeated column name refers to
-        # its last occurrence.
-        position = {col: j for j, col in enumerate(header)}
-        texts = _read_columns(handle, len(header), [position[col] for col in schema.values()])
-    if not texts[0]:
+    try:
+        with path.open("rb") as handle:
+            header = _header(handle)
+            absent = [col for name, col in schema.items() if name not in _OPTIONAL and col not in header]
+            schema = {name: col for name, col in schema.items() if col in header}
+            if "round" not in schema and "period_year" not in schema:
+                raise DataError(f"{path} has neither a 'round' nor a 'period_year' column")
+            if absent:
+                raise DataError(f"columns not in file header: {absent}")
+            readers = {}
+            for name in schema:
+                if name == "country":
+                    readers[name] = _Codes(str.strip)
+                elif name in CONTROL_VARS:
+                    merge = labor_merge if name == "labor_status" else {}
+                    readers[name] = _Codes(functools.partial(_control_level, missing, merge))
+                else:
+                    readers[name] = _Numbers(missing)
+            # Only the read columns are kept. A repeated column name refers
+            # to its last occurrence.
+            position = {col: j for j, col in enumerate(header)}
+            _read_columns(handle, len(header), [(position[schema[n]], r) for n, r in readers.items()])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    column = {name: reader.result() for name, reader in readers.items()}
+    if not len(column["age"]):
         raise DataError(f"no usable rows in {path}")
-    # Each column's cells are released once it is coded: they set the peak.
-    cells = dict(zip(schema, texts))
-    del texts
-    column = {}
-    for name in schema:
-        texts = cells.pop(name)
-        if name == "country":
-            column[name] = _factor(texts, str.strip)
-        elif name in CONTROL_VARS:
-            column[name] = _control(texts, missing, labor_merge if name == "labor_status" else {})
-        else:
-            column[name] = _numbers(texts, missing)
-    del texts
 
     age, happy, weight = column["age"], column["happiness"], column["weight"]
     rules = [
@@ -586,7 +687,7 @@ def save_csv(survey: Survey, path: str | Path) -> None:
     for name in CONTROL_VARS:
         codes, levels = survey.controls[name]
         columns.append(np.array([*levels, ""], dtype=object)[codes])
-    write_csv(path, list(IDENTITY_SCHEMA), zip(*(column.tolist() for column in columns)))
+    write_columns(path, list(IDENTITY_SCHEMA), columns)
 
 
 def filter_mask(survey: Survey, spec: FilterSpec) -> tuple[np.ndarray, FilterReport]:

@@ -8,15 +8,15 @@ can be diffed.
 from __future__ import annotations
 
 import csv
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["write_csv", "read_csv", "format_table", "bin_midpoint", "svg_line_chart"]
+__all__ = ["write_csv", "write_columns", "read_csv", "format_table", "bin_midpoint", "svg_line_chart"]
 
-# write_csv formats and writes this many rows at a time, so its memory is flat in rows.
+# write_columns formats and writes this many rows at a time, so its memory is flat in rows.
 _BLOCK_ROWS = 1024
 
 _NUMBERS = (int, float, np.number, np.bool_)
@@ -39,7 +39,9 @@ def _has_text(column: tuple) -> bool:
     return bool(kinds)
 
 
-def _csv_cells(column: tuple) -> list[str]:
+def _csv_cells(column: Sequence) -> list[str]:
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
     if not _has_text(column):
         return list(map(str, column))
     quoted = {s: '"%s"' % s.replace('"', '""') for s in set(column) if isinstance(s, str)}
@@ -53,17 +55,25 @@ def _text_cells(column: tuple, fmt: str) -> list[str]:
     return ["" if c is None else c if isinstance(c, str) else fmt % c for c in column]
 
 
+def write_columns(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a table given as its columns, lists or numpy arrays of one
+    length, as :func:`write_csv` writes rows, :data:`_BLOCK_ROWS` rows at
+    a time."""
+    rows = len(columns[0]) if len(columns) else 0
+    if len(columns) != len(header) or any(len(column) != rows for column in columns):
+        raise ValueError(f"columns of {sorted(set(map(len, columns)))} cells under {len(header)} column names")
+    blocks = ([column[i : i + _BLOCK_ROWS] for column in columns] for i in range(0, rows, _BLOCK_ROWS))
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        for block in chain([[[name] for name in header]], blocks):
+            cells = [_csv_cells(column) for column in block]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write rows with every string quoted (``"`` doubled) and numbers
     bare as ``str`` gives them, so numeric cells stay machine-readable
     after a round trip; ``None`` gives ``""``. Lines end in CRLF."""
-    rows = iter(rows)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        block = [header]
-        while block:
-            cells = [_csv_cells(column) for column in _columns(block, len(header))]
-            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-            block = list(islice(rows, _BLOCK_ROWS))
+    write_columns(path, header, _columns(list(rows), len(header)))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list]]:

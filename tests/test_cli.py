@@ -272,6 +272,24 @@ class TestInputHandling:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cell,quoted,message", [
+        (b"D\xe9", False, "is not UTF-8 text (invalid continuation byte)"),  # Latin-1
+        (b"D\xe9", True, "is not UTF-8 text (invalid continuation byte)"),
+        (b"x" * 131_073, False, "cannot read"),  # past csv's field size limit
+        (b"x" * 131_073, True, "cannot read"),
+    ], ids=["latin1", "latin1-quoted", "long-cell", "long-cell-quoted"])
+    def test_unreadable_file_is_refused(self, tmp_path, capsys, cell, quoted, message):
+        """Bytes that are not UTF-8, and a row that csv refuses, give one
+        error line naming the file, from either read path."""
+        path = tmp_path / "bad.csv"
+        line = b'"' + cell + b'",1,40,7,1.0' if quoted else cell + b",1,40,7,1.0"
+        path.write_bytes(b"country,round,age,happiness,weight\nDE,1,41,7,1.0\n" + line + b"\n")
+        code = main(["fit", "--input", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}" if "UTF-8" in message else f"error: cannot read {path}")
+        assert message in err and len(err.splitlines()) == 1
+
 
 class TestCurves:
     def test_fine_curves_with_chart(self, survey_csv, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -278,6 +279,17 @@ class TestLoadCsv:
         kept, _ = apply_filter(survey, FilterSpec(countries=frozenset({long_name})))
         assert rows(kept) == [rec(country=long_name, age=40)]
 
+    @pytest.mark.parametrize("column", [0, 4, 5])  # the country, the weight, a column not read
+    def test_bytes_not_utf8_are_refused_in_any_column(self, tmp_path, column):
+        cells = [b"DE", b"1", b"40", b"7", b"1.0", b"x"]
+        cells[column] = b"D\xe9" if column != 4 else b"1.\xe9"
+        path = tmp_path / "d.csv"
+        # Past the first 8 KiB, which reading the header decodes.
+        rows = b"DE,1,41,7,1.0,y\n" * 1000 + b",".join(cells) + b"\n"
+        path.write_bytes(b"country,round,age,happiness,weight,note\n" + rows)
+        with pytest.raises(DataError, match=f"{path} is not UTF-8 text"):
+            load_csv(path)
+
     def test_missing_control_becomes_none(self, tmp_path):
         path = tmp_path / "d.csv"
         write_rows(
@@ -302,9 +314,21 @@ def test_save_load_round_trip(tmp_path):
 
 
 # Cells that a plain file can hold as they are, and cells that need the
-# csv module: a quote, a line break, NUL or a comma.
-PLAIN_CELLS = ("DE", "FR", "1", "2", "40", "7", "1.5", "NA", "", "x", " 7 ", "1_0", "inf")
+# csv module: a quote, a line break, NUL or a comma. The plain cells hold
+# multibyte and whitespace-like text ("\xa0" and "\x85" are whitespace to
+# str.strip and float, but no line break to csv), a country of 9 bytes, past
+# the 7 that a packed key holds, and numbers that the decimal kernel reads
+# ("-0", "007", "1.", ".5", "0.1") or leaves to float ("+3", 16 digits,
+# "1e5", Arabic-Indic digits).
+PLAIN_CELLS = (
+    "DE", "FR", "1", "2", "40", "7", "1.5", "NA", "", "x", " 7 ", "1_0", "inf",
+    "Ö", "\xa0DE", "\x85", " ", "Lithuania",
+    "-0", "007", "1.", ".5", "+3", "0.1", "1234567890123456", "1e5", "\u0661\u0662",
+)
 SPECIAL_CELLS = (",", '"', "\n", "\r\n", "\r", "\0", "a,b", 'say "hi"', '"DE"')
+# Coded cells of up to 7 bytes, which a packed key holds, and longer ones:
+# "Slovenia" is 8 bytes, the first that a key cannot hold with its length.
+CODED_CELLS = ("DE", "FR", "AT", "Ö", "\xa0DE", " DE", "NA", "", "1", "Slovenia", "Lithuania", "Österreich")
 READ_NAMES = ("country", "round", "age", "happiness", "weight")
 
 
@@ -344,19 +368,21 @@ def outcome(path):
 
 def csv_outcome(path, read=outcome):
     """``read(path)`` with every block sent to the csv module."""
-    with mock.patch.object(dataset, "_split_block", return_value=None):
+    with mock.patch.object(dataset, "_plain_block", return_value=None):
         return read(path)
 
 
 def cells_read(path):
     """The cells of every column of ``path`` after its header, as
-    :func:`load_csv` reads them before any cell is stripped."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        width = len(next(csv.reader(handle)))
+    :func:`load_csv` reads them before any cell is stripped: each column
+    coded with its raw text as the level, then spelled out."""
+    with path.open("rb") as handle:
+        columns = [dataset._Codes() for _ in dataset._header(handle)]
         try:
-            return dataset._read_columns(handle, width, list(range(width)))
+            dataset._read_columns(handle, len(columns), list(enumerate(columns)))
         except csv.Error as exc:
             return str(exc)
+    return [[levels[code] for code in codes.tolist()] for codes, levels in (c.result() for c in columns)]
 
 
 def write_plain(path, header, rows):
@@ -370,7 +396,7 @@ def write_quoted(path, header, rows):
 
 class TestReadPaths:
     """A block with no quote, \\r or NUL whose rows have the header's
-    width is split at commas; every other block, and all after it, goes
+    width takes the byte path; every other block, and all after it, goes
     to the csv module. Both must read any file alike."""
 
     @settings(max_examples=150, deadline=None)
@@ -379,7 +405,7 @@ class TestReadPaths:
     def test_split_path_reads_as_csv(self, tmp_path_factory, table, block, last_newline, long_cell):
         header, rows = table
         if long_cell and rows and rows[-1]:
-            # csv refuses a field past its size limit; so must the split path.
+            # csv refuses a field past its size limit; so must the byte path.
             rows[-1][0] = "x" * (csv.field_size_limit() + 1)
         path = tmp_path_factory.getbasetemp() / "read_paths.csv"
         for write in (write_plain, write_quoted):
@@ -424,9 +450,60 @@ class TestReadPaths:
         assert outcome(path) == csv_outcome(path)
         assert cells_read(path) == csv_outcome(path, cells_read)
 
+    def test_quoted_header_then_plain_rows(self, tmp_path):
+        """csv reads a header record of two lines, with a name of multibyte
+        characters, and the plain rows after it, blank lines among them,
+        still take the byte path."""
+        path = tmp_path / "d.csv"
+        text = 'country,round,age,happiness,weight,"x\ny",Größe\nDE,1,40,7,1.0,a,\n\n\nFR,2,50,6,2.0,b,\n'
+        path.write_text(text, encoding="utf-8")
+        blocks, plain_block = [], dataset._plain_block
+
+        def spy(*args):
+            blocks.append(plain_block(*args))
+            return blocks[-1]
+
+        with mock.patch.object(dataset, "_plain_block", spy):
+            got = outcome(path)
+        assert len(blocks) == 1 and blocks[0] is not None and got == csv_outcome(path)
+        assert got[0] == ("DE", "FR") and cells_read(path)[5] == ["a", "b"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(st.tuples(st.sampled_from(CODED_CELLS), st.sampled_from(CODED_CELLS)), min_size=1,
+                          max_size=40),
+           block=st.integers(1, 200))
+    def test_coded_cells_in_first_appearance_order(self, tmp_path_factory, cells, block):
+        """Country and control cells, of up to 7 bytes or longer, get
+        levels in first-appearance order within and across blocks."""
+        path = tmp_path_factory.getbasetemp() / "coded.csv"
+        write_plain(path, ["country", "sex", "round", "age", "happiness", "weight"],
+                    [[country, sex, "1", "40", "7", "1"] for country, sex in cells])
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+            survey, _ = load_csv(path)
+        countries = [country.strip() for country, _ in cells]
+        sexes = [sex.strip() for _, sex in cells]
+        assert survey.country_levels == tuple(dict.fromkeys(countries))
+        assert survey.country.tolist() == countries
+        codes, levels = survey.controls["sex"]
+        assert levels == tuple(dict.fromkeys(s for s in sexes if s not in DEFAULT_MISSING))
+        assert [levels[c] if c >= 0 else None for c in codes.tolist()] == [
+            None if s in DEFAULT_MISSING else s for s in sexes
+        ]
+
+    def test_missing_token_that_is_a_number(self, tmp_path):
+        """A cell equal to a missing token is missing even where the token
+        reads as a number."""
+        path = tmp_path / "d.csv"
+        write_plain(path, ["country", "round", "age", "happiness", "weight"],
+                    [["DE", "1", "40", "7", "1"], ["DE", "1", "41", "5", "1"]])
+        for missing in ({"7"}, {" 7"}):
+            survey, report = load_csv(path, missing=missing)
+            assert survey.happiness.tolist() == ([5.0] if missing == {"7"} else [7.0, 5.0])
+            assert (report.dropped == {"unparseable happiness": 1}) == (missing == {"7"})
+
     def test_quote_after_the_first_block(self, tmp_path, monkeypatch):
         """A quoted field that holds a comma and a line break, after
-        blocks already split, is read whole by the csv module."""
+        blocks already read as bytes, is read whole by the csv module."""
         header = ["country", "round", "age", "happiness", "weight", "sex"]
         rows = [["DE", "1", str(20 + i), "7", "1.0", "male"] for i in range(40)]
         rows.append(["FR", "2", "60", "5", "2.0", "not,\nsure"])
@@ -442,6 +519,52 @@ class TestReadPaths:
         assert levels == ("DE", "FR") and columns["age"][40:] == [60, 30]
         assert controls["sex"] == ([0] * 40 + [1, -1], ("male", "not,\nsure"))
         assert report["dropped"] == {"unparseable happiness": 1}
+
+
+# Text that is a decimal for the kernel: "-"?, digits, and a point with a
+# digit on at least one side of it.
+KERNEL_FORM = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
+def kernel(cells):
+    """:func:`dataset._decimals` over ``cells``, laid out as the first
+    column of a plain block."""
+    data = "".join("x," + cell + "\n" for cell in cells).encode()
+    words, ends = dataset._plain_block(data, 2)
+    starts = ends[:, 0] + 1
+    return dataset._decimals(words, starts, ends[:, 1] - starts)
+
+
+class TestDecimalKernel:
+    """The kernel reads a decimal of at most 15 digits bit for bit as
+    ``float`` does, and leaves every other cell to the str route."""
+
+    DECIMALS = st.builds(
+        lambda sign, whole, point, fraction: sign + whole + point + fraction,
+        st.sampled_from(("", "-")), st.text("0123456789", max_size=17),
+        st.sampled_from(("", ".")), st.text("0123456789", max_size=17),
+    )
+    OTHER = st.text(st.characters(exclude_characters=',\n\r"\0', exclude_categories=("Cs",)), max_size=20)
+
+    @settings(max_examples=300)
+    @given(cells=st.lists(st.one_of(DECIMALS, st.text("0123456789.-+eE_ ", max_size=20), OTHER), min_size=1))
+    def test_reads_as_float_or_falls_back(self, cells):
+        values, ok = kernel(cells)
+        expected = [
+            bool(KERNEL_FORM.fullmatch(cell)) and sum(map(str.isdigit, cell)) <= dataset._DIGITS
+            for cell in cells
+        ]
+        assert ok.tolist() == expected
+        floats = np.array([float(cell) for cell, fits in zip(cells, expected) if fits], np.float64)
+        np.testing.assert_array_equal(values[ok].view(np.int64), floats.view(np.int64))
+
+    def test_edge_cells(self):
+        cells = ["-0", "007", "1.", ".5", "0.1", "-.5", "999999999999999", "0.00000000000001",
+                 "+3", "1234567890123456", "1e5", "\u0661\u0662", ".", "-", "", "1.2.3", "1-", " 1"]
+        values, ok = kernel(cells)
+        assert ok.tolist() == [True] * 8 + [False] * 10
+        assert values[:8].tolist() == [-0.0, 7.0, 1.0, 0.5, 0.1, -0.5, 999999999999999.0, 1e-14]
+        assert math.copysign(1.0, values[0]) == -1.0
 
 
 class TestNumbers:

@@ -92,6 +92,20 @@ class TestCsv:
             written = csv_bytes(render.write_csv, folder, header, rows)
         assert written == csv_bytes(reference.write_csv, folder, header, rows)
 
+    @given(table=tables(max_rows=40), block=st.integers(1, 7), arrays=st.booleans())
+    def test_columns_give_the_same_bytes(self, table, block, arrays, tmp_path_factory):
+        """``write_columns``, which ``save_csv`` calls, writes a table
+        given as lists or numpy arrays as the reference writes its rows."""
+        header, rows, _ = table
+        columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in header]
+        if arrays:
+            columns = [np.array(column, dtype=object) for column in columns]
+        folder = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(render, "_BLOCK_ROWS", block):
+            written = csv_bytes(lambda path, names, _: render.write_columns(path, names, columns),
+                                folder, header, rows)
+        assert written == csv_bytes(reference.write_csv, folder, header, rows)
+
     def test_zero_rows_is_the_header_line(self, tmp_path):
         render.write_csv(tmp_path / "t.csv", ["a", 'b"c'], [])
         assert (tmp_path / "t.csv").read_bytes() == b'"a","b""c"\r\n'
@@ -106,6 +120,8 @@ class TestCsv:
             render.write_csv(tmp_path / "t.csv", ["a", "b"], [["x", 1.0], ["y"]])
         with pytest.raises(ValueError, match="3 cells under 2 column names"):
             render.write_csv(tmp_path / "t.csv", ["a", "b"], [["x", 1.0, 2.0]])
+        with pytest.raises(ValueError):
+            render.write_columns(tmp_path / "t.csv", ["a", "b"], [["x", "y"], [1.0]])
 
 
 class TestFormatTable:
