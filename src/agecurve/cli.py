@@ -480,14 +480,26 @@ def cmd_report(args) -> int:
     return _report_partial(fits)
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("fit", "curves", "detect", "simulate", "report")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone. A parser
+    of one subcommand names them all in its usage line, so that its help
+    and its errors read as the full parser's do."""
     parser = argparse.ArgumentParser(
         prog="agecurve",
         description="Age-happiness curves from weighted survey cross-sections",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    choices = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
 
-    def common(p, needs_input=True):
+    def add(name, help_text, func, needs_input=True):
+        """The sub-parser of ``name`` with the common options, or None
+        when another command is asked for."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--input", help="survey CSV file")
             p.add_argument(
@@ -505,56 +517,49 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--format", help="comma-separated subset of csv,text,svg")
+        p.set_defaults(func=func)
+        return p
 
-    p_fit = sub.add_parser("fit", help="fit a model spec per country")
-    common(p_fit)
-    p_fit.add_argument(
-        "--spec",
-        default="quad-nocontrols-nocap",
-        help=f"model preset or 'quad-battery' (known: {', '.join(sorted(PRESETS))})",
-    )
-    p_fit.set_defaults(func=cmd_fit)
+    if p := add("fit", "fit a model spec per country", cmd_fit):
+        p.add_argument(
+            "--spec",
+            default="quad-nocontrols-nocap",
+            help=f"model preset or 'quad-battery' (known: {', '.join(sorted(PRESETS))})",
+        )
 
-    p_curves = sub.add_parser("curves", help="adjusted happiness level per age bin")
-    common(p_curves)
-    p_curves.add_argument("--scheme", choices=("coarse", "fine"), default="fine")
-    p_curves.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="fit the chart's y axis to the data instead of the 0-10 scale",
-    )
-    p_curves.set_defaults(func=cmd_curves)
+    if p := add("curves", "adjusted happiness level per age bin", cmd_curves):
+        p.add_argument("--scheme", choices=("coarse", "fine"), default="fine")
+        p.add_argument(
+            "--autoscale",
+            action="store_true",
+            help="fit the chart's y axis to the data instead of the 0-10 scale",
+        )
 
-    p_detect = sub.add_parser("detect", help="apply a u-shape detection rule")
-    common(p_detect)
-    p_detect.add_argument("--rule", choices=RULES, required=True)
-    p_detect.add_argument(
-        "--fixture",
-        choices=tuple(fixtures.FIXTURE_NAMES),
-        help="run the rule over a bundled reference table instead of --input",
-    )
-    p_detect.set_defaults(func=cmd_detect)
+    if p := add("detect", "apply a u-shape detection rule", cmd_detect):
+        p.add_argument("--rule", choices=RULES, required=True)
+        p.add_argument(
+            "--fixture",
+            choices=tuple(fixtures.FIXTURE_NAMES),
+            help="run the rule over a bundled reference table instead of --input",
+        )
 
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo bias experiment")
-    common(p_sim, needs_input=False)
-    p_sim.add_argument("--experiment", choices=tuple(EXPERIMENTS), required=True)
-    p_sim.add_argument("--reps", type=int, help="number of replicates (default 200)")
-    p_sim.add_argument("--n", type=int, help="sample size per replicate")
-    p_sim.add_argument("--seed", type=int, help="master seed")
-    p_sim.add_argument("--strength", type=float, help="attrition strength in [0,1]")
-    p_sim.add_argument("--knee", type=int, help="attrition age knee")
-    p_sim.set_defaults(func=cmd_simulate)
+    if p := add("simulate", "run a Monte Carlo bias experiment", cmd_simulate, needs_input=False):
+        p.add_argument("--experiment", choices=tuple(EXPERIMENTS), required=True)
+        p.add_argument("--reps", type=int, help="number of replicates (default 200)")
+        p.add_argument("--n", type=int, help="sample size per replicate")
+        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--strength", type=float, help="attrition strength in [0,1]")
+        p.add_argument("--knee", type=int, help="attrition age knee")
 
-    p_report = sub.add_parser("report", help="full pipeline: fits, reductions, detections, curves")
-    common(p_report)
-    p_report.set_defaults(func=cmd_report)
-
+    add("report", "full pipeline: fits, reductions, detections, curves", cmd_report)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # the full parser only for no command, top-level help or an unknown command
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_FATAL if exc.code else EXIT_OK
     try:

@@ -170,6 +170,10 @@ class Survey:
     controls: Mapping[str, tuple[np.ndarray, tuple[str, ...]]] = field(default_factory=dict)
     mediator: np.ndarray | None = None
     birth_year: np.ndarray = field(init=False, repr=False)
+    # What the fitting layers derive from the survey and share between
+    # fits (see agecurve.models); the columns are read-only, so none of
+    # it goes stale.
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         put = functools.partial(object.__setattr__, self)
@@ -431,6 +435,20 @@ class _Numbers:
         return np.concatenate(self.parts)
 
 
+def distinct_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in ascending order, and each value's index
+    among them: ``np.unique(values, return_inverse=True)`` without its
+    sort when the integer ``values`` span no more numbers than they
+    hold, else in half its temporary memory."""
+    if len(values) and int(values.max()) - int(values.min()) < len(values):
+        low = values.min()
+        present = np.bincount(values - low) > 0
+        return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[values - low]
+    ordered = np.sort(values)
+    starts = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    return starts, np.searchsorted(starts, values)
+
+
 class _Codes:
     """A coded column read block by block: int codes of each cell's
     ``level(text)`` (-1 where that is ``None``) into levels in
@@ -457,7 +475,7 @@ class _Codes:
             return
         # A cell's bytes and its length, packed into one key.
         keys = words[starts] & _LOW_BYTES[lens] | lens.astype(np.uint64) << np.uint64(56)
-        distinct, inverse = np.unique(keys, return_inverse=True)
+        distinct, inverse = distinct_codes(keys.view(np.int64))  # the top byte is at most 7
         texts = [key.to_bytes(8, "little")[: key >> 56].decode() for key in distinct.tolist()]
         if any(text not in self.code for text in texts):  # code new texts by first appearance
             first = np.full(len(texts), len(keys))

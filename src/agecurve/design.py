@@ -15,12 +15,13 @@ dense design only when asked.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import CONTROL_VARS, EmptySampleError, Survey, cohort_bin
+from .dataset import CONTROL_VARS, EmptySampleError, Survey, cohort_bin, distinct_codes
 
 __all__ = [
     "COARSE_BINS",
@@ -284,7 +285,7 @@ def _control_factor(survey: Survey, variable: str, reference: str | None) -> _Fa
         raise KeyError(f"unknown control variable {variable!r}")
     codes, levels = survey.controls[variable]
     order = sorted(range(len(levels)), key=lambda j: _level_sort_key(levels[j]))
-    rank = np.full(len(levels) + 1, len(levels))
+    rank = np.full(len(levels) + 1, len(levels), np.min_scalar_type(len(levels)))
     rank[order] = np.arange(len(levels))
     return _Factor(
         variable, f"{variable}=", [levels[j] for j in order], rank[codes], False, reference,
@@ -294,27 +295,13 @@ def _control_factor(survey: Survey, variable: str, reference: str | None) -> _Fa
     )
 
 
-def distinct_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values in ascending order, and each value's index
-    among them: ``np.unique(values, return_inverse=True)`` without its
-    sort when the integer ``values`` span no more numbers than they
-    hold, else in half its temporary memory."""
-    if len(values) and int(values.max()) - int(values.min()) < len(values):
-        low = values.min()
-        present = np.bincount(values - low) > 0
-        return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[values - low]
-    ordered = np.sort(values)
-    starts = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-    return starts, np.searchsorted(starts, values)
-
-
 def _term_factor(survey: Survey, term: TermSpec) -> _Factor:
     if term.kind == "age_bins":
         scheme = term.scheme or "coarse"
         bins = _SCHEMES[scheme]
         return _Factor(
             "age_bins", "bin:", [label for label, _, _ in bins],
-            np.searchsorted([low for _, low, _ in bins], survey.age, side="right") - 1,
+            (np.searchsorted([low for _, low, _ in bins], survey.age, side="right") - 1).astype(np.int8),
             True, term.reference_level or _SCHEME_REFERENCES[scheme], None,
             lambda ref, _: f"reference bin {ref!r} has no observations",
         )
@@ -331,7 +318,8 @@ def _term_factor(survey: Survey, term: TermSpec) -> _Factor:
     else:
         raise DesignError(f"unknown term kind {term.kind!r}")
     return _Factor(
-        term.kind, prefix, levels, codes, False, term.reference_level or None,
+        term.kind, prefix, levels, codes.astype(np.min_scalar_type(len(levels))), False,
+        term.reference_level or None,
         "only one observed level; no contrast columns",
         lambda ref, held: f"{term.kind} reference level {ref!r} not observed; "
         f"observed levels: {held}",
@@ -377,13 +365,6 @@ def encode_categorical(
     return columns, labels, dropped
 
 
-def _over_ages(sums: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``Σ_a sums[g, a, m]·columns[a, i]`` as a (group, i, m) array. The
-    ages are added one after another, so that no group's result depends
-    on the other groups, as it can in a matrix product."""
-    return (sums[:, :, None, :] * columns[None, :, :, None]).sum(axis=1)
-
-
 # The terms that are numbers rather than factors, each a function of age.
 _NUMERIC_TERMS: dict[str, tuple[str, Callable[[np.ndarray], np.ndarray]]] = {
     "intercept": ("const", np.ones_like),
@@ -395,24 +376,31 @@ _NUMERIC_TERMS: dict[str, tuple[str, Callable[[np.ndarray], np.ndarray]]] = {
 class GroupedDesigns:
     """The design of each group of rows, from one encoding of ``terms``.
 
-    ``group`` gives each row's group, 0 to ``n_groups - 1``. Each term
-    is encoded once over all rows and counted per group. Every group's
-    columns sit in one global layout, a column per numeric term and per
-    level of each factor term, of which :meth:`layout` names the ones a
-    group's design holds.
+    ``group`` gives each row's group, 0 to ``n_groups - 1``. With a
+    ``cut``, a group's rows are split into two cells, ``2g`` for the
+    ages up to ``cut`` and ``2g + 1`` for the rest; without one a cell
+    is a group. Each term is encoded once over all rows and counted per
+    cell. Every group's columns sit in one global layout, a column per
+    numeric term and per level of each factor term, of which
+    :meth:`layout` names the ones a group's design holds.
 
     :meth:`design` fills one group's dense design. :meth:`moments` forms
     every group's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` in the global layout
     straight from the codes, and :meth:`xte` and :meth:`rss` take the
     residual of each group's coefficients row by row; none of these
-    fills a dense matrix. The numeric terms, all functions of age, enter
-    them through each group's weighted sums by age, each factor through
-    its weighted counts by (group, age, level) and by (group, level,
-    level of each other factor).
+    fills a dense matrix. The blocks of the numeric terms, all functions
+    of age, and of each factor with them are age-keyed: they come from
+    weighted sums by (group, age), of which each cell takes its own
+    ages. Every other block is summed per cell: each factor's ``X̃ᵀỹ``
+    and its counts by level of each other factor, and ``ỹᵀỹ``.
+
+    :meth:`merged` gives the designs of some of the terms for groups
+    that are unions of cells, from the same cell sums, formed once.
     """
 
     def __init__(
-        self, survey: Survey, terms: Sequence[TermSpec], group: np.ndarray, n_groups: int
+        self, survey: Survey, terms: Sequence[TermSpec], group: np.ndarray, n_groups: int,
+        cut: int | None = None,
     ) -> None:
         kinds = [t.kind for t in terms]
         keys = [(t.kind, t.name) for t in terms]
@@ -426,50 +414,85 @@ class GroupedDesigns:
         if "age_squared" in kinds and "age_bins" in kinds:
             raise DesignError("age_squared and age_bins are mutually exclusive")
 
-        self.n_groups = n_groups
-        self._group = group
+        self.terms = tuple(terms)
         self._age, self._weight, self._response = survey.age, survey.weight, survey.happiness
-        if {"age_linear", "age_squared"} & set(kinds):
+        if cut is not None or {"age_linear", "age_squared"} & set(kinds):
             ages, age_codes = distinct_codes(survey.age)
             self._age_key = group * len(ages) + age_codes
         else:
             # only the intercept is a number, the same at every age
             ages, self._age_key = np.zeros(1), group
-        self._n_ages = len(ages)
+        self._n_ages, self._n_age_groups = len(ages), n_groups
+        # each cell's ages, as spans of the distinct ages
+        self._spans, self._cell = [slice(None)], group
+        if cut is not None:
+            low = int(np.searchsorted(ages, cut, side="right"))
+            self._spans, self._cell = [slice(None, low), slice(low, None)], 2 * group + (survey.age > cut)
+        self.n_groups = self._n_cells = n_groups * len(self._spans)
+        # each group's cells, and every cell's sums once formed
+        self._cells, self._sums = np.arange(self._n_cells)[:, None], None
         ages = ages.astype(np.float64)
-        # (offset, (label, function)) or (offset, (factor, counts)) per term
-        self._terms: list[tuple[int, tuple]] = []
+        # (term, offset, (label, function)) or (term, offset, (factor, counts per group))
+        self._terms: list[tuple[TermSpec, int, tuple]] = []
         # the numeric terms' columns as functions of the distinct ages,
         # and their global indices
         age_columns: list[np.ndarray] = []
         self._age_index: list[int] = []
-        # (factor, global indices, group * width + code) per factor
-        self._coded: list[tuple[_Factor, np.ndarray, np.ndarray]] = []
+        # (term, factor, global indices, cell * width + code) per factor
+        self._coded: list[tuple[TermSpec, _Factor, np.ndarray, np.ndarray]] = []
         offset = 0
         for term in terms:
             if term.kind in _NUMERIC_TERMS:
                 label, column = _NUMERIC_TERMS[term.kind]
-                self._terms.append((offset, (label, column)))
+                if term.kind == "intercept":  # its place among the numeric columns
+                    self._one = len(self._age_index)
+                self._terms.append((term, offset, (label, column)))
                 age_columns.append(column(ages)[:, None])
                 self._age_index.append(offset)
                 offset += 1
                 continue
             factor = _term_factor(survey, term)
             width = len(factor.levels) + 1
-            key = group * width + factor.codes
-            counts = np.bincount(key, minlength=n_groups * width).reshape(n_groups, width)
-            self._terms.append((offset, (factor, counts)))
-            self._coded.append((factor, np.arange(offset, offset + width - 1), key))
+            key = self._cell * width + factor.codes
+            counts = np.bincount(key, minlength=self._n_cells * width).reshape(self._n_cells, width)
+            self._terms.append((term, offset, (factor, counts)))
+            self._coded.append((term, factor, np.arange(offset, offset + width - 1), key))
             offset += width - 1
         self.width = offset
         self._age_columns = np.hstack(age_columns)
 
+    def merged(self, cells: np.ndarray, terms: Sequence[TermSpec]) -> GroupedDesigns:
+        """The designs of ``terms``, in this one's order and global
+        columns, for groups that are unions of cells: group ``i`` holds
+        the cells in row ``i`` of ``cells``, no cell in two groups."""
+        self._cell_sums()
+        view = copy.copy(self)
+        view.n_groups, view._cells = len(cells), np.asarray(cells)
+        view._terms = [
+            (term, offset, (detail[0], view._sum(detail[1])) if isinstance(detail[0], _Factor) else detail)
+            for term, offset, detail in self._terms
+            if term in terms
+        ]
+        view.terms = tuple(term for term, _, _ in view._terms)
+        view._coded = [entry for entry in self._coded if entry[0] in terms]
+        if view.terms != tuple(terms):
+            raise DesignError("merged terms must be terms of the design, in its order")
+        return view
+
+    def _sum(self, per_cell: np.ndarray) -> np.ndarray:
+        """Each group's sum of ``per_cell`` over its cells, in their order."""
+        return per_cell[self._cells].sum(axis=1)
+
     def _rows(self, g: int) -> np.ndarray | slice:
-        return slice(None) if self.n_groups == 1 else np.flatnonzero(self._group == g)
+        return slice(None) if self._n_cells == 1 else np.flatnonzero(np.isin(self._cell, self._cells[g]))
+
+    def held_rows(self) -> np.ndarray:
+        """How many rows each group holds."""
+        return self._sum(self._cell_sums()[0])
 
     def held_levels(self, kind: str) -> np.ndarray:
         """How many levels of the factor term of ``kind`` each group holds."""
-        for _, (factor, counts) in self._terms:
+        for _, _, (factor, counts) in self._terms:
             if isinstance(factor, _Factor) and factor.term == kind:
                 return np.count_nonzero(counts[:, :-1], axis=1)
         raise KeyError(f"no {kind} term")
@@ -480,7 +503,7 @@ class GroupedDesigns:
         parts: list[list[int] | None] = []
         labels: list[str] = []
         dropped: list[tuple[str, str, str]] = []
-        for _, (term, detail) in self._terms:
+        for _, _, (term, detail) in self._terms:
             if not isinstance(term, _Factor):
                 parts.append(None)
                 labels.append(term)
@@ -498,7 +521,7 @@ class GroupedDesigns:
         design, in design order; raises as :meth:`design` does."""
         parts, labels, _ = self._contrasts(g)
         index: list[int] = []
-        for (offset, _), levels in zip(self._terms, parts):
+        for (_, offset, _), levels in zip(self._terms, parts):
             index.extend([offset] if levels is None else [offset + j for j in levels])
         return np.array(index), labels
 
@@ -511,7 +534,7 @@ class GroupedDesigns:
         ages = self._age[rows].astype(np.float64)
         values = np.zeros((len(ages), len(labels)))
         column = 0
-        for (_, (term, detail)), levels in zip(self._terms, parts):
+        for (_, _, (term, detail)), levels in zip(self._terms, parts):
             if levels is None:
                 values[:, column] = detail(ages)
                 column += 1
@@ -520,64 +543,90 @@ class GroupedDesigns:
                 column += len(levels)
         return DesignMatrix(values, labels, self._weight[rows], self._response[rows], dropped)
 
+    def _over_ages(self, sums: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """``Σ_a sums[group, a, m]·columns[a, i]`` over each cell's ages, as
+        a (cell, i, m) array. ``np.einsum`` adds the ages in its own loops,
+        not through BLAS, so that no group's result depends on the other
+        groups, as it can in a matrix product."""
+        parts = [np.einsum("gam,ai->gim", sums[:, span], columns[span]) for span in self._spans]
+        return np.stack(parts, axis=1).reshape(self._n_cells, *parts[0].shape[1:])
+
+    def _cell_sums(self) -> tuple[np.ndarray, ...]:
+        """Every cell's rows, ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ``, for every term,
+        formed on first use."""
+        if self._sums is not None:
+            return self._sums
+        c, a, ga, w = self._n_cells, self._n_ages, self._n_age_groups, self._weight
+        phi, age = self._age_columns, np.array(self._age_index)
+        wy = w * self._response
+        gram = np.zeros((c, self.width + 1, self.width + 1))
+        xty = np.zeros((c, self.width + 1))
+        outer = (phi[:, :, None] * phi[:, None, :]).reshape(a, -1)
+        by_age = np.bincount(self._age_key, w, ga * a).reshape(ga, a, 1)
+        gram[:, age[:, None], age] = self._over_ages(by_age, outer).reshape(c, len(age), len(age))
+        by_age = np.bincount(self._age_key, wy, ga * a).reshape(ga, a, 1)
+        xty[:, age] = self._over_ages(by_age, phi)[..., 0]
+        for k, (_, factor, index, key) in enumerate(self._coded):
+            width = len(factor.levels) + 1
+            joint = np.bincount(self._age_key * width + factor.codes, w, ga * a * width)
+            block = self._over_ages(joint.reshape(ga, a, width)[:, :, :-1], phi)
+            gram[:, age[:, None], index] = block
+            gram[:, index[:, None], age] = block.swapaxes(1, 2)
+            # the intercept is 1 at every age: its row counts each level
+            gram[:, index, index] = block[:, self._one]
+            xty[:, index] = np.bincount(key, wy, c * width).reshape(c, width)[:, :-1]
+            for _, other, other_index, other_key in self._coded[:k]:
+                other_width = len(other.levels) + 1
+                pair = np.bincount(other_key * width + factor.codes, w, c * other_width * width)
+                pair = pair.reshape(c, other_width, width)[:, :-1, :-1]
+                gram[:, other_index[:, None], index] = pair
+                gram[:, index[:, None], other_index] = pair.swapaxes(1, 2)
+        # a factor's counts, a missing value's included, count the rows
+        counts = [detail[1] for _, _, detail in self._terms if isinstance(detail[0], _Factor)]
+        rows = counts[0].sum(axis=1) if counts else np.bincount(self._cell, minlength=c)
+        self._sums = rows, gram, xty, np.bincount(self._cell, wy * self._response, c)
+        return self._sums
+
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every group's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` in the global layout, with one
         more all-zero column at its end, and its ``ỹᵀỹ``."""
-        g, a, w = self.n_groups, self._n_ages, self._weight
-        phi, age = self._age_columns, np.array(self._age_index)
-        wy = w * self._response
-        gram = np.zeros((g, self.width + 1, self.width + 1))
-        xty = np.zeros((g, self.width + 1))
-        outer = (phi[:, :, None] * phi[:, None, :]).reshape(a, -1)
-        by_age = np.bincount(self._age_key, w, g * a).reshape(g, a, 1)
-        gram[:, age[:, None], age] = _over_ages(by_age, outer).reshape(g, len(age), len(age))
-        xty[:, age] = _over_ages(np.bincount(self._age_key, wy, g * a).reshape(g, a, 1), phi)[..., 0]
-        for k, (factor, index, key) in enumerate(self._coded):
-            width = len(factor.levels) + 1
-            joint = np.bincount(self._age_key * width + factor.codes, w, g * a * width)
-            joint = joint.reshape(g, a, width)[:, :, :-1]
-            block = _over_ages(joint, phi)
-            gram[:, age[:, None], index] = block
-            gram[:, index[:, None], age] = block.swapaxes(1, 2)
-            gram[:, index, index] = joint.sum(axis=1)
-            xty[:, index] = np.bincount(key, wy, g * width).reshape(g, width)[:, :-1]
-            for other, other_index, other_key in self._coded[:k]:
-                other_width = len(other.levels) + 1
-                pair = np.bincount(other_key * width + factor.codes, w, g * other_width * width)
-                pair = pair.reshape(g, other_width, width)[:, :-1, :-1]
-                gram[:, other_index[:, None], index] = pair
-                gram[:, index[:, None], other_index] = pair.swapaxes(1, 2)
-        return gram, xty, np.bincount(self._group, wy * self._response, g)
+        return tuple(self._sum(part) for part in self._cell_sums()[1:])
 
     def _residual(self, coef: np.ndarray) -> np.ndarray:
         """``y − Xβ`` of every row, β its group's row of ``coef`` (global
-        layout plus the spare column)."""
-        at_age = (coef[:, None, self._age_index] * self._age_columns).sum(axis=2)
+        layout plus the spare column), 0 for a row in no group."""
+        by_cell = np.zeros((self._n_cells, coef.shape[1]))
+        by_cell[self._cells] = coef[:, None]
+        numeric = by_cell[:, self._age_index].reshape(self._n_age_groups, len(self._spans), -1)
+        at_age = np.hstack([
+            (numeric[:, i, None, :] * self._age_columns[span]).sum(axis=2)
+            for i, span in enumerate(self._spans)
+        ])
         fitted = at_age.ravel()[self._age_key]
-        for factor, index, key in self._coded:
-            table = np.zeros((self.n_groups, len(factor.levels) + 1))
-            table[:, :-1] = coef[:, index]
+        for _, factor, index, key in self._coded:
+            table = np.zeros((self._n_cells, len(factor.levels) + 1))
+            table[:, :-1] = by_cell[:, index]
             fitted += table.ravel()[key]
         return self._response - fitted
 
     def xte(self, coef: np.ndarray) -> np.ndarray:
         """Every group's ``X̃ᵀ(ỹ − X̃β)`` in the global layout, for its
         coefficients β in the rows of ``coef``."""
-        g, a = self.n_groups, self._n_ages
+        c, a, ga = self._n_cells, self._n_ages, self._n_age_groups
         wr = self._weight * self._residual(coef)
-        out = np.zeros_like(coef)
-        by_age = np.bincount(self._age_key, wr, g * a).reshape(g, a, 1)
-        out[:, self._age_index] = _over_ages(by_age, self._age_columns)[..., 0]
-        for factor, index, key in self._coded:
+        out = np.zeros((c, coef.shape[1]))
+        by_age = np.bincount(self._age_key, wr, ga * a).reshape(ga, a, 1)
+        out[:, self._age_index] = self._over_ages(by_age, self._age_columns)[..., 0]
+        for _, factor, index, key in self._coded:
             width = len(factor.levels) + 1
-            out[:, index] = np.bincount(key, wr, g * width).reshape(g, width)[:, :-1]
-        return out
+            out[:, index] = np.bincount(key, wr, c * width).reshape(c, width)[:, :-1]
+        return self._sum(out)
 
     def rss(self, coef: np.ndarray) -> np.ndarray:
         """Every group's ``‖ỹ − X̃β‖²``, for its coefficients β in the rows
         of ``coef``."""
         r = self._residual(coef)
-        return np.bincount(self._group, self._weight * r * r, self.n_groups)
+        return self._sum(np.bincount(self._cell, self._weight * r * r, self._n_cells))
 
 
 def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:

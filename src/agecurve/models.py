@@ -4,12 +4,15 @@ Each spec is fitted to every country in one pass: its sample
 restrictions give one mask over the whole survey, which is never copied,
 and each term is encoded once. Every country's ``X̃ᵀX̃`` and ``X̃ᵀỹ``
 then come from grouped sums over the survey's codes (Wong, Lewis &
-Wardrop, "You Only Compress Once", arXiv:2102.11297), and the countries
-asked for are solved in one stacked call of the :mod:`agecurve.wls`
-kernel, without a dense design. Only a country whose Gram matrix has no
-Cholesky factor or fails the full-rank certificate, or that has no more
-rows than columns, has its dense design filled and goes through
-:func:`agecurve.wls.fit_wls`, which names the columns of a dependency.
+Wardrop, "You Only Compress Once", arXiv:2102.11297). The quadratic
+specs share that pass: its sums are kept per (country, complete
+controls, age up to 69) cell, and each spec adds up the cells it keeps.
+The countries asked for are solved in one stacked call of the
+:mod:`agecurve.wls` kernel, without a dense design. Only a country
+whose Gram matrix has no Cholesky factor or fails the full-rank
+certificate, or that has no more rows than columns, has its dense
+design filled and goes through :func:`agecurve.wls.fit_wls`, which
+names the columns of a dependency.
 
 The battery mirrors the analysis the package exists to reproduce and
 probe:
@@ -154,14 +157,48 @@ def _filter_for(spec: ModelSpec) -> FilterSpec:
     )
 
 
+# The age at which a quadratic spec without a cap cuts its pass over the
+# survey: the capped presets' cap, so that it shares their pass.
+_CUT = PRESETS["quad-controls-cap"].age_cap
+
+
+def _quadratic_designs(
+    survey: Survey, spec: ModelSpec, pooled: bool, codes: np.ndarray, n: int
+) -> GroupedDesigns:
+    """The designs of the quadratic ``spec`` for the ``n`` countries of
+    ``codes``, from the first pass over ``survey`` that holds its terms
+    and is cut at its cap (``_CUT`` without one), else from a new one.
+    The survey keeps its passes until a ranges spec is fitted on it, so
+    that they and the ranges spec's encoding are not held at once.
+
+    A pass's cell ``4c`` holds the rows of country ``c`` with complete
+    controls and an age up to the cut, ``4c + 1`` those above it, and
+    ``4c + 2`` and ``4c + 3`` the same with incomplete controls. A
+    cell's sums for a term do not depend on the other terms of its
+    pass, so neither does a spec's fit."""
+    terms = terms_for(spec)
+    key = (pooled, _CUT if spec.age_cap is None else spec.age_cap)
+    passes = survey._derived.setdefault("quadratic passes", {}).setdefault(key, [])
+    shared = next((p for p in passes if set(terms) <= set(p.terms)), None)
+    if shared is None:
+        complete, _ = filter_mask(survey, FilterSpec(listwise_vars=frozenset(CONTROL_VARS)))
+        shared = GroupedDesigns(survey, terms, 2 * codes + ~complete, 2 * n, key[1])
+        passes.append(shared)
+    kept = [i + j for i in (0, 2)[: 1 if spec.controls else 2] for j in (0, 1)[: 1 if spec.age_cap else 2]]
+    return shared.merged(4 * np.arange(n)[:, None] + kept, terms)
+
+
 class _SpecFits:
     """One spec over every country of a survey, or over the pooled
     sample, filtered and encoded once; :meth:`fit` fits countries.
 
-    A row's group is its country code (0 for the pooled sample); the
-    rows the spec drops form one more group, which is never fitted.
-    ``index`` maps each country that holds rows, in first-appearance
-    order, to its group."""
+    Under a quadratic spec a country's group is the union of the cells
+    it keeps of a pass that it shares with the other quadratic specs
+    (see :func:`_quadratic_designs`). Under a ranges spec a row's group is
+    its country code (0 for the pooled sample), and the rows the spec
+    drops form one more group, which is never fitted. ``index`` maps
+    each country that holds rows, in first-appearance order, to its
+    group."""
 
     def __init__(self, survey: Survey, spec: ModelSpec, pooled: bool) -> None:
         self.spec = spec
@@ -174,10 +211,14 @@ class _SpecFits:
         self.index = {None: 0} if pooled else {
             survey.country_levels[g]: g for g in codes[firsts].tolist()
         }
-        keep, _ = filter_mask(survey, _filter_for(spec))
-        group = np.where(keep, codes, n_groups)
-        self.held = np.bincount(group, minlength=n_groups + 1)
-        self.designs = GroupedDesigns(survey, terms_for(spec), group, n_groups + 1)
+        if spec.form == "quadratic":
+            self.designs = _quadratic_designs(survey, spec, pooled, codes, n_groups)
+        else:
+            survey._derived.pop("quadratic passes", None)
+            keep, _ = filter_mask(survey, _filter_for(spec))
+            group = np.where(keep, codes, n_groups)
+            self.designs = GroupedDesigns(survey, terms_for(spec), group, n_groups + 1)
+        self.held = self.designs.held_rows()
         self.n_periods = self.designs.held_levels("period_factor")
 
     def _layout(self, country: str | None) -> tuple[int, np.ndarray, list[str]]:
@@ -442,7 +483,10 @@ def batch_fit(
 ) -> list[CountryResult]:
     """Fit one spec across countries in one pass (see the module
     docstring), each country exactly as :func:`fit_spec` fits it,
-    isolating failures.
+    isolating failures. A quadratic spec reads the pass it shares with
+    the other quadratic specs fitted on ``survey`` (see
+    :func:`_quadratic_designs`), and its fits are the same bit for bit
+    whichever of them were fitted before.
 
     ``countries`` defaults to first-appearance order in ``survey``. A
     country the data cannot support (absent from the survey, no rows

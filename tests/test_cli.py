@@ -7,7 +7,7 @@ import pytest
 
 import agecurve.cli
 import agecurve.models
-from agecurve.cli import EXIT_CHECK_FAILED, RULES, main
+from agecurve.cli import COMMANDS, EXIT_CHECK_FAILED, RULES, build_parser, main
 from agecurve.render import read_csv
 from agecurve.simulate import default_attrition_config, experiment_attrition
 from conftest import FITTABLE, survey_file, ushape
@@ -573,14 +573,48 @@ class TestSharedFits:
         ])
         assert code == 0
         # four quadratic presets, ranges-coarse and ranges-fine, two
-        # countries: one filter per spec, one stacked solve per spec
-        # holding both countries, and no dense fallback fit
-        assert calls == {"filter_mask": 6, "_csne": 6, "fit_wls": 0}
+        # countries: one filter for the quadratic presets' shared pass and
+        # one per ranges spec, one stacked solve per spec holding both
+        # countries, and no dense fallback fit
+        assert calls == {"filter_mask": 3, "_csne": 6, "fit_wls": 0}
         assert stacked == [2] * 6
-        # each spec filters every row of the file once
+        # each filter reads every row of the file once
         with survey_csv.open(newline="", encoding="utf-8") as handle:
             file_rows = sum(1 for _ in csv.reader(handle)) - 1
-        assert sum(rows_filtered) == 6 * file_rows
+        assert sum(rows_filtered) == 3 * file_rows
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        *([command, flag] for command in COMMANDS for flag in ("-h", "--bogus")),
+        ["fit", "--spec"],
+        ["fit", "--input", "a.csv", "report"],
+        ["curves", "--scheme", "mid"],
+        ["detect"],
+        ["detect", "--rule", "quad"],
+        ["simulate", "--experiment", "mediator", "--reps", "x"],
+        ["report", "extra", "--out"],
+    ])
+    def test_one_command_parser_reads_as_the_full_one(self, argv, capsys):
+        """``main`` builds the parser of the command it runs alone: its
+        help, and the message and exit status of a usage error, are the
+        full parser's, byte for byte."""
+        outcomes = []
+        for parser in (build_parser(), build_parser(argv[0])):
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(argv)
+            outcomes.append((exited.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert main(argv) == (0 if outcomes[0][0] == 0 else 1)
+        assert capsys.readouterr() == outcomes[0][1:]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["fitt"], ["--input", "a.csv", "fit"]])
+    def test_full_parser_without_a_known_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        expected = (exited.value.code, *capsys.readouterr())
+        assert main(argv) == (0 if expected[0] == 0 else 1)
+        assert (expected[0], *capsys.readouterr()) == expected
 
 
 class TestSingleRoundCountry:

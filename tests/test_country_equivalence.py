@@ -14,20 +14,25 @@ surveys hold countries with one or two rounds, countries that the age
 cap or listwise deletion empties, countries with nobody in the fine
 scheme's reference bin, control levels seen in one country only,
 numeric levels whose text order differs from their value order, and
-unit or non-unit weights. Designs stay bit-identical.
+unit or non-unit weights. Designs stay bit-identical. The quadratic
+presets share one pass over the survey, so each of them must give the
+same fits bit for bit whether it is fitted alone, with the other three
+or inside ``report``.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import country_path
-from agecurve import RankDeficientError, Survey, design, models
+from agecurve import RankDeficientError, Survey, cli, design, load_csv, models, save_csv
 from agecurve.dataset import CONTROL_VARS, FilterSpec
 from agecurve.design import TermSpec
-from agecurve.models import PRESETS
+from agecurve.models import PRESETS, ModelSpec
 from conftest import FITTABLE, synth_rows
 
 NAMES = ("AA", "BB", "CC", "DD")
@@ -269,3 +274,94 @@ def test_mixed_stack_sends_only_its_failures_to_the_dense_fit(monkeypatch):
             assert np.array_equal(getattr(fit, name), getattr(alone, name)), name
         assert fit.weighted_rss == alone.weighted_rss
         assert_fits_equal(fit, country_path.fit_spec(survey, spec, country))
+
+
+QUADRATIC = [name for name, spec in PRESETS.items() if spec.form == "quadratic"]
+# quadratic specs that no preset shares a pass with: another cap, and cohorts
+OTHER_QUADRATIC = (
+    ModelSpec("quad-controls-cap60", "quadratic", controls=True, age_cap=60),
+    ModelSpec("quad-cohort-cap", "quadratic", cohort_control=True, age_cap=69),
+)
+
+
+@st.composite
+def capped_surveys(draw):
+    """Surveys on the integer happiness scale, so that a saved copy loads
+    as it was written. A country may be emptied by the age-69 cap
+    ("old") or by listwise deletion ("unanswered"), or hold one round;
+    "widowed" is held only by rows above 69, and "retired" only by rows
+    that miss another control."""
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=len(NAMES)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = []
+    for name, kind in zip(NAMES, kinds):
+        ages, rounds = KINDS[kind]
+        for _ in range(draw(st.integers(min_value=1, max_value=60))):
+            rnd, age = int(rng.choice(rounds)), int(rng.choice(ages))
+            row = dict(
+                country=name, round=rnd, period_year=2000 + 2 * rnd, age=age,
+                happiness=int(rng.integers(0, 11)), weight=float(rng.uniform(0.25, 3.0)),
+                sex=str(rng.choice(("female", "male"))),
+                education=str(rng.choice(("2", "9", "10"))),
+                marital="widowed" if age > 69 and rng.random() < 0.3 else str(rng.choice(("married", "single"))),
+                labor_status=str(rng.choice(("employed", "other"))),
+            )
+            if kind == "unanswered" or rng.random() < 0.1:
+                row.pop("sex" if kind == "unanswered" else str(rng.choice(("sex", "education"))))
+                if rng.random() < 0.5:
+                    row["labor_status"] = "retired"
+            rows.append(row)
+    return Survey.from_rows(rows[j] for j in rng.permutation(len(rows)))
+
+
+def assert_same_fit(new, old):
+    """Bit for bit the same fit."""
+    for name, value in vars(old).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(new, name), value, equal_nan=True), name
+        else:
+            assert getattr(new, name) == value, name
+
+
+def assert_same_results(new, old):
+    assert [(r.country, r.error, r.notes) for r in new] == [(r.country, r.error, r.notes) for r in old]
+    for got, expected in zip(new, old):
+        if expected.ok:
+            assert_same_fit(got.fit, expected.fit)
+
+
+@settings(max_examples=25, deadline=None)
+@given(survey=capped_surveys())
+def test_quadratic_presets_fit_alike_alone_together_and_in_report(survey, tmp_path_factory):
+    """Each quadratic preset fitted alone, on a survey of its own, with
+    the other three on one survey, and inside ``report`` gives the same
+    fits bit for bit, and matches the per-country reference; so does a
+    quadratic spec with another cap or with cohorts, alone or after the
+    presets."""
+    path = tmp_path_factory.getbasetemp() / "three_ways.csv"
+    save_csv(survey, path)
+    in_report = {}
+
+    def recorded(survey, spec, countries=None):
+        in_report[spec.name] = models.batch_fit(survey, spec, countries)
+        return in_report[spec.name]
+
+    with mock.patch.object(cli, "batch_fit", recorded):
+        cli.main(["report", "--input", str(path), "--out", str(path.parent / "three_ways"), "--format", "csv"])
+    together = load_csv(path)[0]
+    fits = {name: models.batch_fit(together, PRESETS[name]) for name in QUADRATIC}
+    for name in QUADRATIC:
+        spec = PRESETS[name]
+        alone = models.batch_fit(load_csv(path)[0], spec)
+        assert_same_results(fits[name], alone)
+        assert_same_results(in_report[name], alone)
+        assert_results_equal(alone, country_path.batch_fit(together, spec, None))
+        for result in alone:
+            fit, error = outcome(models.fit_spec, load_csv(path)[0], spec, result.country)
+            assert (error and error[1]) == result.error
+            if result.ok:
+                assert_same_fit(fit, result.fit)
+    for spec in OTHER_QUADRATIC:
+        alone = models.batch_fit(load_csv(path)[0], spec)
+        assert_same_results(models.batch_fit(together, spec), alone)
+        assert_results_equal(alone, country_path.batch_fit(together, spec, None))

@@ -490,6 +490,24 @@ class TestReadPaths:
             None if s in DEFAULT_MISSING else s for s in sexes
         ]
 
+    @pytest.mark.parametrize("block", [1, 20, 40])
+    def test_levels_first_seen_in_a_later_block(self, tmp_path, monkeypatch, block):
+        """Blocks whose coded cells are all known keep their codes; a later
+        block that brings new levels, after known ones and in another
+        order than their keys sort, codes them by first appearance, as csv
+        does. A new text for a known level (" FR") gets that level."""
+        header = ["country", "sex", "round", "age", "happiness", "weight"]
+        known = [["DE", "male"], ["FR", "female"], ["DE", "male"], ["FR", "female"], ["DE", "NA"]]
+        later = [["FR", "female"], ["AT", "other"], [" FR", "male"], ["PL", "x"], ["AT", "female"]]
+        path = tmp_path / "d.csv"
+        write_plain(path, header, [[*cells, "1", "40", "7", "1"] for cells in known + later])
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+        got = outcome(path)
+        assert got == csv_outcome(path)
+        assert cells_read(path) == csv_outcome(path, cells_read)
+        assert got[0] == ("DE", "FR", "AT", "PL")
+        assert got[2]["sex"] == ([0, 1, 0, 1, -1, 1, 2, 0, 3, 1], ("male", "female", "other", "x"))
+
     def test_missing_token_that_is_a_number(self, tmp_path):
         """A cell equal to a missing token is missing even where the token
         reads as a number."""

@@ -14,6 +14,7 @@ from agecurve import (
     encode_categorical,
     scheme_bin_labels,
 )
+from agecurve.design import GroupedDesigns
 from conftest import synth_survey
 
 
@@ -224,3 +225,43 @@ class TestDesignMatrixValidation:
             DesignMatrix(np.ones((2, 1)), ["a", "b"], np.ones(2), np.zeros(2))
         with pytest.raises(DesignError):
             DesignMatrix(np.ones((2, 1)), ["a"], np.ones(3), np.zeros(2))
+
+
+class TestGroupedDesigns:
+    # the intercept after a numeric term, and factors between numeric terms
+    TERMS = [
+        TermSpec.age_linear(), TermSpec.intercept(), TermSpec.period(), TermSpec.control("sex"),
+        TermSpec.age_squared(), TermSpec.control("marital"),
+    ]
+
+    def assert_moments_are_dense(self, designs):
+        gram, xty, yty = designs.moments()
+        for g in range(designs.n_groups):
+            index, labels = designs.layout(g)
+            dense = designs.design(g)
+            assert dense.column_labels == labels
+            xs = dense.values * np.sqrt(dense.row_weights)[:, None]
+            ys = dense.response * np.sqrt(dense.row_weights)
+            for got, expected in ((gram[g][np.ix_(index, index)], xs.T @ xs), (xty[g][index], xs.T @ ys),
+                                  (yty[g], ys @ ys)):
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("cut", [None, 50])
+    def test_moments_are_those_of_the_dense_designs(self, cut):
+        """Every group's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` are its dense
+        design's, split at an age cut or not; so are those of the unions
+        of groups that ``merged`` gives, each the sum of its groups'."""
+        survey = synth_survey(
+            dict(seed=3, country="A"), dict(seed=4, country="B", rounds=(2, 5)),
+            n=200, with_controls=True, weights="random",
+        )
+        designs = GroupedDesigns(survey, self.TERMS, survey.country_codes, 2, cut)
+        assert designs.n_groups == (2 if cut is None else 4)
+        self.assert_moments_are_dense(designs)
+        cells = np.arange(designs.n_groups).reshape(2, -1)
+        merged = designs.merged(cells, self.TERMS[:3])
+        self.assert_moments_are_dense(merged)
+        for whole, part in zip(designs.moments(), merged.moments()):
+            np.testing.assert_array_equal(part, whole[cells].sum(axis=1))
+        with pytest.raises(DesignError, match="terms of the design"):
+            designs.merged(cells, self.TERMS[:3][::-1])
