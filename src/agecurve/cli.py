@@ -430,6 +430,9 @@ def _simulate_config(args, config: configparser.ConfigParser) -> tuple[DgpConfig
     default_config = EXPERIMENTS[args.experiment][0]
     seed = pick("seed", int, None)
     base = default_config() if seed is None else default_config(seed)
+    flags = [f"--{name}" for name in ("strength", "knee") if getattr(args, name) is not None]
+    if base.attrition is None and flags:
+        raise ValueError(f"{' and '.join(flags)}: the {args.experiment} experiment has no attrition")
     if base.attrition is not None:
         strength = pick("strength", float, base.attrition.strength)
         knee = pick("knee", int, base.attrition.knee)

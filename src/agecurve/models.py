@@ -7,12 +7,14 @@ then come from grouped sums over the survey's codes (Wong, Lewis &
 Wardrop, "You Only Compress Once", arXiv:2102.11297). The quadratic
 specs share that pass: its sums are kept per (country, complete
 controls, age up to 69) cell, and each spec adds up the cells it keeps.
-The countries asked for are solved in one stacked call of the
-:mod:`agecurve.wls` kernel, without a dense design. Only a country
-whose Gram matrix has no Cholesky factor or fails the full-rank
-certificate, or that has no more rows than columns, has its dense
-design filled and goes through :func:`agecurve.wls.fit_wls`, which
-names the columns of a dependency.
+A Monte Carlo replicate fits its sample and a subset of its rows from
+one pass the same way: the rows up to its cap, or those that attrition
+leaves (:func:`_nested_fits`). The countries asked for are solved in
+one stacked call of the :mod:`agecurve.wls` kernel, without a dense
+design. Only a country whose Gram matrix has no Cholesky factor or
+fails the full-rank certificate, or that has no more rows than
+columns, has its dense design filled and goes through
+:func:`agecurve.wls.fit_wls`, which names the columns of a dependency.
 
 The battery mirrors the analysis the package exists to reproduce and
 probe:
@@ -198,20 +200,27 @@ class _SpecFits:
     its country code (0 for the pooled sample), and the rows the spec
     drops form one more group, which is never fitted. ``index`` maps
     each country that holds rows, in first-appearance order, to its
-    group."""
+    group. Given ``designs``, they fit the rows ``kept`` (None: all),
+    country ``g`` in their group ``g`` (see :func:`_nested_fits`)."""
 
-    def __init__(self, survey: Survey, spec: ModelSpec, pooled: bool) -> None:
+    def __init__(
+        self, survey: Survey, spec: ModelSpec, pooled: bool,
+        designs: GroupedDesigns | None = None, kept: np.ndarray | None = None,
+    ) -> None:
         self.spec = spec
         codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
         n_groups = 1 if pooled else len(survey.country_levels)
-        self.rows = np.bincount(codes, minlength=n_groups)
+        held = codes if kept is None else codes[kept]
+        self.rows = np.bincount(held, minlength=n_groups)
         # A stable sort by code starts each country's run at its first row.
-        order = np.argsort(codes.astype(np.min_scalar_type(n_groups)), kind="stable")
+        order = np.argsort(held.astype(np.min_scalar_type(n_groups)), kind="stable")
         firsts = np.sort(order[(np.cumsum(self.rows) - self.rows)[self.rows > 0]])
         self.index = {None: 0} if pooled else {
-            survey.country_levels[g]: g for g in codes[firsts].tolist()
+            survey.country_levels[g]: g for g in held[firsts].tolist()
         }
-        if spec.form == "quadratic":
+        if designs is not None:
+            self.designs = designs
+        elif spec.form == "quadratic":
             self.designs = _quadratic_designs(survey, spec, pooled, codes, n_groups)
         else:
             survey._derived.pop("quadratic passes", None)
@@ -265,6 +274,12 @@ class _SpecFits:
             except ValueError as exc:
                 out[country] = exc
         return out
+
+    def one(self, country: str | None) -> FitResult:
+        """The fit of ``country``, raising the error :meth:`fit` records."""
+        if isinstance(fit := self.fit([country])[country], ValueError):
+            raise fit
+        return fit
 
     def _noted(self, country: str | None, g: int, fit: FitResult) -> FitResult:
         """``fit``, with a note when it rests on fewer than three rounds."""
@@ -335,10 +350,7 @@ def fit_spec(
     cohort factors are identified but have little leverage, and the
     fit's ``notes`` say so.
     """
-    fit = _SpecFits(survey, spec, pooled=country is None).fit([country])[country]
-    if isinstance(fit, ValueError):
-        raise fit
-    return fit
+    return _SpecFits(survey, spec, pooled=country is None).one(country)
 
 
 _AGE_BLOCK = ("const", "age", "age_sq")
@@ -458,6 +470,28 @@ def adjusted_means(
     fit = fit_spec(survey, spec, country)
     curve = curve_from_fit(fit, country, scheme)
     return replace(curve, notes=fit.notes + curve.notes)
+
+
+def _nested_fits(
+    survey: Survey, spec: ModelSpec, country: str, drop: np.ndarray | None
+) -> tuple[FitResult, FitResult]:
+    """``fit_spec(survey, spec, country)`` and the same without the rows
+    ``drop`` (None: none), raising as those would, from one encoding of
+    the ranges ``spec``. Of ``n`` countries, the rows of ``c`` that the
+    spec keeps are cell ``c``, or ``c + n`` when dropped: the full
+    sample's group is both cells, the subset's the first."""
+    if drop is None:
+        return (fit_spec(survey, spec, country),) * 2
+    survey._derived.pop("quadratic passes", None)
+    n = len(survey.country_levels)
+    keep, _ = filter_mask(survey, _filter_for(spec))
+    group = np.where(keep, survey.country_codes + n * drop, 2 * n)
+    designs = GroupedDesigns(survey, terms_for(spec), group, 2 * n + 1)
+    cells = np.arange(n)[:, None] + [0, n]
+    return tuple(
+        _SpecFits(survey, spec, False, designs.merged(view, designs.terms), kept).one(country)
+        for view, kept in ((cells, None), (cells[:, :1], ~drop))
+    )
 
 
 @dataclass

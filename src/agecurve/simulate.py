@@ -40,7 +40,7 @@ import numpy as np
 
 from .dataset import DEFAULT_ROUND_MAP, Survey
 from .design import FINE_BINS, DesignMatrix, TermSpec, build_design
-from .models import adjusted_means
+from .models import PRESETS, _nested_fits, curve_from_fit, fit_spec
 from .wls import RankDeficientError, fit_wls
 
 __all__ = [
@@ -201,6 +201,13 @@ def generate(config: DgpConfig) -> Survey:
     samples, and any positive strength keeps a subset of exactly those
     rows).
     """
+    survey, drop = _draw(config)
+    return survey if drop is None else survey.take(~drop)
+
+
+def _draw(config: DgpConfig) -> tuple[Survey, np.ndarray | None]:
+    """The sample :func:`generate` draws with ``attrition=None``, and the
+    rows that attrition drops from it (None at strength 0 or without)."""
     base_stream, attrition_stream = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(base_stream)
 
@@ -246,16 +253,15 @@ def generate(config: DgpConfig) -> Survey:
         weight=np.ones(config.n),
         mediator=mediator_values,
     )
-    if config.attrition is not None and config.attrition.strength > 0.0:
-        att_rng = np.random.default_rng(attrition_stream)
-        uniforms = att_rng.random(config.n)
-        drop = (
-            (ages > config.attrition.knee)
-            & (stochastic < 0.0)
-            & (uniforms < config.attrition.strength)
-        )
-        survey = survey.take(~drop)
-    return survey
+    if config.attrition is None or config.attrition.strength == 0.0:
+        return survey, None
+    uniforms = np.random.default_rng(attrition_stream).random(config.n)
+    drop = (
+        (ages > config.attrition.knee)
+        & (stochastic < 0.0)
+        & (uniforms < config.attrition.strength)
+    )
+    return survey, drop
 
 
 def _with_mediator_column(design: DesignMatrix, values: np.ndarray) -> DesignMatrix:
@@ -457,11 +463,14 @@ def experiment_truncation(
     """Quadratic curvature under an age cap versus the full age range.
 
     Each replicate fits the quadratic (with period factors) on all ages
-    and again on ages at most ``cap_age``. With the s-shaped default
-    truth the capped fit shows more curvature, because the cap removes
-    the late-life decline the quadratic would otherwise have to average
-    in. The contract check: the capped age-squared coefficient exceeds
-    the full-range one in at least 95 percent of replicates.
+    and again on ages at most ``cap_age``, by :func:`fit_spec` under
+    ``quad-nocontrols-nocap`` and ``quad-nocontrols-cap`` capped at
+    ``cap_age``: at the default cap both come from one pass over the
+    sample. With the s-shaped default truth the capped fit shows more
+    curvature, because the cap removes the late-life decline the
+    quadratic would otherwise have to average in. The contract check:
+    the capped age-squared coefficient exceeds the full-range one in at
+    least 95 percent of replicates.
     """
     if config is None:
         config = default_truncation_config()
@@ -470,25 +479,18 @@ def experiment_truncation(
             f"age_high {config.age_high} does not extend past the cap {cap_age}"
         )
 
-    terms = [
-        TermSpec.intercept(),
-        TermSpec.age_linear(),
-        TermSpec.age_squared(),
-        TermSpec.period(),
-    ]
+    full_spec = PRESETS["quad-nocontrols-nocap"]
+    capped_spec = replace(PRESETS["quad-nocontrols-cap"], age_cap=cap_age)
     seeds = _replicate_seeds(config.seed, reps)
-    full_sq = np.empty(reps)
-    capped_sq = np.empty(reps)
-    full_age = np.empty(reps)
-    capped_age = np.empty(reps)
+    # the full and the capped fit's age and age_sq coefficients, per replicate
+    coefs = np.empty((2, 2, reps))
     for i, seed in enumerate(seeds):
         survey = generate(replace(config, seed=seed))
-        fit_full = fit_wls(build_design(survey, terms))
-        fit_capped = fit_wls(build_design(survey.take(survey.age <= cap_age), terms))
-        full_sq[i] = fit_full.coef("age_sq")
-        capped_sq[i] = fit_capped.coef("age_sq")
-        full_age[i] = fit_full.coef("age")
-        capped_age[i] = fit_capped.coef("age")
+        full = fit_spec(survey, full_spec)
+        # a cap above every age leaves the full sample, and so the full fit
+        capped = fit_spec(survey, capped_spec) if (survey.age > cap_age).any() else full
+        coefs[:, :, i] = [[fit.coef("age"), fit.coef("age_sq")] for fit in (full, capped)]
+    (full_age, full_sq), (capped_age, capped_sq) = coefs
 
     frac_inflated = float(np.mean(capped_sq > full_sq))
     estimates = {
@@ -517,15 +519,16 @@ def experiment_truncation(
 def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> SimResult:
     """Late-life adjusted means with and without selective attrition.
 
-    Each replicate draws the same base sample twice, once untouched and
-    once with attrition applied, fits fine-scheme adjusted means to
-    both, and records the attrited-minus-full level difference for every
-    bin at or above the knee. With positive strength the difference must
-    be positive in at least 95 percent of replicates per late bin; with
+    Each replicate draws its sample once, with the rows attrition drops
+    from it, fits fine-scheme adjusted means to the full sample and to
+    the rows that stay, both from one encoding of the sample, and
+    records the attrited-minus-full level difference for every bin at
+    or above the knee. With positive strength the difference must be
+    positive in at least 95 percent of replicates per late bin; with
     strength zero it must be within three MC standard errors of zero.
     At strength zero the attrited sample is the full one (see
-    :func:`generate`), so each replicate draws and fits it once and
-    every difference is exactly zero. A late bin that begins above
+    :func:`generate`), so each replicate fits it once and every
+    difference is exactly zero. A late bin that begins above
     ``config.age_high`` can hold no respondent and is refused up front.
     A replicate whose design is rank deficient (as when a late bin holds
     one respondent) gets no estimate and fails every check.
@@ -553,20 +556,17 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     inflations = {label: np.full(reps, np.nan) for label in late_bins}
     unfitted = 0
     for i, seed in enumerate(seeds):
-        cfg = replace(config, seed=seed)
+        survey, drop = _draw(replace(config, seed=seed))
         try:
-            full_curve = adjusted_means(generate(replace(cfg, attrition=None)), cfg.country)
-            attrited_curve = (
-                full_curve if strength == 0.0 else adjusted_means(generate(cfg), cfg.country)
+            full_curve, attrited_curve = (
+                curve_from_fit(fit, config.country, "fine")
+                for fit in _nested_fits(survey, PRESETS["ranges-fine"], config.country, drop)
             )
         except RankDeficientError:
             unfitted += 1
             continue
-        for label in late_bins:
-            if label in full_curve.bin_labels and label in attrited_curve.bin_labels:
-                inflations[label][i] = attrited_curve.level(label) - full_curve.level(
-                    label
-                )
+        for label in set(inflations) & set(full_curve.bin_labels) & set(attrited_curve.bin_labels):
+            inflations[label][i] = attrited_curve.level(label) - full_curve.level(label)
 
     estimates = {f"inflation:{label}": inflations[label] for label in late_bins}
     metrics: dict[str, float] = {}

@@ -260,6 +260,8 @@ class TestInputHandling:
             ["simulate", "--experiment", "truncation", "--reps", "-3"],
             ["simulate", "--experiment", "truncation", "--reps", "0"],
             ["simulate", "--experiment", "mediator", "--reps", "1"],
+            ["simulate", "--experiment", "mediator", "--strength", "0.5"],
+            ["simulate", "--experiment", "mediator", "--knee", "70"],
         ],
     )
     def test_refused_with_one_error_line(self, tmp_path, capsys, argv):
@@ -463,6 +465,29 @@ class TestSimulate:
         ])
         assert code == 0
         assert "late_bin_inflated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment", ["truncation", "mediator"])
+    def test_attrition_flags_need_attrition(self, tmp_path, capsys, experiment):
+        """--strength and --knee are refused without attrition, before any
+        replicate runs; the same keys in a config file are ignored."""
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--experiment", experiment, "--reps", "2", "--n", "300",
+            "--strength", "0.9", "--knee", "40", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --strength and --knee: the {experiment} experiment has no attrition\n"
+        )
+        assert not list(out.glob("*"))
+        config = tmp_path / "sim.ini"
+        config.write_text("[simulate]\nstrength = 0.9\nknee = 40\n", encoding="utf-8")
+        code = main([
+            "simulate", "--experiment", experiment, "--reps", "2", "--n", "300",
+            "--config", str(config), "--out", str(out), "--format", "csv",
+        ])
+        assert code in (0, EXIT_CHECK_FAILED)
+        assert (out / f"simulate_{experiment}.csv").is_file()
 
     def test_failed_check_has_its_own_exit_code(self, tmp_path, capsys):
         """Attrition this weak removes too few late respondents for the

@@ -20,6 +20,8 @@ from agecurve import (
     experiment_truncation,
     generate,
 )
+import replicate_path
+from agecurve.simulate import _draw
 from record_path import rows
 
 
@@ -185,6 +187,50 @@ class TestGenerate:
         full = generate(default_attrition_config(seed=12, strength=0.0))
         attrited = generate(default_attrition_config(seed=12, strength=1.0))
         assert rows(full.take(full.age <= 75)) == rows(attrited.take(attrited.age <= 75))
+
+
+def assert_same_survey(a, b):
+    """Every column equal bit for bit, with the same dtype."""
+    assert a.country_levels == b.country_levels
+    names = ("country_codes", "round", "period_year", "age", "happiness", "weight", "birth_year")
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert (a.mediator is None) == (b.mediator is None)
+    if a.mediator is not None:
+        assert a.mediator.tobytes() == b.mediator.tobytes()
+    assert a.controls.keys() == b.controls.keys()
+    for name, (codes, levels) in a.controls.items():
+        assert codes.tobytes() == b.controls[name][0].tobytes() and levels == b.controls[name][1]
+
+
+class TestDraw:
+    """``_draw`` gives the sample ``generate`` draws without attrition
+    and the rows attrition drops from it; both match the generator as it
+    was before ``_draw`` existed (``replicate_path.generate``)."""
+
+    @pytest.mark.parametrize("strength", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("knee,mediator", [(75, None), (95, None), (60, MediatorConfig())])
+    def test_matches_generate(self, strength, knee, mediator):
+        config = replace(
+            default_attrition_config(seed=21, strength=strength),
+            n=3000, mediator=mediator, attrition=AttritionConfig(knee=knee, strength=strength),
+        )
+        full, drop = _draw(config)
+        for generator in (generate, replicate_path.generate):
+            assert_same_survey(full, generator(replace(config, attrition=None)))
+            assert_same_survey(full if drop is None else full.take(~drop), generator(config))
+        assert (drop is None) == (strength == 0.0)
+        if drop is not None:
+            # a knee above age_high (90) drops nobody
+            assert drop.any() == (knee < config.age_high)
+            assert not drop[full.age <= knee].any()
+
+    def test_without_attrition(self):
+        config = default_truncation_config(seed=3)
+        full, drop = _draw(config)
+        assert drop is None
+        assert_same_survey(full, replicate_path.generate(config))
 
 
 class TestExperiments:
