@@ -6,8 +6,7 @@ as int codes into a tuple of levels, and is never changed in place, so
 one survey can be shared freely between model fits. Loading is tolerant
 of messy input (rows are dropped with a counted reason, never silently).
 A filter is a mask over the rows, which fits read without copying the
-survey; :func:`apply_filter`, which selects the rows, is strict: an
-empty result raises, because every downstream consumer needs a row.
+survey.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "filter_mask",
-    "apply_filter",
     "cohort_bin",
 ]
 
@@ -670,7 +668,7 @@ def load_csv(
     if rounds is None:
         offset, remainder = np.divmod(years - round_map.base, round_map.step)
         if np.any((remainder != 0) | (offset < 1)):
-            rounds = np.unique(years, return_inverse=True)[1] + 1
+            rounds = distinct_codes(years)[1] + 1
             report.notes.append(
                 "survey years do not follow the round-year grid; "
                 "rounds assigned by rank over observed years"
@@ -728,16 +726,6 @@ def filter_mask(survey: Survey, spec: FilterSpec) -> tuple[np.ndarray, FilterRep
     )
     keep, dropped = _tally(len(survey), rules)
     return keep, FilterReport(n_in=len(survey), n_kept=int(keep.sum()), dropped=dropped)
-
-
-def apply_filter(survey: Survey, spec: FilterSpec) -> tuple[Survey, FilterReport]:
-    """Restrict a sample, preserving order: the rows :func:`filter_mask`
-    keeps, and its report. Raises :class:`EmptySampleError` when nothing
-    survives, since an empty sample cannot support any fit."""
-    keep, report = filter_mask(survey, spec)
-    if not report.n_kept:
-        raise EmptySampleError(f"filter removed all {len(survey)} records")
-    return survey.take(keep), report
 
 
 def cohort_bin(birth_year: int, width: int = 5) -> str:

@@ -4,19 +4,19 @@ Each term declares what it contributes (an intercept, age as a polynomial
 or as range indicators, period and birth-cohort factors, categorical
 controls) and :func:`build_design` turns a :class:`Survey` plus a term
 list into a dense float matrix with one human-readable label per column.
-Factor encoding is dummy coding against a named reference level; levels
-that are declared but unobserved are dropped and logged, never silently
-absorbed. :class:`GroupedDesigns` encodes the terms once for many
-groups of rows (the countries of a survey): it names each group's
-columns and forms every group's sufficient statistics ``X̃ᵀX̃`` and
-``X̃ᵀỹ`` from the codes without filling a matrix, and fills one group's
-dense design only when asked.
+Factor encoding is dummy coding against a named reference level; an age
+bin without observations is dropped and logged, never silently absorbed.
+:class:`GroupedDesigns` encodes the terms once for many groups of rows
+(the countries of a survey): it names each group's columns and forms
+every group's sufficient statistics ``X̃ᵀX̃`` and ``X̃ᵀỹ`` from the codes
+without filling a matrix, and fills one group's dense design only when
+asked.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "DesignMatrix",
     "age_bin_label",
     "scheme_bin_labels",
-    "encode_categorical",
     "distinct_codes",
     "GroupedDesigns",
     "build_design",
@@ -324,45 +323,6 @@ def _term_factor(survey: Survey, term: TermSpec) -> _Factor:
         lambda ref, held: f"{term.kind} reference level {ref!r} not observed; "
         f"observed levels: {held}",
     )
-
-
-def encode_categorical(
-    survey: Survey,
-    variable: str,
-    reference: str | None = None,
-    declared_levels: Sequence[str] | None = None,
-) -> tuple[np.ndarray, list[str], list[tuple[str, str, str]]]:
-    """Dummy-code one control variable.
-
-    Returns ``(columns, labels, dropped)`` where ``columns`` has one
-    indicator per declared non-reference level that is actually observed
-    and labels read ``"variable=level"``. The reference defaults to the
-    first observed level in natural sort order (numeric strings by value,
-    then the rest alphabetically). Missing values are an error here:
-    callers decide on listwise deletion before encoding, not during.
-    """
-    factor = _control_factor(survey, variable, reference)
-    _no_missing(variable, factor.codes == len(factor.levels))
-    if declared_levels is not None:
-        observed = [factor.levels[j] for j in np.unique(factor.codes).tolist()]
-        stray = set(observed) - set(declared_levels)
-        if stray:
-            raise DesignError(f"observed {variable!r} levels not declared: {sorted(stray)}")
-        declared = list(declared_levels)
-        # a level left out of declared_levels holds no row
-        code_of = np.array(
-            [declared.index(v) if v in declared else 0 for v in factor.levels], dtype=np.intp
-        )
-        factor = replace(
-            factor, levels=declared, codes=code_of[factor.codes], declared=True,
-            reference=observed[0] if reference is None else reference,
-        )
-    contrast, labels, dropped = factor.contrast(
-        np.bincount(factor.codes, minlength=len(factor.levels) + 1)
-    )
-    columns = np.zeros((len(survey), len(labels)))
-    _fill(columns, _column_of(factor, contrast, 0)[factor.codes])
-    return columns, labels, dropped
 
 
 # The terms that are numbers rather than factors, each a function of age.

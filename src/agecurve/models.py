@@ -48,7 +48,7 @@ from .design import (
     TermSpec,
     scheme_bin_labels,
 )
-from .wls import DEFAULT_RANK_TOL, FitResult, _csne, _fit_result, fit_wls
+from .wls import FitResult, _csne, _fit_result, fit_wls
 
 __all__ = [
     "ModelSpec",
@@ -316,7 +316,6 @@ class _SpecFits:
             widths,
             lambda b: self.designs.xte(spread(b))[groups[:, None], index],
             lambda b: self.designs.rss(spread(b))[groups],
-            DEFAULT_RANK_TOL,
         )
         rejected = []
         for i, (country, g, columns, labels) in enumerate(stack):
@@ -328,7 +327,7 @@ class _SpecFits:
             sums = gram[g, columns[labels.index("const")], columns]
             out[country] = self._noted(country, g, _fit_result(
                 labels, int(self.held[g]), beta[i, :k], r_inv[i, :k, :k], float(rss[i]),
-                float(yty[g]), sums / sums[labels.index("const")], DEFAULT_RANK_TOL,
+                float(yty[g]), sums / sums[labels.index("const")],
             ))
         return rejected
 

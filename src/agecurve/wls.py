@@ -17,10 +17,9 @@ which are those of X̃ up to rounding. In any column-pivoted QR of X̃,
 ``|r_11| ≤ σ_max`` and ``|r_kk| ≥ σ_min``; so when ``σ_min/σ_max``
 exceeds 1e-6, every diagonal entry of a pivoted QR exceeds 1e-10 of the
 first by a wide margin, and the rank rule below must find full rank
-without running it. (A rank tolerance looser than the default 1e-10
-raises the 1e-6 bound in proportion.) ``1/(‖R‖_F·‖R⁻¹‖_F)`` never
-exceeds ``σ_min/σ_max`` and costs nothing once R⁻¹ is formed, so only a
-design that this bound does not clear has its singular values computed.
+without running it. ``1/(‖R‖_F·‖R⁻¹‖_F)`` never exceeds ``σ_min/σ_max``
+and costs nothing once R⁻¹ is formed, so only a design that this bound
+does not clear has its singular values computed.
 The coefficients then come from the corrected semi-normal equations
 (Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996,
 §2.5 and §6.6): one solve of ``RᵀRβ = X̃ᵀỹ`` followed by one
@@ -38,11 +37,11 @@ falls back to a Householder QR of ``[X̃ | ỹ]`` that keeps only its
 norm of the weighted residual), followed by a column-pivoted QR of the
 leading p×p block. That block has the same column norms and RᵀR as X̃,
 so the pivoted QR reveals the rank with the usual rule, a column
-counting when ``|r_ii| > rank_tol·|r_11|``. Only this path can name the
+counting when ``|r_ii| > 1e-10·|r_11|``. Only this path can name the
 columns of a dependency, and the conditioning measured by the fast path
 alone decides which path a design takes.
 
-On either path a residual norm at or below ``rank_tol·‖ỹ‖`` is
+On either path a residual norm at or below ``1e-10·‖ỹ‖`` is
 rounding: the fit is exact, with a weighted RSS of 0, zero standard
 errors and NaN t statistics.
 
@@ -71,10 +70,9 @@ __all__ = ["RankDeficientError", "RankReport", "FitResult", "fit_wls", "rank_che
 DEFAULT_RANK_TOL = 1e-10
 
 # Smallest σ_min/σ_max of the Cholesky factor that certifies full rank
-# at DEFAULT_RANK_TOL, four orders of magnitude above it; a looser rank
-# tolerance raises it in proportion. At the condition numbers it admits
-# the Gram matrix keeps enough digits for one refinement step to reach
-# QR accuracy.
+# at DEFAULT_RANK_TOL, four orders of magnitude above it. At the
+# condition numbers it admits the Gram matrix keeps enough digits for
+# one refinement step to reach QR accuracy.
 _CERTIFICATE = 1e-6
 
 # dgeqp3 recomputes a downdated column norm once it has lost this share
@@ -167,11 +165,11 @@ def _each(func, stack: np.ndarray, fill: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.array(results), np.array(failed)
 
 
-def _certified_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _certified_cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a stack of Gram matrices ``X̃ᵀX̃``: each member's R⁻¹, R its
     upper Cholesky factor, and whether R's singular values certify full
-    rank under the rank tolerance ``tol``. A member without a Cholesky
-    factor is not certified, and its R⁻¹ is the identity.
+    rank. A member without a Cholesky factor is not certified, and its
+    R⁻¹ is the identity.
 
     ``1/(‖R‖_F·‖R⁻¹‖_F)`` never exceeds σ_min/σ_max, so a member whose
     bound clears the certificate needs no SVD; only the others have
@@ -181,15 +179,14 @@ def _certified_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     r = lower.swapaxes(-1, -2)
     r_inv, singular = _each(np.linalg.inv, r, eye)
     failed |= singular
-    bound = _CERTIFICATE * max(1.0, tol / DEFAULT_RANK_TOL)
     norms = np.sqrt(np.sum(r**2, axis=(-2, -1)) * np.sum(r_inv**2, axis=(-2, -1)))
-    certified = ~failed & (bound * norms < 1.0)
+    certified = ~failed & (_CERTIFICATE * norms < 1.0)
     doubt = np.flatnonzero(~failed & ~certified)
     if doubt.size:
         sigma, no_svd = _each(
             lambda a: np.linalg.svd(a, compute_uv=False), r[doubt], np.zeros(len(eye))
         )
-        certified[doubt] = ~no_svd & (sigma[:, -1] > bound * sigma[:, 0])
+        certified[doubt] = ~no_svd & (sigma[:, -1] > _CERTIFICATE * sigma[:, 0])
     return r_inv, certified
 
 
@@ -199,7 +196,6 @@ def _csne(
     widths: np.ndarray,
     xte: Callable[[np.ndarray], np.ndarray],
     rss: Callable[[np.ndarray], np.ndarray],
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve a stack of weighted least squares problems from their Gram
     matrices ``gram`` (k×p×p) and right-hand sides ``xty`` (k×p) by the
@@ -221,7 +217,7 @@ def _csne(
     parts = []
     for w in sorted(set(widths.tolist())):
         members = np.flatnonzero(widths == w)
-        part, ok = _certified_cholesky(gram[members, :w, :w], tol)
+        part, ok = _certified_cholesky(gram[members, :w, :w])
         part[~ok] = 0.0  # so a member that is not certified keeps β = 0
         certified[members] = ok
         r_inv[members, :w, :w] = part
@@ -246,13 +242,12 @@ def _fit_result(
     rss: float,
     yty: float,
     column_means: np.ndarray,
-    rank_tol: float,
 ) -> FitResult:
     """The fit of a full-rank design with ``n`` rows, from its
     coefficients, R⁻¹, weighted RSS and ``yty = ‖ỹ‖²``."""
     # a residual at or below the rank tolerance relative to ‖√w·y‖ is
     # rounding, and the fit is exact
-    if np.sqrt(rss) <= rank_tol * np.sqrt(yty):
+    if np.sqrt(rss) <= DEFAULT_RANK_TOL * np.sqrt(yty):
         rss = 0.0
     dof = n - len(labels)
     covariance = (r_inv @ r_inv.T) * (rss / dof)
@@ -316,11 +311,11 @@ def _triangle(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.column_stack([xs, ys]), mode="r")
 
 
-def _rank_from_r(r: np.ndarray, tol: float) -> int:
+def _rank_from_r(r: np.ndarray) -> int:
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return 0
-    return int(np.count_nonzero(diag > tol * diag[0]))
+    return int(np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0]))
 
 
 def _suspect_labels(
@@ -331,47 +326,52 @@ def _suspect_labels(
     The first pivoted-out column (index ``rank`` in pivot order) is a
     linear combination of the independent ones; solving the triangular
     system for its coefficients and keeping the non-negligible entries
-    yields a minimal suspect set.
+    yields a dependent set. That solve amplifies rounding by the
+    condition of any nearly dependent pair among the independent
+    columns, which can keep the pair, so each independent member is then
+    dropped if the set stays rank deficient without it, by the rank rule
+    on those columns of ``r``. What is left is minimal.
     """
     if rank == 0:
         return list(labels)
     coefs = np.linalg.solve(r[:rank, :rank], r[:rank, rank])
     cutoff = 1e-8 * max(1.0, float(np.max(np.abs(coefs))))
-    involved = [int(piv[i]) for i in range(rank) if abs(coefs[i]) > cutoff]
-    involved.append(int(piv[rank]))
-    return [labels[j] for j in sorted(involved)]
+    involved = [i for i in range(rank) if abs(coefs[i]) > cutoff] + [rank]
+    for i in involved[:-1]:
+        rest = [j for j in involved if j != i]
+        if _rank_from_r(_pivoted_qr(r[:, rest])[0]) < len(rest):
+            involved = rest
+    return [labels[j] for j in sorted(piv[involved].tolist())]
 
 
-def _revealed_rank(
-    r: np.ndarray, labels: Sequence[str], tol: float
-) -> tuple[int, list[str]]:
+def _revealed_rank(r: np.ndarray, labels: Sequence[str]) -> tuple[int, list[str]]:
     """Rank of the leading design block of a QR triangle, and the
     suspect labels when it is deficient."""
     p = len(labels)
     r_piv, piv = _pivoted_qr(r[:p, :p])
-    rank = _rank_from_r(r_piv, tol)
+    rank = _rank_from_r(r_piv)
     suspects = _suspect_labels(r_piv, piv, rank, labels) if rank < p else []
     return rank, suspects
 
 
-def rank_check(design: DesignMatrix, tol: float = DEFAULT_RANK_TOL) -> RankReport:
+def rank_check(design: DesignMatrix) -> RankReport:
     """Report the numerical rank of a design without fitting it."""
     p = design.p
     xs, ys = _weighted(design)
-    if p and _certified_cholesky((xs.T @ xs)[None], tol)[1][0]:
+    if p and _certified_cholesky((xs.T @ xs)[None])[1][0]:
         rank, suspects = p, []
     else:
-        rank, suspects = _revealed_rank(_triangle(xs, ys), design.column_labels, tol)
+        rank, suspects = _revealed_rank(_triangle(xs, ys), design.column_labels)
     return RankReport(
         rank=rank,
         n_columns=p,
         deficient=rank < p,
         suspect_labels=tuple(suspects),
-        tol=tol,
+        tol=DEFAULT_RANK_TOL,
     )
 
 
-def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResult:
+def fit_wls(design: DesignMatrix) -> FitResult:
     """Solve the weighted least squares problem for a design matrix.
 
     Raises :class:`RankDeficientError` when columns are linearly
@@ -392,11 +392,10 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
         np.array([p]),
         lambda b: (xs.T @ (ys - xs @ b[0]))[None],
         lambda b: np.array([np.sum((ys - xs @ b[0]) ** 2)]),
-        rank_tol,
     )
     if not certified[0]:
         r_aug = _triangle(xs, ys)
-        rank, suspects = _revealed_rank(r_aug, design.column_labels, rank_tol)
+        rank, suspects = _revealed_rank(r_aug, design.column_labels)
         if rank < p:
             raise RankDeficientError(
                 f"design is rank deficient (rank {rank} of {p}); "
@@ -418,5 +417,5 @@ def fit_wls(design: DesignMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> FitResu
         rss, yty = float(r_aug[p, p]) ** 2, float(r_aug[:, p] @ r_aug[:, p])
     return _fit_result(
         design.column_labels, n, beta, r_inv, rss, yty,
-        design.weighted_column_means(), rank_tol,
+        design.weighted_column_means(),
     )

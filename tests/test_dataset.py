@@ -11,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 from agecurve import (
     PRESETS,
     DataError,
-    EmptySampleError,
     FilterSpec,
     Survey,
     TermSpec,
-    apply_filter,
     batch_fit,
     build_design,
     cohort_bin,
@@ -23,7 +21,7 @@ from agecurve import (
     save_csv,
 )
 from agecurve import dataset
-from agecurve.dataset import DEFAULT_MISSING, ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap
+from agecurve.dataset import DEFAULT_MISSING, ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap, filter_mask
 from record_path import SurveyRecord, rows
 
 
@@ -158,16 +156,23 @@ class TestLoadCsv:
         survey, _ = load_csv(path)
         assert survey.round.tolist() == [1, 3]
 
-    def test_years_off_grid_get_rank_rounds(self, tmp_path):
+    @pytest.mark.parametrize(
+        "years, rounds",
+        [
+            ([2004, 2003, 2005, 2003], [2, 1, 3, 1]),  # span fewer years than rows
+            ([2011, 2003, 2007, 2011], [3, 1, 2, 3]),  # span more years than rows
+        ],
+    )
+    def test_years_off_grid_get_rank_rounds(self, tmp_path, years, rounds):
         path = tmp_path / "d.csv"
         write_rows(
             path,
             ["country", "period_year", "age", "happiness", "weight"],
-            [["DE", 2011, 40, 7, 1], ["DE", 2003, 41, 7, 1], ["DE", 2007, 42, 7, 1]],
+            [["DE", year, 40 + i, 7, 1] for i, year in enumerate(years)],
         )
         survey, report = load_csv(path)
-        assert survey.round.tolist() == [3, 1, 2]
-        assert survey.period_year.tolist() == [2011, 2003, 2007]
+        assert survey.round.tolist() == rounds
+        assert survey.period_year.tolist() == years
         assert any("rank" in note for note in report.notes)
 
     def test_missing_column_is_error(self, tmp_path):
@@ -276,8 +281,8 @@ class TestLoadCsv:
         results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])
         assert [res.country for res in results] == [long_name, "DE"]
         assert results[0].error == "1 observations cannot identify 3 coefficients"
-        kept, _ = apply_filter(survey, FilterSpec(countries=frozenset({long_name})))
-        assert rows(kept) == [rec(country=long_name, age=40)]
+        keep, _ = filter_mask(survey, FilterSpec(countries=frozenset({long_name})))
+        assert rows(survey.take(keep)) == [rec(country=long_name, age=40)]
 
     @pytest.mark.parametrize("column", [0, 4, 5])  # the country, the weight, a column not read
     def test_bytes_not_utf8_are_refused_in_any_column(self, tmp_path, column):
@@ -623,7 +628,7 @@ def test_survey_columns_are_read_only():
     assert rows(survey) == [rec(age=40), rec(age=50, sex="male")]
 
 
-class TestApplyFilter:
+class TestFilterMask:
     def make(self):
         return Survey.from_rows([
             row(age=20), row(age=40), row(age=70, country="FR"),
@@ -631,28 +636,33 @@ class TestApplyFilter:
         ])
 
     def test_age_window(self):
-        kept, report = apply_filter(self.make(), FilterSpec(min_age=25, max_age=69))
-        assert kept.age.tolist() == [40, 30]
+        survey = self.make()
+        keep, report = filter_mask(survey, FilterSpec(min_age=25, max_age=69))
+        assert survey.take(keep).age.tolist() == [40, 30]
+        assert (report.n_in, report.n_kept) == (5, 2)
         assert report.dropped["age below minimum"] == 1
         assert report.dropped["age above maximum"] == 2
 
     def test_country_and_listwise(self):
-        kept, report = apply_filter(
-            self.make(),
+        survey = self.make()
+        keep, report = filter_mask(
+            survey,
             FilterSpec(countries=frozenset({"DE"}), listwise_vars=frozenset({"sex"})),
         )
-        assert kept.age.tolist() == [30]
+        assert survey.take(keep).age.tolist() == [30]
         assert report.dropped["country excluded"] == 1
         assert report.dropped["missing sex"] == 3
 
     def test_order_preserved(self):
         survey = self.make()
-        kept, _ = apply_filter(survey, FilterSpec())
-        assert rows(kept) == rows(survey)
+        keep, _ = filter_mask(survey, FilterSpec())
+        assert keep.all()
+        assert rows(survey.take(keep)) == rows(survey)
 
-    def test_empty_result_raises(self):
-        with pytest.raises(EmptySampleError):
-            apply_filter(self.make(), FilterSpec(countries=frozenset({"XX"})))
+    def test_empty_result_keeps_no_row(self):
+        keep, report = filter_mask(self.make(), FilterSpec(countries=frozenset({"XX"})))
+        assert not keep.any()
+        assert (report.n_kept, report.dropped) == (0, {"country excluded": 5})
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

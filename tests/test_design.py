@@ -11,7 +11,6 @@ from agecurve import (
     TermSpec,
     age_bin_label,
     build_design,
-    encode_categorical,
     scheme_bin_labels,
 )
 from agecurve.design import GroupedDesigns
@@ -76,10 +75,17 @@ class TestTermSpec:
         assert TermSpec.intercept().describe() == "intercept"
 
 
-class TestEncodeCategorical:
+class TestControlTerm:
+    """A control factor on its own beside the intercept."""
+
+    @staticmethod
+    def control_design(survey, name, reference=None):
+        design = build_design(survey, [TermSpec.intercept(), TermSpec.control(name, reference)])
+        return design.values[:, 1:], design.column_labels[1:], design.dropped_levels
+
     def test_reference_is_natural_sort_first(self):
         survey = survey_with("education", ("10", "2", "9", "2"))
-        cols, labels, dropped = encode_categorical(survey, "education")
+        cols, labels, dropped = self.control_design(survey, "education")
         # numeric ordering: 2 < 9 < 10, so 2 is the reference
         assert labels == ["education=9", "education=10"]
         assert cols.tolist() == [[0, 1], [0, 0], [1, 0], [0, 0]]
@@ -87,31 +93,18 @@ class TestEncodeCategorical:
 
     def test_explicit_reference(self):
         survey = survey_with("sex", ("female", "male", "male"))
-        cols, labels, _ = encode_categorical(survey, "sex", reference="male")
+        cols, labels, _ = self.control_design(survey, "sex", reference="male")
         assert labels == ["sex=female"]
         assert cols[:, 0].tolist() == [1, 0, 0]
 
     def test_missing_value_is_an_error(self):
         survey = survey_with("sex", ("female", None))
         with pytest.raises(DesignError, match="listwise"):
-            encode_categorical(survey, "sex")
-
-    def test_declared_but_unobserved_level_dropped(self):
-        survey = survey_with("marital", ("married", "single"))
-        cols, labels, dropped = encode_categorical(
-            survey, "marital", declared_levels=["married", "single", "widowed"]
-        )
-        assert labels == ["marital=single"]
-        assert ("marital", "widowed", "no observations") in dropped
-
-    def test_stray_observed_level_rejected(self):
-        survey = survey_with("marital", ("divorced",))
-        with pytest.raises(DesignError, match="not declared"):
-            encode_categorical(survey, "marital", declared_levels=["married"])
+            self.control_design(survey, "sex")
 
     def test_single_level_yields_no_columns(self):
         survey = survey_with("sex", ("female", "female"))
-        cols, labels, dropped = encode_categorical(survey, "sex")
+        cols, labels, dropped = self.control_design(survey, "sex")
         assert cols.shape == (2, 0) and labels == []
         assert dropped == [("sex", "female", "only one observed level")]
 
