@@ -168,9 +168,9 @@ class Survey:
     controls: Mapping[str, tuple[np.ndarray, tuple[str, ...]]] = field(default_factory=dict)
     mediator: np.ndarray | None = None
     birth_year: np.ndarray = field(init=False, repr=False)
-    # What the fitting layers derive from the survey and share between
-    # fits (see agecurve.models); the columns are read-only, so none of
-    # it goes stale.
+    # The one pass over the survey that every fit reads the cells it
+    # keeps of (see agecurve.models); the columns are read-only, so it
+    # never goes stale.
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -6,11 +6,12 @@ controls) and :func:`build_design` turns a :class:`Survey` plus a term
 list into a dense float matrix with one human-readable label per column.
 Factor encoding is dummy coding against a named reference level; an age
 bin without observations is dropped and logged, never silently absorbed.
-:class:`GroupedDesigns` encodes the terms once for many groups of rows
-(the countries of a survey): it names each group's columns and forms
-every group's sufficient statistics ``X̃ᵀX̃`` and ``X̃ᵀỹ`` from the codes
-without filling a matrix, and fills one group's dense design only when
-asked.
+:class:`GroupedDesigns` encodes the terms once over cells of rows (a
+survey's countries, each split by the sample restrictions) and fits
+groups that are unions of cells: it names each group's columns and forms
+every group's sufficient statistics ``X̃ᵀX̃`` and ``X̃ᵀỹ`` as the sum of
+its cells', from the codes without filling a matrix, and fills one
+group's dense design only when asked.
 """
 
 from __future__ import annotations
@@ -336,13 +337,13 @@ _NUMERIC_TERMS: dict[str, tuple[str, Callable[[np.ndarray], np.ndarray]]] = {
 class GroupedDesigns:
     """The design of each group of rows, from one encoding of ``terms``.
 
-    ``group`` gives each row's group, 0 to ``n_groups - 1``. With a
-    ``cut``, a group's rows are split into two cells, ``2g`` for the
-    ages up to ``cut`` and ``2g + 1`` for the rest; without one a cell
-    is a group. Each term is encoded once over all rows and counted per
-    cell. Every group's columns sit in one global layout, a column per
-    numeric term and per level of each factor term, of which
-    :meth:`layout` names the ones a group's design holds.
+    ``cell`` gives each row's cell, 0 to ``n_cells - 1``. Each cell is a
+    group, and :meth:`merged` makes groups that are unions of cells, so
+    a sample restriction is the cells a group leaves out. Each term is
+    encoded once over all rows and counted per cell. Every group's
+    columns sit in one global layout, a column per numeric term and per
+    level of each factor term, of which :meth:`layout` names the ones a
+    group's design holds.
 
     :meth:`design` fills one group's dense design. :meth:`moments` forms
     every group's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` in the global layout
@@ -350,17 +351,13 @@ class GroupedDesigns:
     residual of each group's coefficients row by row; none of these
     fills a dense matrix. The blocks of the numeric terms, all functions
     of age, and of each factor with them are age-keyed: they come from
-    weighted sums by (group, age), of which each cell takes its own
-    ages. Every other block is summed per cell: each factor's ``X̃ᵀỹ``
-    and its counts by level of each other factor, and ``ỹᵀỹ``.
-
-    :meth:`merged` gives the designs of some of the terms for groups
-    that are unions of cells, from the same cell sums, formed once.
+    weighted sums by (cell, age). Every other block is summed per cell:
+    each factor's ``X̃ᵀỹ`` and its counts by level of each other factor,
+    and ``ỹᵀỹ``. A group's sums are those of its cells, added up.
     """
 
     def __init__(
-        self, survey: Survey, terms: Sequence[TermSpec], group: np.ndarray, n_groups: int,
-        cut: int | None = None,
+        self, survey: Survey, terms: Sequence[TermSpec], cell: np.ndarray, n_cells: int
     ) -> None:
         kinds = [t.kind for t in terms]
         keys = [(t.kind, t.name) for t in terms]
@@ -376,23 +373,20 @@ class GroupedDesigns:
 
         self.terms = tuple(terms)
         self._age, self._weight, self._response = survey.age, survey.weight, survey.happiness
-        if cut is not None or {"age_linear", "age_squared"} & set(kinds):
-            ages, age_codes = distinct_codes(survey.age)
-            self._age_key = group * len(ages) + age_codes
+        if {"age_linear", "age_squared"} & set(kinds):
+            ages, self._age_code = distinct_codes(survey.age)
         else:
-            # only the intercept is a number, the same at every age
-            ages, self._age_key = np.zeros(1), group
-        self._n_ages, self._n_age_groups = len(ages), n_groups
-        # each cell's ages, as spans of the distinct ages
-        self._spans, self._cell = [slice(None)], group
-        if cut is not None:
-            low = int(np.searchsorted(ages, cut, side="right"))
-            self._spans, self._cell = [slice(None, low), slice(low, None)], 2 * group + (survey.age > cut)
-        self.n_groups = self._n_cells = n_groups * len(self._spans)
+            # only the intercept is a number, the same at every age: one
+            # age code serves every row
+            ages, self._age_code = np.zeros(1), np.intp(0)
+        self._n_ages, self._cell = len(ages), cell
+        # each row's (age, cell) sum, the cell varying fastest
+        self._age_key = self._age_code * n_cells + cell
+        self.n_groups = self._n_cells = n_cells
         # each group's cells, and every cell's sums once formed
-        self._cells, self._sums = np.arange(self._n_cells)[:, None], None
+        self._cells, self._sums = np.arange(n_cells)[:, None], None
         ages = ages.astype(np.float64)
-        # (term, offset, (label, function)) or (term, offset, (factor, counts per group))
+        # (term, offset, (label, function)) or (term, offset, (factor, counts per cell))
         self._terms: list[tuple[TermSpec, int, tuple]] = []
         # the numeric terms' columns as functions of the distinct ages,
         # and their global indices
@@ -440,8 +434,12 @@ class GroupedDesigns:
         return view
 
     def _sum(self, per_cell: np.ndarray) -> np.ndarray:
-        """Each group's sum of ``per_cell`` over its cells, in their order."""
-        return per_cell[self._cells].sum(axis=1)
+        """Each group's sum of ``per_cell`` over its cells, added in their
+        order one cell at a time, without a temporary that holds them all."""
+        total = per_cell[self._cells[:, 0]]
+        for cells in self._cells.T[1:]:
+            total += per_cell[cells]
+        return total
 
     def _rows(self, g: int) -> np.ndarray | slice:
         return slice(None) if self._n_cells == 1 else np.flatnonzero(np.isin(self._cell, self._cells[g]))
@@ -503,33 +501,34 @@ class GroupedDesigns:
                 column += len(levels)
         return DesignMatrix(values, labels, self._weight[rows], self._response[rows], dropped)
 
-    def _over_ages(self, sums: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """``Σ_a sums[group, a, m]·columns[a, i]`` over each cell's ages, as
-        a (cell, i, m) array. ``np.einsum`` adds the ages in its own loops,
-        not through BLAS, so that no group's result depends on the other
-        groups, as it can in a matrix product."""
-        parts = [np.einsum("gam,ai->gim", sums[:, span], columns[span]) for span in self._spans]
-        return np.stack(parts, axis=1).reshape(self._n_cells, *parts[0].shape[1:])
+    @staticmethod
+    def _over_ages(sums: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """``Σ_a sums[a, m, cell]·columns[a, i]``, as a (cell, i, m) array.
+        ``np.einsum`` adds the ages in order in its own loops, not through
+        BLAS, so that no cell's result depends on the other cells or on
+        ages it does not hold, as it can in a matrix product; with the
+        cells innermost it adds all cells at once."""
+        return np.einsum("amc,ai->imc", sums, columns).transpose(2, 0, 1)
 
     def _cell_sums(self) -> tuple[np.ndarray, ...]:
         """Every cell's rows, ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ``, for every term,
         formed on first use."""
         if self._sums is not None:
             return self._sums
-        c, a, ga, w = self._n_cells, self._n_ages, self._n_age_groups, self._weight
+        c, a, w = self._n_cells, self._n_ages, self._weight
         phi, age = self._age_columns, np.array(self._age_index)
         wy = w * self._response
         gram = np.zeros((c, self.width + 1, self.width + 1))
         xty = np.zeros((c, self.width + 1))
         outer = (phi[:, :, None] * phi[:, None, :]).reshape(a, -1)
-        by_age = np.bincount(self._age_key, w, ga * a).reshape(ga, a, 1)
+        by_age = np.bincount(self._age_key, w, a * c).reshape(a, 1, c)
         gram[:, age[:, None], age] = self._over_ages(by_age, outer).reshape(c, len(age), len(age))
-        by_age = np.bincount(self._age_key, wy, ga * a).reshape(ga, a, 1)
+        by_age = np.bincount(self._age_key, wy, a * c).reshape(a, 1, c)
         xty[:, age] = self._over_ages(by_age, phi)[..., 0]
         for k, (_, factor, index, key) in enumerate(self._coded):
             width = len(factor.levels) + 1
-            joint = np.bincount(self._age_key * width + factor.codes, w, ga * a * width)
-            block = self._over_ages(joint.reshape(ga, a, width)[:, :, :-1], phi)
+            joint = np.bincount((self._age_code * width + factor.codes) * c + self._cell, w, a * width * c)
+            block = self._over_ages(joint.reshape(a, width, c)[:, :-1], phi)
             gram[:, age[:, None], index] = block
             gram[:, index[:, None], age] = block.swapaxes(1, 2)
             # the intercept is 1 at every age: its row counts each level
@@ -557,11 +556,7 @@ class GroupedDesigns:
         layout plus the spare column), 0 for a row in no group."""
         by_cell = np.zeros((self._n_cells, coef.shape[1]))
         by_cell[self._cells] = coef[:, None]
-        numeric = by_cell[:, self._age_index].reshape(self._n_age_groups, len(self._spans), -1)
-        at_age = np.hstack([
-            (numeric[:, i, None, :] * self._age_columns[span]).sum(axis=2)
-            for i, span in enumerate(self._spans)
-        ])
+        at_age = (self._age_columns[:, None, :] * by_cell[:, self._age_index]).sum(axis=2)
         fitted = at_age.ravel()[self._age_key]
         for _, factor, index, key in self._coded:
             table = np.zeros((self._n_cells, len(factor.levels) + 1))
@@ -572,10 +567,10 @@ class GroupedDesigns:
     def xte(self, coef: np.ndarray) -> np.ndarray:
         """Every group's ``X̃ᵀ(ỹ − X̃β)`` in the global layout, for its
         coefficients β in the rows of ``coef``."""
-        c, a, ga = self._n_cells, self._n_ages, self._n_age_groups
+        c, a = self._n_cells, self._n_ages
         wr = self._weight * self._residual(coef)
         out = np.zeros((c, coef.shape[1]))
-        by_age = np.bincount(self._age_key, wr, ga * a).reshape(ga, a, 1)
+        by_age = np.bincount(self._age_key, wr, a * c).reshape(a, 1, c)
         out[:, self._age_index] = self._over_ages(by_age, self._age_columns)[..., 0]
         for _, factor, index, key in self._coded:
             width = len(factor.levels) + 1

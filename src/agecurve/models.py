@@ -1,20 +1,20 @@
 """Named model specifications and per-country fitting.
 
-Each spec is fitted to every country in one pass: its sample
-restrictions give one mask over the whole survey, which is never copied,
-and each term is encoded once. Every country's ``X̃ᵀX̃`` and ``X̃ᵀỹ``
-then come from grouped sums over the survey's codes (Wong, Lewis &
-Wardrop, "You Only Compress Once", arXiv:2102.11297). The quadratic
-specs share that pass: its sums are kept per (country, complete
-controls, age up to 69) cell, and each spec adds up the cells it keeps.
-A Monte Carlo replicate fits its sample and a subset of its rows from
-one pass the same way: the rows up to its cap, or those that attrition
-leaves (:func:`_nested_fits`). The countries asked for are solved in
-one stacked call of the :mod:`agecurve.wls` kernel, without a dense
-design. Only a country whose Gram matrix has no Cholesky factor or
-fails the full-rank certificate, or that has no more rows than
-columns, has its dense design filled and goes through
-:func:`agecurve.wls.fit_wls`, which names the columns of a dependency.
+Every fit reads one kind of pass over a survey, which is never copied:
+each term is encoded once, and the rows are split into cells by
+country, by complete controls and by age up to a cut, the spec's cap or
+69 without one. Each cell's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` come from grouped sums
+over the codes (Wong, Lewis & Wardrop, "You Only Compress Once",
+arXiv:2102.11297), and a spec fits the union of the cells it keeps.
+A survey keeps one pass (:func:`_designs`); a Monte Carlo replicate
+fits its sample and a subset of its rows, those up to its cap or those
+that attrition leaves, from one pass the same way (:func:`_nested_fits`).
+The countries asked for are solved in one stacked call of the
+:mod:`agecurve.wls` kernel, without a dense design. Only a country whose
+Gram matrix has no Cholesky factor or fails the full-rank certificate,
+or that has no more rows than columns, has its dense design filled and
+goes through :func:`agecurve.wls.fit_wls`, which names the columns of a
+dependency.
 
 The battery mirrors the analysis the package exists to reproduce and
 probe:
@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import CONTROL_VARS, EmptySampleError, FilterSpec, Survey, filter_mask
+from .dataset import CONTROL_VARS, EmptySampleError, Survey
 from .design import (
     COARSE_REFERENCE,
     FINE_REFERENCE,
@@ -151,57 +151,54 @@ def terms_for(spec: ModelSpec) -> list[TermSpec]:
     return terms
 
 
-def _filter_for(spec: ModelSpec) -> FilterSpec:
-    return FilterSpec(
-        min_age=15,
-        max_age=spec.age_cap,
-        listwise_vars=frozenset(CONTROL_VARS) if spec.controls else frozenset(),
-    )
-
-
-# The age at which a quadratic spec without a cap cuts its pass over the
-# survey: the capped presets' cap, so that it shares their pass.
+# The age at which a spec without a cap cuts its pass over the survey:
+# the capped presets' cap, so that it shares their pass.
 _CUT = PRESETS["quad-controls-cap"].age_cap
 
 
-def _quadratic_designs(
-    survey: Survey, spec: ModelSpec, pooled: bool, codes: np.ndarray, n: int
-) -> GroupedDesigns:
-    """The designs of the quadratic ``spec`` for the ``n`` countries of
-    ``codes``, from the first pass over ``survey`` that holds its terms
-    and is cut at its cap (``_CUT`` without one), else from a new one.
-    The survey keeps its passes until a ranges spec is fitted on it, so
-    that they and the ranges spec's encoding are not held at once.
+def _pass(survey: Survey, terms: list[TermSpec], cut: int, group: np.ndarray, n: int) -> GroupedDesigns:
+    """One encoding of ``terms`` over ``survey`` whose cells split each
+    of the ``n`` groups of ``group``: cell ``4g`` holds the rows of
+    group ``g`` with complete controls and an age up to ``cut``,
+    ``4g + 1`` those above it, and ``4g + 2`` and ``4g + 3`` the same
+    with incomplete controls."""
+    incomplete = np.logical_or.reduce([codes < 0 for codes, _ in survey.controls.values()])
+    return GroupedDesigns(survey, terms, 4 * group + 2 * incomplete + (survey.age > cut), 4 * n)
 
-    A pass's cell ``4c`` holds the rows of country ``c`` with complete
-    controls and an age up to the cut, ``4c + 1`` those above it, and
-    ``4c + 2`` and ``4c + 3`` the same with incomplete controls. A
-    cell's sums for a term do not depend on the other terms of its
-    pass, so neither does a spec's fit."""
+
+def _kept(spec: ModelSpec, groups: np.ndarray) -> np.ndarray:
+    """The cells of a pass that ``spec`` keeps of the groups in each row
+    of ``groups``: complete controls only when it has controls, ages up
+    to the cut only when it has a cap."""
+    offsets = [i + j for i in (0, 2)[: 1 if spec.controls else 2] for j in (0, 1)[: 1 if spec.age_cap else 2]]
+    return (4 * groups[..., None] + offsets).reshape(len(groups), -1)
+
+
+def _designs(survey: Survey, spec: ModelSpec, pooled: bool, codes: np.ndarray, n: int) -> GroupedDesigns:
+    """The designs of ``spec`` for the ``n`` countries of ``codes`` (or
+    the pooled sample): the cells each keeps of the survey's one pass,
+    cut at the spec's cap (``_CUT`` without one). A pass that is cut
+    elsewhere or lacks a term of ``spec`` is dropped before a new one is
+    built. A cell's sums for a term do not depend on the other terms of
+    its pass, so neither does a spec's fit."""
     terms = terms_for(spec)
-    key = (pooled, _CUT if spec.age_cap is None else spec.age_cap)
-    passes = survey._derived.setdefault("quadratic passes", {}).setdefault(key, [])
-    shared = next((p for p in passes if set(terms) <= set(p.terms)), None)
-    if shared is None:
-        complete, _ = filter_mask(survey, FilterSpec(listwise_vars=frozenset(CONTROL_VARS)))
-        shared = GroupedDesigns(survey, terms, 2 * codes + ~complete, 2 * n, key[1])
-        passes.append(shared)
-    kept = [i + j for i in (0, 2)[: 1 if spec.controls else 2] for j in (0, 1)[: 1 if spec.age_cap else 2]]
-    return shared.merged(4 * np.arange(n)[:, None] + kept, terms)
+    key = (pooled, spec.age_cap or _CUT)
+    held = survey._derived.pop("pass", None)
+    if held is None or held[0] != key or not set(terms) <= set(held[1].terms):
+        del held
+        held = key, _pass(survey, terms, key[1], codes, n)
+    survey._derived["pass"] = held
+    return held[1].merged(_kept(spec, np.arange(n)[:, None]), terms)
 
 
 class _SpecFits:
     """One spec over every country of a survey, or over the pooled
-    sample, filtered and encoded once; :meth:`fit` fits countries.
-
-    Under a quadratic spec a country's group is the union of the cells
-    it keeps of a pass that it shares with the other quadratic specs
-    (see :func:`_quadratic_designs`). Under a ranges spec a row's group is
-    its country code (0 for the pooled sample), and the rows the spec
-    drops form one more group, which is never fitted. ``index`` maps
-    each country that holds rows, in first-appearance order, to its
-    group. Given ``designs``, they fit the rows ``kept`` (None: all),
-    country ``g`` in their group ``g`` (see :func:`_nested_fits`)."""
+    sample, from the survey's pass (see :func:`_designs`); :meth:`fit`
+    fits countries. A country's group is the union of the cells it
+    keeps. ``index`` maps each country that holds rows, in
+    first-appearance order, to its group. Given ``designs``, they fit
+    the rows ``kept`` (None: all), country ``g`` in their group ``g``
+    (see :func:`_nested_fits`)."""
 
     def __init__(
         self, survey: Survey, spec: ModelSpec, pooled: bool,
@@ -218,15 +215,7 @@ class _SpecFits:
         self.index = {None: 0} if pooled else {
             survey.country_levels[g]: g for g in held[firsts].tolist()
         }
-        if designs is not None:
-            self.designs = designs
-        elif spec.form == "quadratic":
-            self.designs = _quadratic_designs(survey, spec, pooled, codes, n_groups)
-        else:
-            survey._derived.pop("quadratic passes", None)
-            keep, _ = filter_mask(survey, _filter_for(spec))
-            group = np.where(keep, codes, n_groups)
-            self.designs = GroupedDesigns(survey, terms_for(spec), group, n_groups + 1)
+        self.designs = _designs(survey, spec, pooled, codes, n_groups) if designs is None else designs
         self.held = self.designs.held_rows()
         self.n_periods = self.designs.held_levels("period_factor")
 
@@ -475,21 +464,18 @@ def _nested_fits(
     survey: Survey, spec: ModelSpec, country: str, drop: np.ndarray | None
 ) -> tuple[FitResult, FitResult]:
     """``fit_spec(survey, spec, country)`` and the same without the rows
-    ``drop`` (None: none), raising as those would, from one encoding of
-    the ranges ``spec``. Of ``n`` countries, the rows of ``c`` that the
-    spec keeps are cell ``c``, or ``c + n`` when dropped: the full
-    sample's group is both cells, the subset's the first."""
+    ``drop`` (None: none), raising as those would, from one pass over
+    ``survey`` whose groups are ``c`` for the rows of country ``c`` that
+    stay and ``c + n`` for those dropped, of ``n`` countries: the full
+    sample keeps the cells of both, the subset those of the first."""
     if drop is None:
         return (fit_spec(survey, spec, country),) * 2
-    survey._derived.pop("quadratic passes", None)
-    n = len(survey.country_levels)
-    keep, _ = filter_mask(survey, _filter_for(spec))
-    group = np.where(keep, survey.country_codes + n * drop, 2 * n)
-    designs = GroupedDesigns(survey, terms_for(spec), group, 2 * n + 1)
-    cells = np.arange(n)[:, None] + [0, n]
+    n, terms = len(survey.country_levels), terms_for(spec)
+    designs = _pass(survey, terms, spec.age_cap or _CUT, survey.country_codes + n * drop, 2 * n)
+    countries = np.arange(n)[:, None]
     return tuple(
-        _SpecFits(survey, spec, False, designs.merged(view, designs.terms), kept).one(country)
-        for view, kept in ((cells, None), (cells[:, :1], ~drop))
+        _SpecFits(survey, spec, False, designs.merged(_kept(spec, groups), terms), kept).one(country)
+        for groups, kept in ((countries + [0, n], None), (countries, ~drop))
     )
 
 
@@ -516,10 +502,8 @@ def batch_fit(
 ) -> list[CountryResult]:
     """Fit one spec across countries in one pass (see the module
     docstring), each country exactly as :func:`fit_spec` fits it,
-    isolating failures. A quadratic spec reads the pass it shares with
-    the other quadratic specs fitted on ``survey`` (see
-    :func:`_quadratic_designs`), and its fits are the same bit for bit
-    whichever of them were fitted before.
+    isolating failures. A spec's fits are the same bit for bit whichever
+    specs were fitted on ``survey`` before (see :func:`_designs`).
 
     ``countries`` defaults to first-appearance order in ``survey``. A
     country the data cannot support (absent from the survey, no rows

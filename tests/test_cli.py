@@ -577,16 +577,16 @@ class TestSharedFits:
     def test_report_filters_once_per_spec_and_fits_once_per_country_and_spec(
         self, survey_csv, tmp_path, monkeypatch
     ):
-        calls = {"filter_mask": 0, "_csne": 0, "fit_wls": 0}
-        rows_filtered, stacked = [], []
+        calls = {"GroupedDesigns": 0, "_csne": 0, "fit_wls": 0}
+        rows_encoded, stacked = [], []
         for name in calls:
             original = getattr(agecurve.models, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 result = _original(*args, **kwargs)
-                if _name == "filter_mask":
-                    rows_filtered.append(result[1].n_in)
+                if _name == "GroupedDesigns":
+                    rows_encoded.append(len(args[0]))
                 elif _name == "_csne":
                     stacked.append(len(args[0]))
                 return result
@@ -598,15 +598,15 @@ class TestSharedFits:
         ])
         assert code == 0
         # four quadratic presets, ranges-coarse and ranges-fine, two
-        # countries: one filter for the quadratic presets' shared pass and
-        # one per ranges spec, one stacked solve per spec holding both
+        # countries: one encoding for the quadratic presets' shared pass
+        # and one per ranges spec, one stacked solve per spec holding both
         # countries, and no dense fallback fit
-        assert calls == {"filter_mask": 3, "_csne": 6, "fit_wls": 0}
+        assert calls == {"GroupedDesigns": 3, "_csne": 6, "fit_wls": 0}
         assert stacked == [2] * 6
-        # each filter reads every row of the file once
+        # each encoding reads every row of the file
         with survey_csv.open(newline="", encoding="utf-8") as handle:
             file_rows = sum(1 for _ in csv.reader(handle)) - 1
-        assert sum(rows_filtered) == 3 * file_rows
+        assert rows_encoded == [file_rows] * 3
 
 
 class TestParser:

@@ -15,9 +15,9 @@ cap or listwise deletion empties, countries with nobody in the fine
 scheme's reference bin, control levels seen in one country only,
 numeric levels whose text order differs from their value order, and
 unit or non-unit weights. Designs stay bit-identical. The quadratic
-presets share one pass over the survey, so each of them must give the
-same fits bit for bit whether it is fitted alone, with the other three
-or inside ``report``.
+presets share one pass over the survey, and a ranges preset replaces
+it, so each preset must give the same fits bit for bit whether it is
+fitted alone, after other presets or inside ``report``.
 """
 
 from __future__ import annotations
@@ -277,10 +277,14 @@ def test_mixed_stack_sends_only_its_failures_to_the_dense_fit(monkeypatch):
 
 
 QUADRATIC = [name for name, spec in PRESETS.items() if spec.form == "quadratic"]
-# quadratic specs that no preset shares a pass with: another cap, and cohorts
-OTHER_QUADRATIC = (
+# specs whose pass no preset's holds: another cap, a quadratic with
+# cohorts, and ranges specs that cap the sample or delete listwise
+OTHER_SPECS = (
     ModelSpec("quad-controls-cap60", "quadratic", controls=True, age_cap=60),
     ModelSpec("quad-cohort-cap", "quadratic", cohort_control=True, age_cap=69),
+    ModelSpec("ranges-controls-cap60", "ranges", controls=True, age_cap=60, cohort_control=True),
+    ModelSpec("ranges-fine-controls", "ranges", scheme="fine", controls=True, cohort_control=True),
+    ModelSpec("ranges-coarse-cap", "ranges", age_cap=69, cohort_control=True),
 )
 
 
@@ -333,11 +337,12 @@ def assert_same_results(new, old):
 @settings(max_examples=25, deadline=None)
 @given(survey=capped_surveys())
 def test_quadratic_presets_fit_alike_alone_together_and_in_report(survey, tmp_path_factory):
-    """Each quadratic preset fitted alone, on a survey of its own, with
-    the other three on one survey, and inside ``report`` gives the same
-    fits bit for bit, and matches the per-country reference; so does a
-    quadratic spec with another cap or with cohorts, alone or after the
-    presets."""
+    """Each preset fitted alone, on a survey of its own, after the
+    presets before it on one survey, and inside ``report`` gives the
+    same fits bit for bit, and matches the per-country reference; so
+    does each quadratic preset refitted after a ranges preset replaced
+    the survey's pass, and each spec of ``OTHER_SPECS``, alone or after
+    the presets."""
     path = tmp_path_factory.getbasetemp() / "three_ways.csv"
     save_csv(survey, path)
     in_report = {}
@@ -349,11 +354,12 @@ def test_quadratic_presets_fit_alike_alone_together_and_in_report(survey, tmp_pa
     with mock.patch.object(cli, "batch_fit", recorded):
         cli.main(["report", "--input", str(path), "--out", str(path.parent / "three_ways"), "--format", "csv"])
     together = load_csv(path)[0]
-    fits = {name: models.batch_fit(together, PRESETS[name]) for name in QUADRATIC}
-    for name in QUADRATIC:
-        spec = PRESETS[name]
+    fits = {name: models.batch_fit(together, spec) for name, spec in PRESETS.items()}
+    refitted = {name: models.batch_fit(together, PRESETS[name]) for name in QUADRATIC}
+    for name, spec in PRESETS.items():
         alone = models.batch_fit(load_csv(path)[0], spec)
         assert_same_results(fits[name], alone)
+        assert_same_results(refitted.get(name, alone), alone)
         assert_same_results(in_report[name], alone)
         assert_results_equal(alone, country_path.batch_fit(together, spec, None))
         for result in alone:
@@ -361,7 +367,7 @@ def test_quadratic_presets_fit_alike_alone_together_and_in_report(survey, tmp_pa
             assert (error and error[1]) == result.error
             if result.ok:
                 assert_same_fit(fit, result.fit)
-    for spec in OTHER_QUADRATIC:
+    for spec in OTHER_SPECS:
         alone = models.batch_fit(load_csv(path)[0], spec)
         assert_same_results(models.batch_fit(together, spec), alone)
         assert_results_equal(alone, country_path.batch_fit(together, spec, None))

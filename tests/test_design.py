@@ -227,9 +227,21 @@ class TestGroupedDesigns:
         TermSpec.age_squared(), TermSpec.control("marital"),
     ]
 
+    # each row's cell and the number of cells, by layout
+    LAYOUTS = {
+        "country": lambda survey: (survey.country_codes, 2),
+        "country-age50": lambda survey: (2 * survey.country_codes + (survey.age > 50), 4),
+        # the last of each country's three cells holds no row
+        "empty-cell": lambda survey: (3 * survey.country_codes + (survey.age > 50), 6),
+    }
+
     def assert_moments_are_dense(self, designs):
         gram, xty, yty = designs.moments()
+        held = designs.held_rows()
         for g in range(designs.n_groups):
+            if not held[g]:
+                assert not (gram[g].any() or xty[g].any() or yty[g])
+                continue
             index, labels = designs.layout(g)
             dense = designs.design(g)
             assert dense.column_labels == labels
@@ -239,19 +251,21 @@ class TestGroupedDesigns:
                                   (yty[g], ys @ ys)):
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
-    @pytest.mark.parametrize("cut", [None, 50])
-    def test_moments_are_those_of_the_dense_designs(self, cut):
-        """Every group's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` are its dense
-        design's, split at an age cut or not; so are those of the unions
-        of groups that ``merged`` gives, each the sum of its groups'."""
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_moments_are_those_of_the_dense_designs(self, layout):
+        """Every cell's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` are its dense
+        design's, all zero for a cell without rows; so are those of the
+        unions of cells that ``merged`` gives, each the sum of its
+        cells'."""
         survey = synth_survey(
             dict(seed=3, country="A"), dict(seed=4, country="B", rounds=(2, 5)),
             n=200, with_controls=True, weights="random",
         )
-        designs = GroupedDesigns(survey, self.TERMS, survey.country_codes, 2, cut)
-        assert designs.n_groups == (2 if cut is None else 4)
+        cell, n_cells = self.LAYOUTS[layout](survey)
+        designs = GroupedDesigns(survey, self.TERMS, cell, n_cells)
+        assert designs.n_groups == n_cells
         self.assert_moments_are_dense(designs)
-        cells = np.arange(designs.n_groups).reshape(2, -1)
+        cells = np.arange(n_cells).reshape(2, -1)
         merged = designs.merged(cells, self.TERMS[:3])
         self.assert_moments_are_dense(merged)
         for whole, part in zip(designs.moments(), merged.moments()):
