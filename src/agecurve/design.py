@@ -376,9 +376,9 @@ class GroupedDesigns:
         if {"age_linear", "age_squared"} & set(kinds):
             ages, self._age_code = distinct_codes(survey.age)
         else:
-            # only the intercept is a number, the same at every age: one
-            # age code serves every row
-            ages, self._age_code = np.zeros(1), np.intp(0)
+            # only the intercept is a number, the same at every age: age
+            # code 0 for every row, intp so keys stay intp under numpy 1
+            ages, self._age_code = np.zeros(1), np.zeros(len(cell), np.intp)
         self._n_ages, self._cell = len(ages), cell
         # each row's (age, cell) sum, the cell varying fastest
         self._age_key = self._age_code * n_cells + cell

@@ -371,3 +371,19 @@ def test_quadratic_presets_fit_alike_alone_together_and_in_report(survey, tmp_pa
         alone = models.batch_fit(load_csv(path)[0], spec)
         assert_same_results(models.batch_fit(together, spec), alone)
         assert_results_equal(alone, country_path.batch_fit(together, spec, None))
+
+
+def test_ranges_specs_match_per_country_path_over_many_countries():
+    """Thirty countries make 120 cells, so a ranges pass's keys (cell and
+    a factor's small age-bin, period or cohort code) run past 255: they
+    must be formed in intp, where a small code type would wrap."""
+    survey = Survey.from_rows(
+        row
+        for i in range(30)
+        for row in synth_rows(n=120, seed=200 + i, country=f"C{i:02d}", rounds=(1, 2, 3, 4, 5), **FITTABLE)
+    )
+    specs = [spec for spec in (*PRESETS.values(), *OTHER_SPECS) if spec.form == "ranges"]
+    for spec in specs:
+        results = models.batch_fit(survey, spec)
+        assert sum(result.ok for result in results) >= 25, spec.name
+        assert_results_equal(results, country_path.batch_fit(survey, spec, None))

@@ -272,3 +272,18 @@ class TestGroupedDesigns:
             np.testing.assert_array_equal(part, whole[cells].sum(axis=1))
         with pytest.raises(DesignError, match="terms of the design"):
             designs.merged(cells, self.TERMS[:3][::-1])
+
+    def test_moments_over_many_cells_without_age_terms(self):
+        """Without age terms a factor's sums are keyed by its code and the
+        cell. Over 120 cells those keys pass the range of the int8 and
+        uint8 codes, and must not wrap."""
+        survey = synth_survey(
+            *(dict(seed=300 + i, country=f"C{i:02d}") for i in range(30)),
+            n=400, with_controls=True, weights="random",
+        )
+        terms = [
+            TermSpec.intercept(), TermSpec.age_bins("fine"), TermSpec.period(), TermSpec.cohort(),
+            TermSpec.control("sex"),
+        ]
+        cell = 4 * survey.country_codes + np.arange(len(survey)) % 4
+        self.assert_moments_are_dense(GroupedDesigns(survey, terms, cell, 120))
