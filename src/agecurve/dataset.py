@@ -391,16 +391,19 @@ def _decimals(words: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[
     division of exact doubles, so bit for bit what ``float`` reads
     (Clinger 1990). ``words`` holds the 8 bytes from each block offset."""
     minus = words[starts] & _LOW_BYTES[1] == 45
-    mantissa = count = points = places = np.zeros(len(lens), np.int64)
+    mantissa = np.zeros(len(lens), np.int64)
+    count, points, places = np.zeros((3, len(lens)), np.int8)  # of at most _DIGITS + 2 bytes
     for k in range(min(int(lens.max(initial=0)), _DIGITS + 2)):
         if k % 8 == 0:  # the cells' next 8 bytes, zero past each end
             word = words[starts + k] & _LOW_BYTES[np.clip(lens - k, 0, 8)]
-        byte = (word >> np.uint64(8 * (k % 8))).astype(np.uint8)
+            cell_bytes = word.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        byte = cell_bytes[:, k % 8]
         digit = byte - np.uint8(48)
         is_digit = digit < 10
-        mantissa = np.where(is_digit, mantissa * 10 + digit, mantissa)
-        count, places = count + is_digit, places + (is_digit & (points > 0))
-        points = points + (byte == 46)
+        np.copyto(mantissa, mantissa * 10 + digit, where=is_digit)
+        places += is_digit & (points > 0)
+        count += is_digit
+        points += byte == 46
     ok = (count + points + minus == lens) & (points <= 1) & (count >= 1) & (count <= _DIGITS)
     values = mantissa / _SCALES[places]
     return np.where(minus, -values, values), ok
@@ -468,13 +471,15 @@ class _Codes:
         return self
 
     def add_block(self, data: bytes, words: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> None:
+        """Code a plain block's cells by their keys, each cell's bytes zero
+        past its end, which a plain block's lack of NUL keeps distinct; or
+        as text when a cell is longer than the 7 bytes a key holds."""
         if lens.max(initial=0) > 7:
             self.add(_texts(data, starts, lens))
             return
-        # A cell's bytes and its length, packed into one key.
-        keys = words[starts] & _LOW_BYTES[lens] | lens.astype(np.uint64) << np.uint64(56)
-        distinct, inverse = distinct_codes(keys.view(np.int64))  # the top byte is at most 7
-        texts = [key.to_bytes(8, "little")[: key >> 56].decode() for key in distinct.tolist()]
+        keys = words[starts] & _LOW_BYTES[lens]  # the top byte zero, so nonnegative int64
+        distinct, inverse = distinct_codes(keys.view(np.int64))
+        texts = [key.to_bytes(8, "little").rstrip(b"\0").decode() for key in distinct.tolist()]
         if any(text not in self.code for text in texts):  # code new texts by first appearance
             first = np.full(len(texts), len(keys))
             np.minimum.at(first, inverse, np.arange(len(keys)))
@@ -490,12 +495,14 @@ def _plain_block(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray] | Non
     and where each cell ends, one row of ``width`` a line; or ``None``
     when csv might read the block otherwise: it holds a quote, ``\\r`` or
     NUL, a line longer than the field size limit, or a row of another
-    width."""
+    width. One mask of the block's newlines gives the row count and, with
+    the commas, the cell ends."""
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
     buf = np.frombuffer(data + bytes(24), np.uint8)  # so that each offset starts a word
-    ends = np.flatnonzero((buf == 44) | (buf == 10))
-    rows = data.count(b"\n")
+    newline = buf == 10
+    rows = np.count_nonzero(newline)
+    ends = np.flatnonzero(newline | (buf == 44))
     # With ``rows`` newlines in all, every row has ``width`` cells exactly
     # when each ``width``-th cell ends in one.
     if len(ends) != rows * width or not (buf[ends[width - 1 :: width]] == 10).all():
@@ -530,9 +537,13 @@ def _read_columns(handle: BinaryIO, width: int, columns: Sequence[tuple[int, _Nu
         if not data:
             return
         data += b"" if data.endswith(b"\n") else b"\n"  # only the last line can lack one
-        data.decode()  # the check that the block is UTF-8
-        while b"\n\n" in data or data.startswith(b"\n"):  # a blank line is not a row
-            data = data.replace(b"\n\n", b"\n").lstrip(b"\n")
+        view = np.frombuffer(data, np.uint8)
+        if view.max() > 127:  # the check that the block is UTF-8, which ASCII is
+            data.decode()
+        newline = view == 10
+        if newline[0] or (newline[1:] & newline[:-1]).any():  # a blank line is not a row
+            while b"\n\n" in data or data.startswith(b"\n"):
+                data = data.replace(b"\n\n", b"\n").lstrip(b"\n")
         block = _plain_block(data, width)
         if block is None:
             break
@@ -574,11 +585,13 @@ def load_csv(
     untouched).
 
     The :mod:`csv` module reads the header; the rows are read as bytes, in
-    blocks of whole lines of about 1 MiB. A block with no quote, ``\\r`` or
-    NUL, no line past the csv field size limit, and rows all of the header's
-    width takes the byte path, where numpy reads a numeric cell
-    ``-?digits[.digits]`` of at most 15 digits and codes a country or
-    control cell of at most 7 bytes; ``float`` reads any other numeric cell
+    blocks of whole lines of about 1 MiB; only a block with a byte past
+    ASCII is decoded, to check that it is UTF-8. A block with no quote,
+    ``\\r`` or NUL, no line past the csv field size limit, and rows all of
+    the header's width takes the byte path: numpy scans it once for its
+    newlines and commas, reads a numeric cell ``-?digits[.digits]`` of at
+    most 15 digits and codes a country or control cell of at most 7 bytes
+    from those bytes; ``float`` reads any other numeric cell
     (every one, when a missing token is a number), and a coded column's
     cells are read as text in a block where one is longer. From the first
     other block on, csv reads the rows, with the same cells. The country and

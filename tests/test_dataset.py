@@ -390,6 +390,19 @@ def cells_read(path):
     return [[levels[code] for code in codes.tolist()] for codes, levels in (c.result() for c in columns)]
 
 
+def spied_outcome(path):
+    """:func:`outcome` of ``path``, and what :func:`dataset._plain_block`
+    gave for each block, ``None`` for a block sent to the csv module."""
+    blocks, plain_block = [], dataset._plain_block
+
+    def spy(*args):
+        blocks.append(plain_block(*args))
+        return blocks[-1]
+
+    with mock.patch.object(dataset, "_plain_block", spy):
+        return outcome(path), blocks
+
+
 def write_plain(path, header, rows):
     path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]), encoding="utf-8")
 
@@ -472,6 +485,67 @@ class TestReadPaths:
             got = outcome(path)
         assert len(blocks) == 1 and blocks[0] is not None and got == csv_outcome(path)
         assert got[0] == ("DE", "FR") and cells_read(path)[5] == ["a", "b"]
+
+    # The first rows of BOUNDARY end at offsets 20 and 64 of the rows, each
+    # followed by a blank line: blocks of 20 or 64 bytes end on those lines.
+    BOUNDARY = ("DE,1,40,7,1.0000000\n\nFR,2,41,6,2.00000000\nDE,1,42,5,1.000000000\n"
+                "\nFR,2,43,6,2.0\n")
+
+    @pytest.mark.parametrize("block", [1, 20, 64])
+    @pytest.mark.parametrize("rows", [
+        "\nDE,1,40,7,1.0\nFR,2,41,6,2.0\n",                # the first line blank
+        *("DE,1,40,7,1.0" + "\n" * k + "FR,2,41,6,2.0\n" for k in (2, 3, 4)),  # runs of newlines
+        BOUNDARY,
+        "\n\n\n",                                         # every line blank
+    ])
+    def test_blank_lines(self, tmp_path, monkeypatch, block, rows):
+        """A blank line is not a row, wherever it falls in a block; a
+        block with one stays on the byte path."""
+        assert self.BOUNDARY[19:21] == self.BOUNDARY[63:65] == "\n\n"
+        path = tmp_path / "d.csv"
+        path.write_text("country,round,age,happiness,weight\n" + rows, encoding="utf-8")
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+        got, blocks = spied_outcome(path)
+        assert got == csv_outcome(path)
+        assert cells_read(path) == csv_outcome(path, cells_read)
+        if rows.strip():
+            assert blocks and None not in blocks
+            assert got[1]["age"] == list(range(40, 40 + rows.count("DE") + rows.count("FR")))
+        else:
+            assert got == (DataError, f"no usable rows in {path}")
+
+    # Coded cells that are byte prefixes of one another, empty, or differ
+    # only by a space; SHORT's keys span fewer numbers than its rows, so
+    # they are coded through a bincount and PREFIXES's through a sort.
+    PREFIXES = ["100", "1", "1 ", "", "1000000", " 1", "10", "1", "", "1000000"]
+    SHORT = ["10", "1", "", "1 ", " 1", "10"] * 2100
+
+    @pytest.mark.parametrize("cells", [PREFIXES, SHORT], ids=["prefixes", "short"])
+    def test_coded_keys_of_prefix_cells(self, tmp_path, cells):
+        path = tmp_path / "d.csv"
+        write_plain(path, ["country", "round", "age", "happiness", "weight"],
+                    [[cell, "1", "40", "7", "1"] for cell in cells])
+        _, blocks = spied_outcome(path)
+        assert len(blocks) == 1 and blocks[0] is not None
+        got = cells_read(path)
+        assert got[0] == cells and got == csv_outcome(path, cells_read)
+
+    def test_utf8_checked_in_every_block(self, tmp_path, monkeypatch):
+        """Past the first block, a Latin-1 byte is refused, even in a column
+        not read, and a multibyte name reads as csv reads it, on the byte
+        path."""
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", 64)
+        path = tmp_path / "d.csv"
+        header = b"country,round,age,happiness,weight,note\n"
+        rows = b"DE,1,40,7,1.0,x\n" * 20
+        path.write_bytes(header + rows + b"DE,1,41,7,1.0,\xe9\n" + rows)
+        with pytest.raises(DataError, match=f"{path} is not UTF-8 text"):
+            load_csv(path)
+        path.write_bytes(header + rows + "België,1,41,7,1.0,x\n".encode() + rows)
+        got, blocks = spied_outcome(path)
+        assert len(blocks) > 2 and None not in blocks
+        assert got == csv_outcome(path)
+        assert got[0] == ("DE", "België") and got[1]["country_codes"] == [0] * 20 + [1] + [0] * 20
 
     @settings(max_examples=100, deadline=None)
     @given(cells=st.lists(st.tuples(st.sampled_from(CODED_CELLS), st.sampled_from(CODED_CELLS)), min_size=1,
@@ -582,12 +656,20 @@ class TestDecimalKernel:
         np.testing.assert_array_equal(values[ok].view(np.int64), floats.view(np.int64))
 
     def test_edge_cells(self):
+        # 15 digits in up to 17 bytes, the most the kernel reads, are read;
+        # 16 or 17 digits, or a cell past 17 bytes, are not.
         cells = ["-0", "007", "1.", ".5", "0.1", "-.5", "999999999999999", "0.00000000000001",
-                 "+3", "1234567890123456", "1e5", "\u0661\u0662", ".", "-", "", "1.2.3", "1-", " 1"]
+                 "-.123456789012345", "0.12345678901234",
+                 "+3", "1234567890123456", "12345678901234567", "-0.123456789012345", "1e5",
+                 "\u0661\u0662", ".", "-", "", "1.2.3", "1-", " 1"]
         values, ok = kernel(cells)
-        assert ok.tolist() == [True] * 8 + [False] * 10
-        assert values[:8].tolist() == [-0.0, 7.0, 1.0, 0.5, 0.1, -0.5, 999999999999999.0, 1e-14]
+        assert ok.tolist() == [True] * 10 + [False] * 12
+        assert values[:10].tolist() == [-0.0, 7.0, 1.0, 0.5, 0.1, -0.5, 999999999999999.0, 1e-14,
+                                        -0.123456789012345, 0.12345678901234]
         assert math.copysign(1.0, values[0]) == -1.0
+        # A block whose cells are all empty reads no byte of them.
+        values, ok = kernel(["", "", ""])
+        assert ok.tolist() == [False] * 3 and len(values) == 3
 
 
 class TestNumbers:
