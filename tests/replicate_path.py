@@ -1,11 +1,14 @@
 """The per-sample reference path of the Monte Carlo experiments:
-agecurve's ``generate``, ``experiment_truncation`` and
-``experiment_attrition`` as they were when every replicate encoded and
-fitted each of its samples on its own (the capped sample through
-``Survey.take``, ``build_design`` and ``fit_wls``, the attrited one
-drawn a second time by ``generate``), kept verbatim so that
-``test_replicate_equivalence.py`` can check the one-draw, one-encoding
-path against them. Only the imports differ.
+agecurve's ``generate``, ``experiment_mediator``,
+``experiment_truncation`` and ``experiment_attrition`` as they were
+when every replicate encoded and fitted each of its samples on its own
+(the mediator's two models as one dense design through
+``build_design``, the same design with the mediator column appended by
+``_with_mediator_column``, and two ``fit_wls`` calls; the capped sample
+through ``Survey.take``, ``build_design`` and ``fit_wls``; the attrited
+one drawn a second time by ``generate``), kept verbatim so that
+``test_replicate_equivalence.py`` can check the stacked path against
+them. Only the imports differ.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from agecurve.dataset import DEFAULT_ROUND_MAP, Survey
-from agecurve.design import FINE_BINS, TermSpec, build_design
+from agecurve.design import FINE_BINS, DesignMatrix, TermSpec, build_design
 from agecurve.models import adjusted_means
 from agecurve.simulate import (
     DgpConfig,
@@ -23,7 +26,9 @@ from agecurve.simulate import (
     SimResult,
     _finalize,
     _replicate_seeds,
+    _mean_check,
     default_attrition_config,
+    default_mediator_config,
     default_truncation_config,
 )
 from agecurve.wls import RankDeficientError, fit_wls
@@ -95,6 +100,73 @@ def generate(config: DgpConfig) -> Survey:
         )
         survey = survey.take(~drop)
     return survey
+
+
+def _with_mediator_column(design: DesignMatrix, values: np.ndarray) -> DesignMatrix:
+    return DesignMatrix(
+        values=np.column_stack([design.values, values]),
+        column_labels=[*design.column_labels, "mediator"],
+        row_weights=design.row_weights,
+        response=design.response,
+        dropped_levels=list(design.dropped_levels),
+    )
+
+
+def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> SimResult:
+    """Total versus direct age effect under a mediator control.
+
+    Each replicate fits happiness on age (plus period factors) twice,
+    without and with the mediator as a regressor. The Monte Carlo means
+    are checked against the exact targets ``direct + slope_age *
+    slope_happiness`` and ``direct``, within three MC standard errors.
+    """
+    if config is None:
+        config = default_mediator_config()
+    if config.mediator is None:
+        raise ValueError("mediator experiment needs a DgpConfig with a mediator")
+    if not config.age_effect.is_linear:
+        raise ValueError(
+            "mediator experiment assumes a linear direct age path; "
+            "use a flat or linear age_effect"
+        )
+
+    # The Monte Carlo standard error of the checks needs two replicates.
+    seeds = _replicate_seeds(config.seed, reps, minimum=2)
+    terms = [TermSpec.intercept(), TermSpec.age_linear(), TermSpec.period()]
+    totals = np.empty(reps)
+    directs = np.empty(reps)
+    mediator_coefs = np.empty(reps)
+    for i, seed in enumerate(seeds):
+        survey = generate(replace(config, seed=seed))
+        design = build_design(survey, terms)
+        totals[i] = fit_wls(design).coef("age")
+        with_mediator = fit_wls(_with_mediator_column(design, survey.mediator))
+        directs[i] = with_mediator.coef("age")
+        mediator_coefs[i] = with_mediator.coef("mediator")
+
+    med = config.mediator
+    total_target = config.age_effect.linear + med.total_effect
+    direct_target = config.age_effect.linear + med.direct
+    targets = {
+        "total_age_slope": total_target,
+        "direct_age_slope": direct_target,
+        "mediator_coef": med.slope_happiness,
+    }
+    estimates = {
+        "total_age_slope": totals,
+        "direct_age_slope": directs,
+        "mediator_coef": mediator_coefs,
+    }
+    checks = [
+        _mean_check("total_age_slope_unbiased", totals, total_target, reps),
+        _mean_check("direct_age_slope_unbiased", directs, direct_target, reps),
+    ]
+    metrics = {
+        "mean_absorbed_by_mediator": float(np.mean(totals - directs)),
+    }
+    return _finalize(
+        "mediator", config.seed, seeds, estimates, targets, metrics, checks
+    )
 
 
 def experiment_truncation(

@@ -32,9 +32,12 @@ import replicate_path
 from agecurve import EmptySampleError, simulate
 from agecurve.simulate import (
     S_SHAPE,
+    AgeEffect,
     AttritionConfig,
     DgpConfig,
+    MediatorConfig,
     default_attrition_config,
+    default_mediator_config,
     default_truncation_config,
 )
 
@@ -132,6 +135,44 @@ def attrition_runs(draw):
         attrition=AttritionConfig(knee=knee, strength=draw(st.sampled_from((0.0, 0.3, 1.0)))),
     )
     return config, draw(st.integers(min_value=1, max_value=3))
+
+
+@st.composite
+def mediator_runs(draw):
+    slopes = st.floats(min_value=-2.0, max_value=2.0)
+    config = DgpConfig(
+        n=draw(SIZES),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        age_high=draw(st.integers(min_value=30, max_value=100)),
+        age_effect=AgeEffect(linear=draw(st.floats(min_value=-0.1, max_value=0.1))),
+        rounds=draw(ROUNDS),
+        mediator=MediatorConfig(
+            slope_age=draw(slopes),
+            slope_happiness=draw(slopes),
+            direct=draw(st.floats(min_value=-0.1, max_value=0.1)),
+            noise_sd=draw(st.floats(min_value=0.1, max_value=3.0)),
+        ),
+    )
+    return config, draw(st.integers(min_value=2, max_value=4))
+
+
+@given(mediator_runs())
+@settings(max_examples=40, deadline=None)
+def test_mediator_matches_reference(run):
+    config, reps = run
+    assert_same_outcome(*both("mediator", config, reps=reps))
+
+
+@pytest.mark.parametrize("config,reps", [
+    (default_mediator_config(seed=101), 6),
+    (replace(default_mediator_config(seed=8), mediator=MediatorConfig(direct=0.02)), 5),
+    (replace(default_mediator_config(seed=3), n=80, rounds=(4,)), 3),  # one period level
+    (replace(default_mediator_config(seed=3), age_effect=AgeEffect(squared=1e-3)), 3),  # refused
+    (DgpConfig(n=100, seed=1), 3),  # refused: no mediator
+    (default_mediator_config(seed=3), 1),  # refused: one replicate
+], ids=["default", "direct-path", "one-round", "curved", "no-mediator", "one-rep"])
+def test_mediator_cases(config, reps):
+    assert_same_outcome(*both("mediator", config, reps=reps))
 
 
 @given(truncation_runs())
