@@ -375,6 +375,8 @@ def _tally(n: int, rules: Iterable[tuple[str, np.ndarray]]) -> tuple[np.ndarray,
 # Bytes read per block on the byte path; csv reads rows in batches of one
 # per 64 of these bytes. One block, not the file, sets the read's memory.
 _BLOCK_BYTES = 1 << 20
+# The zero bytes after each block, so that each offset starts a word.
+_PAD = bytes(24)
 
 # The decimal kernel reads at most this many digits: below 2**53, so the
 # mantissa and its power of ten are exact doubles.
@@ -491,15 +493,15 @@ class _Codes:
 
 
 def _plain_block(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The 8 bytes from each offset of a block of whole, nonblank lines,
-    and where each cell ends, one row of ``width`` a line; or ``None``
-    when csv might read the block otherwise: it holds a quote, ``\\r`` or
-    NUL, a line longer than the field size limit, or a row of another
-    width. One mask of the block's newlines gives the row count and, with
-    the commas, the cell ends."""
-    if b'"' in data or b"\r" in data or b"\0" in data:
+    """The 8 bytes from each offset of a block of whole, nonblank lines
+    followed by ``_PAD``, and where each cell ends, one row of ``width``
+    a line; or ``None`` when csv might read the block otherwise: it holds
+    a quote, ``\\r`` or NUL, a line longer than the field size limit, or
+    a row of another width. One mask of the block's newlines gives the
+    row count and, with the commas, the cell ends."""
+    if b'"' in data or b"\r" in data or data.find(b"\0", 0, -len(_PAD)) >= 0:
         return None
-    buf = np.frombuffer(data + bytes(24), np.uint8)  # so that each offset starts a word
+    buf = np.frombuffer(data, np.uint8)
     newline = buf == 10
     rows = np.count_nonzero(newline)
     ends = np.flatnonzero(newline | (buf == 44))
@@ -533,10 +535,11 @@ def _read_columns(handle: BinaryIO, width: int, columns: Sequence[tuple[int, _Nu
     UTF-8, and :class:`csv.Error` where csv refuses a row."""
     while True:
         start = handle.tell()
-        data = handle.read(_BLOCK_BYTES) + handle.readline()
+        data, tail = handle.read(_BLOCK_BYTES), handle.readline()
         if not data:
             return
-        data += b"" if data.endswith(b"\n") else b"\n"  # only the last line can lack one
+        # one copy adds the pad, and a newline if the last line lacks one
+        data = b"".join((data, tail, b"" if (tail or data).endswith(b"\n") else b"\n", _PAD))
         view = np.frombuffer(data, np.uint8)
         if view.max() > 127:  # the check that the block is UTF-8, which ASCII is
             data.decode()

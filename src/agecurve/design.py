@@ -2,8 +2,9 @@
 
 Each term declares what it contributes (an intercept, age as a polynomial
 or as range indicators, period and birth-cohort factors, categorical
-controls) and :func:`build_design` turns a :class:`Survey` plus a term
-list into a dense float matrix with one human-readable label per column.
+controls, a synthetic mediator) and :func:`build_design` turns a
+:class:`Survey` plus a term list into a dense float matrix with one
+human-readable label per column.
 Factor encoding is dummy coding against a named reference level; an age
 bin without observations is dropped and logged, never silently absorbed.
 :class:`GroupedDesigns` encodes the terms once over cells of rows (a
@@ -98,7 +99,7 @@ class TermSpec:
 
     Build instances through the classmethods; ``kind`` is one of
     ``intercept``, ``age_linear``, ``age_squared``, ``age_bins``,
-    ``period_factor``, ``cohort_factor``, ``control_factor``.
+    ``period_factor``, ``cohort_factor``, ``control_factor``, ``mediator``.
     ``reference_level`` overrides the default reference of any factor
     term; it has no meaning for the non-factor kinds.
     """
@@ -139,6 +140,10 @@ class TermSpec:
         if width < 1:
             raise ValueError(f"bin width must be >= 1, got {width}")
         return cls(kind="cohort_factor", width=width, reference_level=reference)
+
+    @classmethod
+    def mediator(cls) -> "TermSpec":
+        return cls(kind="mediator")
 
     @classmethod
     def control(cls, name: str, reference: str | None = None) -> "TermSpec":
@@ -349,11 +354,13 @@ class GroupedDesigns:
     every group's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` in the global layout
     straight from the codes, and :meth:`xte` and :meth:`rss` take the
     residual of each group's coefficients row by row; none of these
-    fills a dense matrix. The blocks of the numeric terms, all functions
-    of age, and of each factor with them are age-keyed: they come from
-    weighted sums by (cell, age). Every other block is summed per cell:
-    each factor's ``X̃ᵀỹ`` and its counts by level of each other factor,
-    and ``ỹᵀỹ``. A group's sums are those of its cells, added up.
+    fills a dense matrix. The blocks of the numeric terms that are
+    functions of age, and of each factor with them, are age-keyed: they
+    come from weighted sums by (cell, age). Every other block is summed
+    per cell: each factor's ``X̃ᵀỹ`` and its counts by level of each other
+    factor, and ``ỹᵀỹ``. The mediator, a number given per row, has its
+    column of ``X̃ᵀX̃`` formed as ``X̃ᵀỹ`` is, with itself in place of the
+    response. A group's sums are those of its cells, added up.
     """
 
     def __init__(
@@ -394,8 +401,17 @@ class GroupedDesigns:
         self._age_index: list[int] = []
         # (term, factor, global indices, cell * width + code) per factor
         self._coded: list[tuple[TermSpec, _Factor, np.ndarray, np.ndarray]] = []
+        # (term, global index, values) of a number given per row
+        self._per_row: list[tuple[TermSpec, int, np.ndarray]] = []
         offset = 0
         for term in terms:
+            if term.kind == "mediator":
+                if survey.mediator is None or np.isnan(survey.mediator).any():
+                    raise DesignError("the mediator term needs a mediator value on every row")
+                self._terms.append((term, offset, ("mediator", survey.mediator)))
+                self._per_row.append((term, offset, survey.mediator))
+                offset += 1
+                continue
             if term.kind in _NUMERIC_TERMS:
                 label, column = _NUMERIC_TERMS[term.kind]
                 if term.kind == "intercept":  # its place among the numeric columns
@@ -429,6 +445,7 @@ class GroupedDesigns:
         ]
         view.terms = tuple(term for term, _, _ in view._terms)
         view._coded = [entry for entry in self._coded if entry[0] in terms]
+        view._per_row = [entry for entry in self._per_row if entry[0] in terms]
         if view.terms != tuple(terms):
             raise DesignError("merged terms must be terms of the design, in its order")
         return view
@@ -494,7 +511,7 @@ class GroupedDesigns:
         column = 0
         for (_, _, (term, detail)), levels in zip(self._terms, parts):
             if levels is None:
-                values[:, column] = detail(ages)
+                values[:, column] = detail[rows] if term == "mediator" else detail(ages)
                 column += 1
             else:
                 _fill(values, _column_of(term, levels, column)[term.codes[rows]])
@@ -519,12 +536,9 @@ class GroupedDesigns:
         phi, age = self._age_columns, np.array(self._age_index)
         wy = w * self._response
         gram = np.zeros((c, self.width + 1, self.width + 1))
-        xty = np.zeros((c, self.width + 1))
         outer = (phi[:, :, None] * phi[:, None, :]).reshape(a, -1)
         by_age = np.bincount(self._age_key, w, a * c).reshape(a, 1, c)
         gram[:, age[:, None], age] = self._over_ages(by_age, outer).reshape(c, len(age), len(age))
-        by_age = np.bincount(self._age_key, wy, a * c).reshape(a, 1, c)
-        xty[:, age] = self._over_ages(by_age, phi)[..., 0]
         for k, (_, factor, index, key) in enumerate(self._coded):
             width = len(factor.levels) + 1
             joint = np.bincount((self._age_code * width + factor.codes) * c + self._cell, w, a * width * c)
@@ -533,18 +547,33 @@ class GroupedDesigns:
             gram[:, index[:, None], age] = block.swapaxes(1, 2)
             # the intercept is 1 at every age: its row counts each level
             gram[:, index, index] = block[:, self._one]
-            xty[:, index] = np.bincount(key, wy, c * width).reshape(c, width)[:, :-1]
             for _, other, other_index, other_key in self._coded[:k]:
                 other_width = len(other.levels) + 1
                 pair = np.bincount(other_key * width + factor.codes, w, c * other_width * width)
                 pair = pair.reshape(c, other_width, width)[:, :-1, :-1]
                 gram[:, other_index[:, None], index] = pair
                 gram[:, index[:, None], other_index] = pair.swapaxes(1, 2)
+        for _, j, values in self._per_row:
+            gram[:, :, j] = gram[:, j] = self._cross(w * values)
         # a factor's counts, a missing value's included, count the rows
         counts = [detail[1] for _, _, detail in self._terms if isinstance(detail[0], _Factor)]
         rows = counts[0].sum(axis=1) if counts else np.bincount(self._cell, minlength=c)
-        self._sums = rows, gram, xty, np.bincount(self._cell, wy * self._response, c)
+        self._sums = rows, gram, self._cross(wy), np.bincount(self._cell, wy * self._response, c)
         return self._sums
+
+    def _cross(self, wv: np.ndarray) -> np.ndarray:
+        """Every cell's ``X̃ᵀ(√w·v)`` in the global layout, with the spare
+        column, for each row's ``w·v`` in ``wv``."""
+        c, a = self._n_cells, self._n_ages
+        out = np.zeros((c, self.width + 1))
+        by_age = np.bincount(self._age_key, wv, a * c).reshape(a, 1, c)
+        out[:, self._age_index] = self._over_ages(by_age, self._age_columns)[..., 0]
+        for _, factor, index, key in self._coded:
+            width = len(factor.levels) + 1
+            out[:, index] = np.bincount(key, wv, c * width).reshape(c, width)[:, :-1]
+        for _, j, values in self._per_row:
+            out[:, j] = np.bincount(self._cell, wv * values, c)
+        return out
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every group's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` in the global layout, with one
@@ -562,20 +591,14 @@ class GroupedDesigns:
             table = np.zeros((self._n_cells, len(factor.levels) + 1))
             table[:, :-1] = by_cell[:, index]
             fitted += table.ravel()[key]
+        for _, j, values in self._per_row:
+            fitted += by_cell[self._cell, j] * values
         return self._response - fitted
 
     def xte(self, coef: np.ndarray) -> np.ndarray:
         """Every group's ``X̃ᵀ(ỹ − X̃β)`` in the global layout, for its
         coefficients β in the rows of ``coef``."""
-        c, a = self._n_cells, self._n_ages
-        wr = self._weight * self._residual(coef)
-        out = np.zeros((c, coef.shape[1]))
-        by_age = np.bincount(self._age_key, wr, a * c).reshape(a, 1, c)
-        out[:, self._age_index] = self._over_ages(by_age, self._age_columns)[..., 0]
-        for _, factor, index, key in self._coded:
-            width = len(factor.levels) + 1
-            out[:, index] = np.bincount(key, wr, c * width).reshape(c, width)[:, :-1]
-        return self._sum(out)
+        return self._sum(self._cross(self._weight * self._residual(coef)))
 
     def rss(self, coef: np.ndarray) -> np.ndarray:
         """Every group's ``‖ỹ − X̃β‖²``, for its coefficients β in the rows

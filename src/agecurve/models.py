@@ -6,9 +6,10 @@ country, by complete controls and by age up to a cut, the spec's cap or
 69 without one. Each cell's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` come from grouped sums
 over the codes (Wong, Lewis & Wardrop, "You Only Compress Once",
 arXiv:2102.11297), and a spec fits the union of the cells it keeps.
-A survey keeps one pass (:func:`_designs`); a Monte Carlo replicate
-fits its sample and a subset of its rows, those up to its cap or those
-that attrition leaves, from one pass the same way (:func:`_nested_fits`).
+A survey keeps one pass (:func:`_designs`); the replicates of a Monte
+Carlo experiment, stacked as the countries of one survey, fit their
+samples and a subset of each one's rows, those that attrition leaves,
+from one pass the same way (:func:`_nested_fits`).
 The countries asked for are solved in one stacked call of the
 :mod:`agecurve.wls` kernel, without a dense design. Only a country whose
 Gram matrix has no Cholesky factor or fails the full-rank certificate,
@@ -194,17 +195,17 @@ def _designs(survey: Survey, spec: ModelSpec, pooled: bool, codes: np.ndarray, n
 class _SpecFits:
     """One spec over every country of a survey, or over the pooled
     sample, from the survey's pass (see :func:`_designs`); :meth:`fit`
-    fits countries. A country's group is the union of the cells it
-    keeps. ``index`` maps each country that holds rows, in
-    first-appearance order, to its group. Given ``designs``, they fit
-    the rows ``kept`` (None: all), country ``g`` in their group ``g``
-    (see :func:`_nested_fits`)."""
+    fits groups by position and :meth:`named` countries by name. A
+    country's group is the union of the cells it keeps. ``index`` maps
+    each country that holds rows, in first-appearance order, to its
+    group. Given ``designs``, a view of a pass in place of ``spec``'s,
+    they fit the rows ``kept`` (None: all), country ``g`` in their
+    group ``g`` (see :func:`_nested_fits`)."""
 
     def __init__(
-        self, survey: Survey, spec: ModelSpec, pooled: bool,
+        self, survey: Survey, spec: ModelSpec | None, pooled: bool,
         designs: GroupedDesigns | None = None, kept: np.ndarray | None = None,
     ) -> None:
-        self.spec = spec
         codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
         n_groups = 1 if pooled else len(survey.country_levels)
         held = codes if kept is None else codes[kept]
@@ -212,70 +213,69 @@ class _SpecFits:
         # A stable sort by code starts each country's run at its first row.
         order = np.argsort(held.astype(np.min_scalar_type(n_groups)), kind="stable")
         firsts = np.sort(order[(np.cumsum(self.rows) - self.rows)[self.rows > 0]])
-        self.index = {None: 0} if pooled else {
-            survey.country_levels[g]: g for g in held[firsts].tolist()
-        }
+        self.names = (None,) if pooled else survey.country_levels
+        self.index = {self.names[g]: g for g in held[firsts].tolist()}
         self.designs = _designs(survey, spec, pooled, codes, n_groups) if designs is None else designs
         self.held = self.designs.held_rows()
         self.n_periods = self.designs.held_levels("period_factor")
+        self.cohort = any(term.kind == "cohort_factor" for term in self.designs.terms)
 
-    def _layout(self, country: str | None) -> tuple[int, np.ndarray, list[str]]:
-        """A country's group and its design's columns (see
-        :meth:`GroupedDesigns.layout`), or the error that says why the
-        spec is not identified on it."""
-        if country not in self.index:
-            raise EmptySampleError(f"country {country!r} not in the survey")
-        g = self.index[country]
+    def _layout(self, g: int) -> tuple[np.ndarray, list[str]]:
+        """Group ``g``'s design's columns (see :meth:`GroupedDesigns.layout`),
+        or the error that says why its spec is not identified on it."""
         if not self.held[g]:
             raise EmptySampleError(f"filter removed all {self.rows[g]} records")
         n_periods = int(self.n_periods[g])
-        if self.spec.cohort_control and n_periods < 2:
+        if self.cohort and n_periods < 2:
             raise DesignError(
                 f"only {n_periods} distinct survey round(s); "
                 "cohort-controlled fit skipped"
             )
-        return (g, *self.designs.layout(g))
+        return self.designs.layout(g)
 
-    def fit(self, countries: Iterable[str | None]) -> dict[str | None, FitResult | ValueError]:
-        """Each country's fit (``None``: the pooled sample), as
-        :func:`fit_spec` describes it, or the error it raises: the one
-        place that decides whether a spec is identified on a sample.
+    def fit(self, groups: Sequence[int]) -> list[FitResult | ValueError]:
+        """The fit of each of ``groups``, as :func:`fit_spec` describes
+        it, or the error it raises: the one place that decides whether a
+        spec is identified on a sample.
 
-        Every country with more rows than columns is solved in one
-        stack from the grouped sufficient statistics. A country that the
-        stack's certificate does not clear, or with too few rows, has
-        its dense design built and goes through :func:`fit_wls`, which
-        names the suspect columns of a rank-deficient design."""
-        out: dict[str | None, FitResult | ValueError] = {}
+        Every group with more rows than columns is solved in one stack
+        from the grouped sufficient statistics. A group that the stack's
+        certificate does not clear, or with too few rows, has its dense
+        design built and goes through :func:`fit_wls`, which names the
+        suspect columns of a rank-deficient design."""
+        out: dict[int, FitResult | ValueError] = {}
         stack, dense = [], []
-        for country in dict.fromkeys(countries):
+        for g in dict.fromkeys(groups):
             try:
-                g, columns, labels = self._layout(country)
+                columns, labels = self._layout(g)
             except ValueError as exc:
-                out[country] = exc
+                out[g] = exc
                 continue
-            (stack if self.held[g] > len(labels) else dense).append((country, g, columns, labels))
+            (stack if self.held[g] > len(labels) else dense).append((g, columns, labels))
         if stack:
             dense.extend(self._solve(stack, out))
-        for country, g, _, _ in dense:
+        for g, _, _ in dense:
             try:
-                out[country] = self._noted(country, g, fit_wls(self.designs.design(g)))
+                out[g] = self._noted(g, fit_wls(self.designs.design(g)))
             except ValueError as exc:
-                out[country] = exc
-        return out
+                out[g] = exc
+        return [out[g] for g in groups]
 
-    def one(self, country: str | None) -> FitResult:
-        """The fit of ``country``, raising the error :meth:`fit` records."""
-        if isinstance(fit := self.fit([country])[country], ValueError):
-            raise fit
-        return fit
+    def named(self, countries: Sequence[str | None]) -> dict[str | None, FitResult | ValueError]:
+        """:meth:`fit` by country (``None``: the pooled sample); a country
+        that holds no row is not in the survey."""
+        known = [country for country in countries if country in self.index]
+        fits = dict(zip(known, self.fit([self.index[country] for country in known])))
+        for country in countries:
+            fits.setdefault(country, EmptySampleError(f"country {country!r} not in the survey"))
+        return fits
 
-    def _noted(self, country: str | None, g: int, fit: FitResult) -> FitResult:
+    def _noted(self, g: int, fit: FitResult) -> FitResult:
         """``fit``, with a note when it rests on fewer than three rounds."""
         n_periods = int(self.n_periods[g])
         if n_periods >= 3:
             return fit
-        label = country if country is not None else "pooled sample"
+        label = self.names[g] if self.names[g] is not None else "pooled sample"
         note = (
             f"{label}: only {n_periods} distinct survey round(s); period "
             "and cohort factors have little leverage"
@@ -288,10 +288,10 @@ class _SpecFits:
         gram, xty, yty = self.designs.moments()
         spare = self.designs.width
         widths = np.array([len(labels) for *_, labels in stack])
-        groups = np.array([g for _, g, _, _ in stack])
-        # each country's columns, then the all-zero spare column
+        groups = np.array([g for g, _, _ in stack])
+        # each group's columns, then the all-zero spare column
         index = np.full((len(stack), widths.max()), spare)
-        for i, (_, _, columns, _) in enumerate(stack):
+        for i, (_, columns, _) in enumerate(stack):
             index[i, : len(columns)] = columns
 
         def spread(beta: np.ndarray) -> np.ndarray:
@@ -307,14 +307,14 @@ class _SpecFits:
             lambda b: self.designs.rss(spread(b))[groups],
         )
         rejected = []
-        for i, (country, g, columns, labels) in enumerate(stack):
+        for i, (g, columns, labels) in enumerate(stack):
             if not certified[i]:
                 rejected.append(stack[i])
                 continue
             k = len(labels)
             # the intercept row of the Gram matrix holds Σw·x for every column
             sums = gram[g, columns[labels.index("const")], columns]
-            out[country] = self._noted(country, g, _fit_result(
+            out[g] = self._noted(g, _fit_result(
                 labels, int(self.held[g]), beta[i, :k], r_inv[i, :k, :k], float(rss[i]),
                 float(yty[g]), sums / sums[labels.index("const")],
             ))
@@ -338,7 +338,14 @@ def fit_spec(
     cohort factors are identified but have little leverage, and the
     fit's ``notes`` say so.
     """
-    return _SpecFits(survey, spec, pooled=country is None).one(country)
+    return _fitted(_SpecFits(survey, spec, pooled=country is None).named([country])[country])
+
+
+def _fitted(fit: FitResult | ValueError) -> FitResult:
+    """``fit``, raising it if it is the error a fit recorded."""
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
 
 _AGE_BLOCK = ("const", "age", "age_sq")
@@ -461,20 +468,21 @@ def adjusted_means(
 
 
 def _nested_fits(
-    survey: Survey, spec: ModelSpec, country: str, drop: np.ndarray | None
-) -> tuple[FitResult, FitResult]:
-    """``fit_spec(survey, spec, country)`` and the same without the rows
-    ``drop`` (None: none), raising as those would, from one pass over
-    ``survey`` whose groups are ``c`` for the rows of country ``c`` that
-    stay and ``c + n`` for those dropped, of ``n`` countries: the full
-    sample keeps the cells of both, the subset those of the first."""
-    if drop is None:
-        return (fit_spec(survey, spec, country),) * 2
+    survey: Survey, spec: ModelSpec, drop: np.ndarray | None
+) -> tuple[list[FitResult | ValueError], list[FitResult | ValueError]]:
+    """Each country's fit by position, as :func:`fit_spec` fits it and
+    records its error, and the same without the rows ``drop`` (None:
+    none), from one pass over ``survey`` whose groups are ``c`` for the
+    rows of country ``c`` that stay and ``c + n`` for those dropped, of
+    ``n`` countries: the full sample keeps the cells of both, the subset
+    those of the first."""
     n, terms = len(survey.country_levels), terms_for(spec)
+    if drop is None:
+        return (_SpecFits(survey, spec, False).fit(range(n)),) * 2
     designs = _pass(survey, terms, spec.age_cap or _CUT, survey.country_codes + n * drop, 2 * n)
     countries = np.arange(n)[:, None]
     return tuple(
-        _SpecFits(survey, spec, False, designs.merged(_kept(spec, groups), terms), kept).one(country)
+        _SpecFits(survey, spec, False, designs.merged(_kept(spec, groups), terms), kept).fit(range(n))
         for groups, kept in ((countries + [0, n], None), (countries, ~drop))
     )
 
@@ -514,7 +522,7 @@ def batch_fit(
     fits = _SpecFits(survey, spec, pooled=False)
     if countries is None:
         countries = list(fits.index)
-    outcomes = fits.fit(countries)
+    outcomes = fits.named(countries)
     results: list[CountryResult] = []
     for country in countries:
         result = CountryResult(country=country)

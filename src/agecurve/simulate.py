@@ -29,6 +29,12 @@ sample the base draws (ages, rounds, noise, mediator noise, in that
 order) come from a different child stream than the attrition uniforms,
 so toggling attrition or appending new draw kinds never perturbs the
 draws that came before.
+
+Each replicate draws its own sample. The replicates are then fitted as
+countries are, a chunk of them under a fixed row count at a time: their
+samples become the countries of one survey, fitted from one pass over
+it (see :mod:`agecurve.models`), and no replicate's fit or error depends
+on the others.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import DEFAULT_ROUND_MAP, Survey
-from .design import FINE_BINS, DesignMatrix, TermSpec, build_design
-from .models import PRESETS, _nested_fits, curve_from_fit, fit_spec
-from .wls import RankDeficientError, fit_wls
+from .design import FINE_BINS, GroupedDesigns, TermSpec
+from .models import PRESETS, _fitted, _nested_fits, _SpecFits, curve_from_fit
+from .wls import RankDeficientError
 
 __all__ = [
     "AgeEffect",
@@ -264,14 +270,35 @@ def _draw(config: DgpConfig) -> tuple[Survey, np.ndarray | None]:
     return survey, drop
 
 
-def _with_mediator_column(design: DesignMatrix, values: np.ndarray) -> DesignMatrix:
-    return DesignMatrix(
-        values=np.column_stack([design.values, values]),
-        column_labels=[*design.column_labels, "mediator"],
-        row_weights=design.row_weights,
-        response=design.response,
-        dropped_levels=list(design.dropped_levels),
+# The most rows of one pass: an experiment fits its replicates a chunk
+# of them at a time, so that its memory does not grow with their number.
+_CHUNK_ROWS = 1 << 15
+
+
+def _fit_replicates(config: DgpConfig, seeds: list[int], fit) -> list:
+    """What ``fit(survey, drop)`` gives each replicate, in replicate
+    order: ``survey`` stacks the :func:`_draw` of each replicate of a
+    chunk under ``_CHUNK_ROWS`` rows, replicate ``i`` of the chunk as its
+    country ``i``, and ``drop`` the rows attrition drops (None: none)."""
+    per, out = max(1, _CHUNK_ROWS // config.n), []
+    for first in range(0, len(seeds), per):
+        out.extend(fit(*_stacked([_draw(replace(config, seed=seed)) for seed in seeds[first : first + per]])))
+    return out
+
+
+def _stacked(draws: list[tuple[Survey, np.ndarray | None]]) -> tuple[Survey, np.ndarray | None]:
+    """The samples of ``draws`` as the countries of one survey, and the rows dropped."""
+    surveys, drops = zip(*draws)
+    survey = Survey(
+        country_codes=np.repeat(np.arange(len(surveys)), [len(s) for s in surveys]),
+        country_levels=tuple(map(str, range(len(surveys)))),
+        **{
+            name: np.concatenate([getattr(survey, name) for survey in surveys])
+            for name in ("round", "period_year", "age", "happiness", "weight", "mediator")
+            if getattr(surveys[0], name) is not None
+        },
     )
+    return survey, None if drops[0] is None else np.concatenate(drops)
 
 
 @dataclass(frozen=True)
@@ -404,9 +431,11 @@ def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> Sim
     """Total versus direct age effect under a mediator control.
 
     Each replicate fits happiness on age (plus period factors) twice,
-    without and with the mediator as a regressor. The Monte Carlo means
-    are checked against the exact targets ``direct + slope_age *
-    slope_happiness`` and ``direct``, within three MC standard errors.
+    without and with the mediator as a regressor, both from one pass
+    over its sample; the first replicate whose fit fails raises its
+    error. The Monte Carlo means are checked against the exact targets
+    ``direct + slope_age * slope_happiness`` and ``direct``, within
+    three MC standard errors.
     """
     if config is None:
         config = default_mediator_config()
@@ -420,17 +449,22 @@ def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> Sim
 
     # The Monte Carlo standard error of the checks needs two replicates.
     seeds = _replicate_seeds(config.seed, reps, minimum=2)
-    terms = [TermSpec.intercept(), TermSpec.age_linear(), TermSpec.period()]
-    totals = np.empty(reps)
-    directs = np.empty(reps)
-    mediator_coefs = np.empty(reps)
-    for i, seed in enumerate(seeds):
-        survey = generate(replace(config, seed=seed))
-        design = build_design(survey, terms)
-        totals[i] = fit_wls(design).coef("age")
-        with_mediator = fit_wls(_with_mediator_column(design, survey.mediator))
-        directs[i] = with_mediator.coef("age")
-        mediator_coefs[i] = with_mediator.coef("mediator")
+    terms = [TermSpec.intercept(), TermSpec.age_linear(), TermSpec.period(), TermSpec.mediator()]
+
+    def fit_chunk(survey: Survey, _) -> list[tuple[float, float, float]]:
+        """Each replicate's age slope without and with the mediator, and the mediator's."""
+        k = len(survey.country_levels)
+        designs = GroupedDesigns(survey, terms, survey.country_codes, k)
+        without, with_mediator = (
+            _SpecFits(survey, None, False, designs=designs.merged(np.arange(k)[:, None], model)).fit(range(k))
+            for model in (terms[:-1], terms)
+        )
+        return [
+            (_fitted(total).coef("age"), _fitted(direct).coef("age"), direct.coef("mediator"))
+            for total, direct in zip(without, with_mediator)
+        ]
+
+    totals, directs, mediator_coefs = np.array(_fit_replicates(config, seeds, fit_chunk)).T
 
     med = config.mediator
     total_target = config.age_effect.linear + med.total_effect
@@ -463,14 +497,16 @@ def experiment_truncation(
     """Quadratic curvature under an age cap versus the full age range.
 
     Each replicate fits the quadratic (with period factors) on all ages
-    and again on ages at most ``cap_age``, by :func:`fit_spec` under
+    and again on ages at most ``cap_age``, as :func:`batch_fit` fits
     ``quad-nocontrols-nocap`` and ``quad-nocontrols-cap`` capped at
-    ``cap_age``: at the default cap both come from one pass over the
-    sample. With the s-shaped default truth the capped fit shows more
-    curvature, because the cap removes the late-life decline the
-    quadratic would otherwise have to average in. The contract check:
-    the capped age-squared coefficient exceeds the full-range one in at
-    least 95 percent of replicates.
+    ``cap_age``: at the default cap both come from one pass. A replicate
+    with no age above the cap keeps its full fit as its capped fit, and
+    the first replicate whose fit fails raises its error. With the
+    s-shaped default truth the capped fit shows more curvature, because
+    the cap removes the late-life decline the quadratic would otherwise
+    have to average in. The contract check: the capped age-squared
+    coefficient exceeds the full-range one in at least 95 percent of
+    replicates.
     """
     if config is None:
         config = default_truncation_config()
@@ -483,14 +519,20 @@ def experiment_truncation(
     capped_spec = replace(PRESETS["quad-nocontrols-cap"], age_cap=cap_age)
     seeds = _replicate_seeds(config.seed, reps)
     # the full and the capped fit's age and age_sq coefficients, per replicate
-    coefs = np.empty((2, 2, reps))
-    for i, seed in enumerate(seeds):
-        survey = generate(replace(config, seed=seed))
-        full = fit_spec(survey, full_spec)
-        # a cap above every age leaves the full sample, and so the full fit
-        capped = fit_spec(survey, capped_spec) if (survey.age > cap_age).any() else full
-        coefs[:, :, i] = [[fit.coef("age"), fit.coef("age_sq")] for fit in (full, capped)]
-    (full_age, full_sq), (capped_age, capped_sq) = coefs
+
+    def fit_chunk(survey: Survey, _) -> list[list[list[float]]]:
+        """Each replicate's full and capped fit's age and age_sq coefficients."""
+        k = len(survey.country_levels)
+        full, capped = (_SpecFits(survey, spec, False).fit(range(k)) for spec in (full_spec, capped_spec))
+        # a cap above every age of a replicate leaves its full sample, and so its full fit
+        binding = np.bincount(survey.country_codes, survey.age > cap_age, k) > 0
+        return [
+            [[fit.coef("age"), fit.coef("age_sq")] for fit in map(_fitted, (f, c if bound else f))]
+            for f, c, bound in zip(full, capped, binding.tolist())
+        ]
+
+    coefs = np.array(_fit_replicates(config, seeds, fit_chunk))
+    (full_age, full_sq), (capped_age, capped_sq) = coefs.transpose(1, 2, 0)
 
     frac_inflated = float(np.mean(capped_sq > full_sq))
     estimates = {
@@ -521,7 +563,7 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
 
     Each replicate draws its sample once, with the rows attrition drops
     from it, fits fine-scheme adjusted means to the full sample and to
-    the rows that stay, both from one encoding of the sample, and
+    the rows that stay, both from one pass over the sample, and
     records the attrited-minus-full level difference for every bin at
     or above the knee. With positive strength the difference must be
     positive in at least 95 percent of replicates per late bin; with
@@ -554,19 +596,26 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
 
     seeds = _replicate_seeds(config.seed, reps)
     inflations = {label: np.full(reps, np.nan) for label in late_bins}
-    unfitted = 0
-    for i, seed in enumerate(seeds):
-        survey, drop = _draw(replace(config, seed=seed))
-        try:
-            full_curve, attrited_curve = (
-                curve_from_fit(fit, config.country, "fine")
-                for fit in _nested_fits(survey, PRESETS["ranges-fine"], config.country, drop)
-            )
-        except RankDeficientError:
-            unfitted += 1
-            continue
-        for label in set(inflations) & set(full_curve.bin_labels) & set(attrited_curve.bin_labels):
-            inflations[label][i] = attrited_curve.level(label) - full_curve.level(label)
+
+    def fit_chunk(survey: Survey, drop: np.ndarray | None) -> list[dict[str, float] | None]:
+        """Each replicate's attrited-minus-full level of the late bins
+        that both curves hold, or None when it cannot be fitted."""
+        out = []
+        for fits in zip(*_nested_fits(survey, PRESETS["ranges-fine"], drop)):
+            try:
+                full, attrited = (curve_from_fit(_fitted(fit), config.country, "fine") for fit in fits)
+            except RankDeficientError:
+                out.append(None)
+                continue
+            held = set(inflations) & set(full.bin_labels) & set(attrited.bin_labels)
+            out.append({label: attrited.level(label) - full.level(label) for label in held})
+        return out
+
+    differences = _fit_replicates(config, seeds, fit_chunk)
+    unfitted = differences.count(None)
+    for i, difference in enumerate(differences):
+        for label, value in (difference or {}).items():
+            inflations[label][i] = value
 
     estimates = {f"inflation:{label}": inflations[label] for label in late_bins}
     metrics: dict[str, float] = {}

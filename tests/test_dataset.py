@@ -626,7 +626,7 @@ KERNEL_FORM = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)")
 def kernel(cells):
     """:func:`dataset._decimals` over ``cells``, laid out as the first
     column of a plain block."""
-    data = "".join("x," + cell + "\n" for cell in cells).encode()
+    data = "".join("x," + cell + "\n" for cell in cells).encode() + dataset._PAD
     words, ends = dataset._plain_block(data, 2)
     starts = ends[:, 0] + 1
     return dataset._decimals(words, starts, ends[:, 1] - starts)

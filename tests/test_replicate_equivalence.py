@@ -1,22 +1,26 @@
-"""The truncation and attrition experiments against the per-sample
-reference in ``replicate_path.py``.
+"""The Monte Carlo experiments against the per-sample reference in
+``replicate_path.py``.
 
-The package draws each replicate once and fits its two nested samples
-from one encoding: the capped sample shares the full one's quadratic
-pass, and the attrited sample is a cell of the full one's ranges
-encoding. The reference encodes and fits every sample on its own, and
-draws the attrited sample a second time. Random configurations run
-through both, with sample sizes from 60 to 5000, caps other than 69,
-knees above and below the oldest age, and strengths 0, 0.3 and 1. For
-every replicate the two must give estimates within 1e-10 relative, the
-same NaN pattern, the same counts of replicates with no respondent in a
-bin and of replicates that could not be fitted, and identical check
-names, verdicts and details. A configuration that one path refuses the
-other refuses with an error of the same class; a rank-deficient fit
-names the same columns on both. Only an empty capped sample is worded
-differently: ``filter removed all N records`` from the spec's filter
-against ``cannot build a design from zero records`` from the old
-design build.
+The package draws each replicate once and fits the replicates of a
+chunk as the countries of one stacked survey, from one pass and one
+stacked solve: the mediator's two models are two views of that pass,
+the capped sample shares the full one's quadratic pass, and the
+attrited sample is a cell of the full one's ranges pass. The reference
+fits every replicate on its own: the mediator through one dense design
+with the mediator column appended and two ``fit_wls`` calls, the other
+samples each encoded and fitted alone, the attrited one drawn a second
+time. Random configurations run through both, with sample sizes from 60
+to 5000, caps other than 69, knees above and below the oldest age,
+strengths 0, 0.3 and 1, and mediator slopes, direct paths and noise of
+either sign and size. For every replicate the two must give estimates
+within 1e-10 relative, the same NaN pattern, the same counts of
+replicates with no respondent in a bin and of replicates that could not
+be fitted, and identical check names, verdicts and details. A
+configuration that one path refuses the other refuses with an error of
+the same class; a rank-deficient fit names the same columns on both.
+Only an empty capped sample is worded differently: ``filter removed all
+N records`` from the spec's filter against ``cannot build a design from
+zero records`` from the old design build.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ from agecurve import (
     generate,
 )
 import replicate_path
-from agecurve.simulate import _draw
+from agecurve import simulate
+from agecurve.simulate import _draw, _fit_replicates, _replicate_seeds
 from record_path import rows
 
 
@@ -347,3 +348,89 @@ class TestExperiments:
         )
         assert not result.passed
         assert "FAIL" in result.summary()
+
+
+def assert_identical(a, b):
+    """Two results equal in every field, bit for bit, NaN matching NaN."""
+    assert (a.experiment, a.master_seed, a.n_reps, a.seeds) == (b.experiment, b.master_seed, b.n_reps, b.seeds)
+    assert a.summary() == b.summary()
+    for table in ("estimates", "targets", "mc_mean", "mc_sd", "metrics"):
+        ours, theirs = getattr(a, table), getattr(b, table)
+        assert list(ours) == list(theirs)
+        for name in ours:
+            assert np.array_equal(ours[name], theirs[name], equal_nan=True), (table, name)
+    assert [(c.name, c.passed, c.detail) for c in a.checks] == [(c.name, c.passed, c.detail) for c in b.checks]
+    for check, other in zip(a.checks, b.checks):
+        assert np.array_equal([check.observed, check.target], [other.observed, other.target], equal_nan=True)
+
+
+class TestChunks:
+    """Replicates are fitted a chunk of ``simulate._CHUNK_ROWS`` rows at a
+    time. With the budget made small, a run over three or more chunks
+    gives the very result of a run in one chunk, so no replicate's fit
+    depends on the replicates stacked with it."""
+
+    def run_both(self, monkeypatch, experiment, config, reps, budget, chunks, **kwargs):
+        seeds = _replicate_seeds(config.seed, reps)
+        sizes = lambda: _fit_replicates(config, seeds, lambda survey, _: [len(survey.country_levels)])
+        assert sizes() == [reps]
+        whole = experiment(config, reps=reps, **kwargs)
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", budget)
+        assert len(sizes()) == chunks
+        chunked = experiment(config, reps=reps, **kwargs)
+        assert_identical(chunked, whole)
+        return chunked
+
+    def test_unfittable_replicate_in_a_middle_chunk(self, monkeypatch):
+        # The third of four replicates, alone in the third chunk, has one
+        # respondent in its 85+ bin and cannot be fitted.
+        config = replace(default_attrition_config(seed=4, strength=0.5), n=200, age_high=85)
+        result = self.run_both(monkeypatch, experiment_attrition, config, 4, 200, 4)
+        for values in result.estimates.values():
+            assert np.isnan(values).tolist() == [False, False, True, False]
+        for check in result.checks:
+            assert check.detail.endswith("; 1 of 4 replicates could not be fitted")
+
+    def test_replicates_with_no_age_above_the_cap(self, monkeypatch):
+        config = replace(default_truncation_config(seed=2), n=60, age_high=80)
+        result = self.run_both(monkeypatch, experiment_truncation, config, 12, 240, 3, cap_age=79)
+        full, capped = result.estimates["full_age_sq"], result.estimates["capped_age_sq"]
+        uncapped = [
+            not (generate(replace(config, seed=seed)).age > 79).any() for seed in result.seeds
+        ]
+        assert 0 < sum(uncapped) < 12 and (full == capped).tolist() == uncapped
+
+    def test_pass_of_more_than_256_cells(self, monkeypatch):
+        # One chunk of 40 replicates splits into 8 cells each, 320 in
+        # all; a chunk of 15 holds 120. Keys formed from narrow codes
+        # would wrap past 256 cells under numpy 1's value-based casting.
+        config = replace(default_attrition_config(seed=9, strength=1.0), n=300)
+        self.run_both(monkeypatch, experiment_attrition, config, 40, 300 * 15, 3)
+
+    def test_mediator_across_chunks(self, monkeypatch):
+        config = replace(default_mediator_config(seed=6), n=500)
+        self.run_both(monkeypatch, experiment_mediator, config, 7, 1000, 4)
+
+
+class TestReplicateErrors:
+    """A replicate whose fit fails raises its error, the first such
+    replicate first; attrition counts its replicates that cannot be
+    fitted instead."""
+
+    def test_mediator_raises_the_rank_deficient_replicate(self):
+        # a mediator without noise is a multiple of age
+        config = replace(default_mediator_config(seed=3), n=300, mediator=MediatorConfig(noise_sd=1e-12))
+        with pytest.raises(ValueError, match="rank deficient") as raised:
+            experiment_mediator(config, reps=3)
+        with pytest.raises(ValueError) as reference:
+            replicate_path.experiment_mediator(config, reps=3)
+        assert type(raised.value) is type(reference.value) and str(raised.value) == str(reference.value)
+
+    def test_truncation_raises_the_first_failing_fit(self):
+        # ages 69 and 70 only: age squared is a linear function of age
+        config = replace(default_truncation_config(seed=5), n=200, age_low=69, age_high=70)
+        with pytest.raises(ValueError) as raised:
+            experiment_truncation(config, reps=3)
+        with pytest.raises(ValueError) as reference:
+            replicate_path.experiment_truncation(config, reps=3)
+        assert type(raised.value) is type(reference.value) and str(raised.value) == str(reference.value)
