@@ -211,94 +211,91 @@ def generate(config: DgpConfig) -> Survey:
     return survey if drop is None else survey.take(~drop)
 
 
-def _draw(config: DgpConfig) -> tuple[Survey, np.ndarray | None]:
+def _draw(config: DgpConfig, seeds: Sequence[int] | None = None) -> tuple[Survey, np.ndarray | None]:
     """The sample :func:`generate` draws with ``attrition=None``, and the
-    rows that attrition drops from it (None at strength 0 or without)."""
-    base_stream, attrition_stream = np.random.SeedSequence(config.seed).spawn(2)
-    rng = np.random.default_rng(base_stream)
+    rows that attrition drops from it (None at strength 0 or without).
+    Given ``seeds``, the samples of ``config`` under each of them, drawn
+    one at a time, as the countries ``"0"``, ``"1"``, ... of one survey."""
+    parts = []
+    for seed in [config.seed] if seeds is None else seeds:
+        base_stream, attrition_stream = np.random.SeedSequence(seed).spawn(2)
+        rng = np.random.default_rng(base_stream)
 
-    ages = rng.integers(config.age_low, config.age_high + 1, size=config.n)
-    rounds = rng.choice(np.asarray(config.rounds, dtype=np.int64), size=config.n)
-    noise = rng.normal(0.0, config.noise_sd, size=config.n)
+        ages = rng.integers(config.age_low, config.age_high + 1, size=config.n)
+        rounds = rng.choice(np.asarray(config.rounds, dtype=np.int64), size=config.n)
+        noise = rng.normal(0.0, config.noise_sd, size=config.n)
 
-    years = DEFAULT_ROUND_MAP.base + DEFAULT_ROUND_MAP.step * rounds
-    births = years - ages
+        years = DEFAULT_ROUND_MAP.base + DEFAULT_ROUND_MAP.step * rounds
+        births = years - ages
 
-    deterministic = config.intercept + config.age_effect.values(ages)
-    if config.cohort_effect:
-        starts = (births // 5) * 5
-        deterministic += np.array(
-            [config.cohort_effect.get(int(s), 0.0) for s in starts]
-        )
-    if config.period_effect:
-        deterministic += np.array(
-            [config.period_effect.get(int(r), 0.0) for r in rounds]
-        )
+        deterministic = config.intercept + config.age_effect.values(ages)
+        if config.cohort_effect:
+            starts = (births // 5) * 5
+            deterministic += np.array(
+                [config.cohort_effect.get(int(s), 0.0) for s in starts]
+            )
+        if config.period_effect:
+            deterministic += np.array(
+                [config.period_effect.get(int(r), 0.0) for r in rounds]
+            )
 
-    stochastic = noise
-    mediator_values: np.ndarray | None = None
-    if config.mediator is not None:
-        med = config.mediator
-        mediator_noise = rng.normal(0.0, med.noise_sd, size=config.n)
-        mediator_values = med.slope_age * ages + mediator_noise
-        deterministic = deterministic + med.direct * ages
-        deterministic = deterministic + med.slope_happiness * med.slope_age * ages
-        stochastic = stochastic + med.slope_happiness * mediator_noise
+        stochastic = noise
+        mediator_values: np.ndarray | None = None
+        if config.mediator is not None:
+            med = config.mediator
+            mediator_noise = rng.normal(0.0, med.noise_sd, size=config.n)
+            mediator_values = med.slope_age * ages + mediator_noise
+            deterministic = deterministic + med.direct * ages
+            deterministic = deterministic + med.slope_happiness * med.slope_age * ages
+            stochastic = stochastic + med.slope_happiness * mediator_noise
 
-    happiness = deterministic + stochastic
-    if config.clamp:
-        happiness = np.clip(np.rint(happiness), 0.0, 10.0)
+        happiness = deterministic + stochastic
+        if config.clamp:
+            happiness = np.clip(np.rint(happiness), 0.0, 10.0)
 
+        drop = None
+        if config.attrition is not None and config.attrition.strength > 0.0:
+            uniforms = np.random.default_rng(attrition_stream).random(config.n)
+            drop = (
+                (ages > config.attrition.knee)
+                & (stochastic < 0.0)
+                & (uniforms < config.attrition.strength)
+            )
+        parts.append((rounds, years, ages, happiness, mediator_values, drop))
+
+    rounds, years, ages, happiness, mediator, drop = (
+        None if column[0] is None else np.concatenate(column) for column in zip(*parts)
+    )
     survey = Survey(
-        country_codes=np.zeros(config.n, dtype=np.int64),
-        country_levels=(config.country,),
+        country_codes=np.repeat(np.arange(len(parts)), config.n),
+        country_levels=(config.country,) if seeds is None else tuple(map(str, range(len(parts)))),
         round=rounds,
         period_year=years,
         age=ages,
         happiness=happiness,
-        weight=np.ones(config.n),
-        mediator=mediator_values,
-    )
-    if config.attrition is None or config.attrition.strength == 0.0:
-        return survey, None
-    uniforms = np.random.default_rng(attrition_stream).random(config.n)
-    drop = (
-        (ages > config.attrition.knee)
-        & (stochastic < 0.0)
-        & (uniforms < config.attrition.strength)
+        weight=np.ones(len(ages)),
+        mediator=mediator,
     )
     return survey, drop
 
 
-# The most rows of one pass: an experiment fits its replicates a chunk
-# of them at a time, so that its memory does not grow with their number.
+# The most rows of one pass. An experiment fits its replicates a chunk
+# of them at a time, so that its memory does not grow with their number:
+# 200 replicates of 5,000 rows peak 4-5 MB above fitting each replicate
+# alone at 2**15 rows, and 10-12 MB at 2**16.
 _CHUNK_ROWS = 1 << 15
 
 
 def _fit_replicates(config: DgpConfig, seeds: list[int], fit) -> list:
     """What ``fit(survey, drop)`` gives each replicate, in replicate
-    order: ``survey`` stacks the :func:`_draw` of each replicate of a
-    chunk under ``_CHUNK_ROWS`` rows, replicate ``i`` of the chunk as its
-    country ``i``, and ``drop`` the rows attrition drops (None: none)."""
+    order, for the :func:`_draw` of each chunk of replicates under
+    ``_CHUNK_ROWS`` rows: replicate ``i`` of the chunk is the survey's
+    country ``i``, and ``drop`` holds the rows attrition drops (None:
+    none)."""
     per, out = max(1, _CHUNK_ROWS // config.n), []
     for first in range(0, len(seeds), per):
-        out.extend(fit(*_stacked([_draw(replace(config, seed=seed)) for seed in seeds[first : first + per]])))
+        out.extend(fit(*_draw(config, seeds[first : first + per])))
     return out
-
-
-def _stacked(draws: list[tuple[Survey, np.ndarray | None]]) -> tuple[Survey, np.ndarray | None]:
-    """The samples of ``draws`` as the countries of one survey, and the rows dropped."""
-    surveys, drops = zip(*draws)
-    survey = Survey(
-        country_codes=np.repeat(np.arange(len(surveys)), [len(s) for s in surveys]),
-        country_levels=tuple(map(str, range(len(surveys)))),
-        **{
-            name: np.concatenate([getattr(survey, name) for survey in surveys])
-            for name in ("round", "period_year", "age", "happiness", "weight", "mediator")
-            if getattr(surveys[0], name) is not None
-        },
-    )
-    return survey, None if drops[0] is None else np.concatenate(drops)
 
 
 @dataclass(frozen=True)

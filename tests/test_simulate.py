@@ -413,24 +413,32 @@ class TestChunks:
 
 
 class TestReplicateErrors:
-    """A replicate whose fit fails raises its error, the first such
-    replicate first; attrition counts its replicates that cannot be
-    fitted instead."""
+    """A mediator or truncation replicate whose fit fails raises that
+    fit's error, the first such replicate's, as the per-replicate
+    reference path does, however the replicates are chunked."""
 
-    def test_mediator_raises_the_rank_deficient_replicate(self):
+    @pytest.mark.parametrize("per_chunk", [1, 6])
+    @pytest.mark.parametrize("name,config", [
+        # replicate 0 fits; replicate 1's age_sq is a linear function of age and the intercept
+        ("truncation", replace(default_truncation_config(seed=3), n=10)),
+        # ages 69 and 70 only: every full fit is rank deficient
+        ("truncation", replace(default_truncation_config(seed=5), n=200, age_low=69, age_high=70)),
         # a mediator without noise is a multiple of age
-        config = replace(default_mediator_config(seed=3), n=300, mediator=MediatorConfig(noise_sd=1e-12))
-        with pytest.raises(ValueError, match="rank deficient") as raised:
-            experiment_mediator(config, reps=3)
-        with pytest.raises(ValueError) as reference:
-            replicate_path.experiment_mediator(config, reps=3)
-        assert type(raised.value) is type(reference.value) and str(raised.value) == str(reference.value)
+        ("mediator", replace(default_mediator_config(seed=3), n=300, mediator=MediatorConfig(noise_sd=1e-12))),
+        # a replicate of 9 rows that holds all 8 rounds has no residual degree of freedom
+        ("mediator", replace(default_mediator_config(seed=3), n=9)),
+    ], ids=["truncation-second", "truncation-every", "mediator-collinear", "mediator-no-dof"])
+    def test_first_failing_replicate_raises(self, monkeypatch, name, config, per_chunk):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", per_chunk * config.n)
+        errors = []
+        for module in (simulate, replicate_path):
+            with pytest.raises(ValueError) as raised:
+                getattr(module, f"experiment_{name}")(config, reps=6)
+            errors.append(raised.value)
+        assert type(errors[0]) is type(errors[1]) and str(errors[0]) == str(errors[1])
 
-    def test_truncation_raises_the_first_failing_fit(self):
-        # ages 69 and 70 only: age squared is a linear function of age
-        config = replace(default_truncation_config(seed=5), n=200, age_low=69, age_high=70)
-        with pytest.raises(ValueError) as raised:
-            experiment_truncation(config, reps=3)
-        with pytest.raises(ValueError) as reference:
-            replicate_path.experiment_truncation(config, reps=3)
-        assert type(raised.value) is type(reference.value) and str(raised.value) == str(reference.value)
+    def test_a_later_replicate_fails_alone(self):
+        config = replace(default_truncation_config(seed=3), n=10)
+        experiment_truncation(config, reps=1)
+        with pytest.raises(ValueError, match="rank deficient"):
+            experiment_truncation(config, reps=2)
