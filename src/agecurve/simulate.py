@@ -282,7 +282,7 @@ def _draw(config: DgpConfig, seeds: Sequence[int] | None = None) -> tuple[Survey
 # The most rows of one pass. An experiment fits its replicates a chunk
 # of them at a time, so that its memory does not grow with their number:
 # 200 replicates of 5,000 rows peak 4-5 MB above fitting each replicate
-# alone at 2**15 rows, and 10-12 MB at 2**16.
+# alone at 2**15 rows, and 9-12 MB at 2**16.
 _CHUNK_ROWS = 1 << 15
 
 
