@@ -145,12 +145,12 @@ class Survey:
     ``period_year`` and ``age`` are int64; ``happiness`` and ``weight``
     are float64. Each control is coded the same way, as ``(codes,
     levels)`` with -1 for a missing value; controls left out of
-    ``controls`` are missing on every row. ``mediator`` is an optional
-    synthetic-data column, never read from CSV files, NaN where a row
-    has none. ``birth_year`` is derived as ``period_year - age``, so the
-    three can never disagree. Every age is at least 15, every weight
-    positive and every round at least 1. Every column is a read-only
-    array.
+    ``controls`` share one column, missing on every row. ``mediator`` is
+    an optional synthetic-data column, never read from CSV files, NaN
+    where a row has none. ``birth_year`` is derived as ``period_year -
+    age``, so the three can never disagree. Every age is at least 15,
+    every weight positive and every round at least 1. Every column is a
+    read-only array.
 
     ``happiness`` is a float: the 0..10 integer scale of real survey
     data is enforced at load time, while synthetic generators are free
@@ -184,9 +184,10 @@ class Survey:
         unknown = set(self.controls) - set(CONTROL_VARS)
         if unknown:
             raise ValueError(f"unknown control variables: {sorted(unknown)}")
+        absent = (np.full(n, -1), ()) if set(CONTROL_VARS) - set(self.controls) else None
         controls = {}
         for name in CONTROL_VARS:
-            codes, levels = self.controls.get(name, (np.full(n, -1), ()))
+            codes, levels = self.controls.get(name, absent)
             controls[name] = (_frozen(codes, np.int64), tuple(levels))
         put("controls", controls)
         if self.mediator is not None:
@@ -241,7 +242,8 @@ class Survey:
 
     def take(self, rows) -> Survey:
         """The rows selected by a boolean mask or an index array, in the
-        order the index gives; codes and levels pass through as they are."""
+        order the index gives; codes and levels pass through, but for a
+        control without levels, which is absent."""
         rows = np.asarray(rows)
         if rows.dtype != bool:
             rows = rows.astype(np.intp)
@@ -249,7 +251,7 @@ class Survey:
             country_codes=self.country_codes[rows],
             country_levels=self.country_levels,
             **{name: getattr(self, name)[rows] for name in _NUMERIC},
-            controls={name: (codes[rows], levels) for name, (codes, levels) in self.controls.items()},
+            controls={name: (codes[rows], levels) for name, (codes, levels) in self.controls.items() if levels},
             mediator=None if self.mediator is None else self.mediator[rows],
         )
 

@@ -68,6 +68,11 @@ FINE_REFERENCE = "35-44"
 
 _SCHEMES = {"coarse": COARSE_BINS, "fine": FINE_BINS}
 _SCHEME_REFERENCES = {"coarse": COARSE_REFERENCE, "fine": FINE_REFERENCE}
+# each age's bin code per scheme, ages 0 to 120 (an older age takes 120's)
+_BIN_CODES = {
+    scheme: (np.searchsorted([low for _, low, _ in bins], np.arange(121), side="right") - 1).astype(np.int8)
+    for scheme, bins in _SCHEMES.items()
+}
 
 
 def scheme_bin_labels(scheme: str) -> list[str]:
@@ -306,7 +311,7 @@ def _term_factor(survey: Survey, term: TermSpec) -> _Factor:
         bins = _SCHEMES[scheme]
         return _Factor(
             "age_bins", "bin:", [label for label, _, _ in bins],
-            (np.searchsorted([low for _, low, _ in bins], survey.age, side="right") - 1).astype(np.int8),
+            _BIN_CODES[scheme].take(survey.age, mode="clip"),
             True, term.reference_level or _SCHEME_REFERENCES[scheme], None,
             lambda ref, _: f"reference bin {ref!r} has no observations",
         )
@@ -348,7 +353,7 @@ class GroupedDesigns:
     encoded once over all rows and counted per cell. Every group's
     columns sit in one global layout, a column per numeric term and per
     level of each factor term, of which :meth:`layout` names the ones a
-    group's design holds.
+    group's design holds, and :meth:`layouts` those of many groups.
 
     :meth:`design` fills one group's dense design. :meth:`moments` forms
     every group's ``X̃ᵀX̃``, ``X̃ᵀỹ`` and ``ỹᵀỹ`` in the global layout
@@ -499,6 +504,32 @@ class GroupedDesigns:
         for (_, offset, _), levels in zip(self._terms, parts):
             index.extend([offset] if levels is None else [offset + j for j in levels])
         return np.array(index), labels
+
+    def layouts(self, groups: Sequence[int]) -> list[tuple[np.ndarray, list[str]] | ValueError]:
+        """:meth:`layout` of each of ``groups``, or its error, from one
+        call per key: the levels a group holds of each factor term, less
+        the first for a factor whose reference is its first level held.
+        A group with a missing value has its own call (the error names a row)."""
+        groups = np.asarray(groups, dtype=np.intp)
+        keys, missing = [np.zeros((len(groups), 0), bool)], np.zeros(len(groups), bool)
+        for _, _, (factor, counts) in self._terms:
+            if isinstance(factor, _Factor):
+                held = counts[groups, :-1] > 0
+                missing |= counts[groups, -1] > 0
+                if factor.reference is None and factor.levels:
+                    held[np.arange(len(groups)), held.argmax(axis=1)] = False
+                keys.append(held)
+        shared: dict = {}
+        out = []
+        for g, key, alone in zip(groups.tolist(), np.hstack(keys), missing.tolist()):
+            key = g if alone else key.tobytes()
+            if key not in shared:
+                try:
+                    shared[key] = self.layout(g)
+                except ValueError as exc:
+                    shared[key] = exc
+            out.append(shared[key])
+        return out
 
     def design(self, g: int) -> DesignMatrix:
         """Group ``g``'s dense design, equal to :func:`build_design` on

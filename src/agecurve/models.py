@@ -49,7 +49,7 @@ from .design import (
     TermSpec,
     scheme_bin_labels,
 )
-from .wls import FitResult, _csne, _fit_result, fit_wls
+from .wls import FitResult, _csne, _fit_results, fit_wls
 
 __all__ = [
     "ModelSpec",
@@ -220,38 +220,33 @@ class _SpecFits:
         self.n_periods = self.designs.held_levels("period_factor")
         self.cohort = any(term.kind == "cohort_factor" for term in self.designs.terms)
 
-    def _layout(self, g: int) -> tuple[np.ndarray, list[str]]:
-        """Group ``g``'s design's columns (see :meth:`GroupedDesigns.layout`),
-        or the error that says why its spec is not identified on it."""
-        if not self.held[g]:
-            raise EmptySampleError(f"filter removed all {self.rows[g]} records")
-        n_periods = int(self.n_periods[g])
-        if self.cohort and n_periods < 2:
-            raise DesignError(
-                f"only {n_periods} distinct survey round(s); "
-                "cohort-controlled fit skipped"
-            )
-        return self.designs.layout(g)
-
     def fit(self, groups: Sequence[int]) -> list[FitResult | ValueError]:
         """The fit of each of ``groups``, as :func:`fit_spec` describes
         it, or the error it raises: the one place that decides whether a
         spec is identified on a sample.
 
-        Every group with more rows than columns is solved in one stack
-        from the grouped sufficient statistics. A group that the stack's
-        certificate does not clear, or with too few rows, has its dense
-        design built and goes through :func:`fit_wls`, which names the
-        suspect columns of a rank-deficient design."""
+        An empty group and a cohort spec on fewer than two rounds are
+        refused group by group; the others share one column layout, or
+        its error, per distinct set of held levels
+        (:meth:`GroupedDesigns.layouts`). Each with more rows than
+        columns is solved in one stack (:meth:`_solve`); the rest, and
+        any the stack's certificate does not clear, go through
+        :func:`fit_wls`, which names the columns of a dependency."""
         out: dict[int, FitResult | ValueError] = {}
-        stack, dense = [], []
+        live = []
         for g in dict.fromkeys(groups):
-            try:
-                columns, labels = self._layout(g)
-            except ValueError as exc:
-                out[g] = exc
-                continue
-            (stack if self.held[g] > len(labels) else dense).append((g, columns, labels))
+            if not self.held[g]:
+                out[g] = EmptySampleError(f"filter removed all {self.rows[g]} records")
+            elif self.cohort and self.n_periods[g] < 2:
+                out[g] = DesignError(f"only {self.n_periods[g]} distinct survey round(s); cohort-controlled fit skipped")
+            else:
+                live.append(g)
+        stack, dense = [], []
+        for g, layout in zip(live, self.designs.layouts(live)):
+            if isinstance(layout, ValueError):
+                out[g] = layout
+            else:
+                (stack if self.held[g] > len(layout[1]) else dense).append((g, *layout))
         if stack:
             dense.extend(self._solve(stack, out))
         for g, _, _ in dense:
@@ -283,8 +278,9 @@ class _SpecFits:
         return replace(fit, notes=(note,))
 
     def _solve(self, stack: list, out: dict) -> list:
-        """Fit the countries of ``stack`` in one stacked solve into
-        ``out``; returns those the certificate does not clear."""
+        """Fit the groups of ``stack``, each ``(g, columns, labels)``, in
+        one stacked solve into ``out``, forming the results of each width
+        at once; returns those the certificate does not clear."""
         gram, xty, yty = self.designs.moments()
         spare = self.designs.width
         widths = np.array([len(labels) for *_, labels in stack])
@@ -306,19 +302,18 @@ class _SpecFits:
             lambda b: self.designs.xte(spread(b))[groups[:, None], index],
             lambda b: self.designs.rss(spread(b))[groups],
         )
-        rejected = []
-        for i, (g, columns, labels) in enumerate(stack):
-            if not certified[i]:
-                rejected.append(stack[i])
-                continue
-            k = len(labels)
-            # the intercept row of the Gram matrix holds Σw·x for every column
-            sums = gram[g, columns[labels.index("const")], columns]
-            out[g] = self._noted(g, _fit_result(
-                labels, int(self.held[g]), beta[i, :k], r_inv[i, :k, :k], float(rss[i]),
-                float(yty[g]), sums / sums[labels.index("const")],
-            ))
-        return rejected
+        # the intercept row of the Gram matrix holds Σw·x for every column
+        one = index[0, stack[0][2].index("const")]
+        means = gram[groups[:, None], one, index] / gram[groups, one, one][:, None]
+        for w in sorted(set(widths.tolist())):
+            i = np.flatnonzero((widths == w) & certified)
+            fits = _fit_results(
+                [stack[j][2] for j in i.tolist()], self.held[groups[i]], beta[i, :w],
+                r_inv[i][:, :w, :w], rss[i], yty[groups[i]], means[i, :w],
+            )
+            for g, fit in zip(groups[i].tolist(), fits):
+                out[g] = self._noted(g, fit)
+        return [stack[i] for i in np.flatnonzero(~certified).tolist()]
 
 
 def fit_spec(

@@ -234,38 +234,29 @@ def _csne(
     return certified, beta, r_inv, rss(beta)
 
 
-def _fit_result(
-    labels: Sequence[str],
-    n: int,
-    beta: np.ndarray,
-    r_inv: np.ndarray,
-    rss: float,
-    yty: float,
-    column_means: np.ndarray,
-) -> FitResult:
-    """The fit of a full-rank design with ``n`` rows, from its
-    coefficients, R⁻¹, weighted RSS and ``yty = ‖ỹ‖²``."""
+def _fit_results(
+    labels: Sequence[Sequence[str]], n: np.ndarray, beta: np.ndarray, r_inv: np.ndarray,
+    rss: np.ndarray, yty: np.ndarray, column_means: np.ndarray,
+) -> list[FitResult]:
+    """The fits of a stack of full-rank designs of one width, member
+    ``i`` with ``labels[i]`` and ``n[i]`` rows, formed at once from the
+    rows of the coefficients, R⁻¹, weighted RSS, ``‖ỹ‖²`` and column means."""
     # a residual at or below the rank tolerance relative to ‖√w·y‖ is
     # rounding, and the fit is exact
-    if np.sqrt(rss) <= DEFAULT_RANK_TOL * np.sqrt(yty):
-        rss = 0.0
-    dof = n - len(labels)
-    covariance = (r_inv @ r_inv.T) * (rss / dof)
-    std_errors = np.sqrt(np.diag(covariance))
+    rss = np.where(np.sqrt(rss) <= DEFAULT_RANK_TOL * np.sqrt(yty), 0.0, rss)
+    k = beta.shape[1]
+    dof = n - k
+    covariance = (r_inv @ r_inv.swapaxes(-1, -2)) * (rss / dof)[:, None, None]
+    std_errors = np.sqrt(np.diagonal(covariance, axis1=-2, axis2=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(std_errors > 0, np.abs(beta) / std_errors, np.nan)
-    return FitResult(
-        labels=tuple(labels),
-        coefficients=beta,
-        std_errors=std_errors,
-        t_stats=t_stats,
-        covariance=covariance,
-        n_obs=n,
-        dof=dof,
-        rank=len(labels),
-        weighted_rss=float(rss),
-        column_means=column_means,
-    )
+    return [
+        FitResult(
+            tuple(labels[i]), beta[i], std_errors[i], t_stats[i], covariance[i],
+            int(n[i]), int(dof[i]), k, float(rss[i]), column_means[i],
+        )
+        for i in range(len(beta))
+    ]
 
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,14 +399,14 @@ def fit_wls(design: DesignMatrix) -> FitResult:
             "standard errors are undefined"
         )
     if certified[0]:
-        beta, r_inv, rss, yty = beta[0], r_inv[0], float(rss[0]), float(ys @ ys)
+        yty = ys @ ys
     else:
         r = r_aug[:p, :p]
-        r_inv = np.linalg.inv(r)
-        beta = np.linalg.solve(r, r_aug[:p, p])
+        r_inv = np.linalg.inv(r)[None]
+        beta = np.linalg.solve(r, r_aug[:p, p])[None]
         # the corner entry is the norm of the weighted residual
-        rss, yty = float(r_aug[p, p]) ** 2, float(r_aug[:, p] @ r_aug[:, p])
-    return _fit_result(
-        design.column_labels, n, beta, r_inv, rss, yty,
-        design.weighted_column_means(),
-    )
+        rss, yty = np.array([float(r_aug[p, p]) ** 2]), r_aug[:, p] @ r_aug[:, p]
+    return _fit_results(
+        [design.column_labels], np.array([n]), beta, r_inv, rss, np.array([yty]),
+        design.weighted_column_means()[None],
+    )[0]

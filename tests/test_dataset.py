@@ -21,7 +21,7 @@ from agecurve import (
     save_csv,
 )
 from agecurve import dataset
-from agecurve.dataset import DEFAULT_MISSING, ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap, filter_mask
+from agecurve.dataset import CONTROL_VARS, DEFAULT_MISSING, ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap, filter_mask
 from record_path import SurveyRecord, rows
 
 
@@ -708,6 +708,29 @@ def test_survey_columns_are_read_only():
     with pytest.raises(AttributeError):
         survey.age = survey.age + 1
     assert rows(survey) == [rec(age=40), rec(age=50, sex="male")]
+
+
+
+def test_absent_controls_share_one_read_only_column():
+    """Every control a survey lacks reads -1 from one read-only buffer,
+    and so does every control without levels in a survey ``take``
+    selects rows from."""
+    survey = Survey(
+        country_codes=[0, 0, 0], country_levels=("A",), round=[1, 2, 3], period_year=[2002, 2004, 2006],
+        age=[30, 40, 50], happiness=[5.0, 6.0, 7.0], weight=[1.0, 1.0, 1.0],
+        controls={"sex": ([0, -1, 1], ("female", "male"))},
+    )
+    for sample in (survey, survey.take([2, 0])):
+        absent = [codes for name, (codes, levels) in sample.controls.items() if name != "sex"]
+        assert len(absent) == len(CONTROL_VARS) - 1
+        for codes in absent:
+            assert codes.tolist() == [-1] * len(sample) and not codes.flags.writeable
+            assert np.shares_memory(codes, absent[0])
+            with pytest.raises(ValueError, match="read-only"):
+                codes[0] = 0
+        assert not np.shares_memory(sample.controls["sex"][0], absent[0])
+    codes, levels = survey.take([2, 0]).controls["sex"]
+    assert codes.tolist() == [1, 0] and levels == ("female", "male")
 
 
 class TestFilterMask:

@@ -13,6 +13,7 @@ from agecurve import (
     build_design,
     scheme_bin_labels,
 )
+from agecurve import design
 from agecurve.design import GroupedDesigns
 from conftest import synth_survey
 
@@ -49,6 +50,24 @@ class TestAgeBinLabel:
         else:
             low, high = (int(part) for part in label.split("-"))
             assert low <= age <= high
+
+
+@pytest.mark.parametrize("scheme", ["coarse", "fine"])
+def test_age_bin_codes_by_table(scheme):
+    """The bin codes the table gives every age from 15 to 120 are the
+    ones a search over the bin starts gives, and name the bin of
+    :func:`age_bin_label`; an older age falls in the last bin."""
+    ages = np.r_[15:121, 121, 150]
+    survey = Survey(
+        country_codes=np.zeros(len(ages), np.intp), country_levels=("A",), round=np.ones(len(ages), np.intp),
+        period_year=np.full(len(ages), 2002), age=ages, happiness=np.ones(len(ages)), weight=np.ones(len(ages)),
+    )
+    codes = design._term_factor(survey, TermSpec.age_bins(scheme)).codes
+    starts = [low for _, low, _ in design._SCHEMES[scheme]]
+    assert codes.dtype == np.int8
+    np.testing.assert_array_equal(codes, np.searchsorted(starts, ages, side="right") - 1)
+    labels = scheme_bin_labels(scheme)
+    assert [labels[code] for code in codes.tolist()] == [age_bin_label(int(age), scheme) for age in ages]
 
 
 def test_scheme_bin_labels():
