@@ -184,7 +184,7 @@ class Survey:
         unknown = set(self.controls) - set(CONTROL_VARS)
         if unknown:
             raise ValueError(f"unknown control variables: {sorted(unknown)}")
-        absent = (np.full(n, -1), ()) if set(CONTROL_VARS) - set(self.controls) else None
+        absent = (np.full(n, -1, np.int64), ()) if set(CONTROL_VARS) - set(self.controls) else None
         controls = {}
         for name in CONTROL_VARS:
             codes, levels = self.controls.get(name, absent)

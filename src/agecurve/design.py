@@ -508,28 +508,28 @@ class GroupedDesigns:
     def layouts(self, groups: Sequence[int]) -> list[tuple[np.ndarray, list[str]] | ValueError]:
         """:meth:`layout` of each of ``groups``, or its error, from one
         call per key: the levels a group holds of each factor term, less
-        the first for a factor whose reference is its first level held.
-        A group with a missing value has its own call (the error names a row)."""
+        the first of a factor without an explicit reference, which is the
+        reference and has no column. A group with a missing value has its
+        own call, as the error names a row."""
         groups = np.asarray(groups, dtype=np.intp)
-        keys, missing = [np.zeros((len(groups), 0), bool)], np.zeros(len(groups), bool)
+        parts, missing = [np.zeros((len(groups), 0), bool)], np.zeros(len(groups), bool)
         for _, _, (factor, counts) in self._terms:
             if isinstance(factor, _Factor):
                 held = counts[groups, :-1] > 0
                 missing |= counts[groups, -1] > 0
                 if factor.reference is None and factor.levels:
                     held[np.arange(len(groups)), held.argmax(axis=1)] = False
-                keys.append(held)
+                parts.append(held)
+        keys = [g if alone else key.tobytes()
+                for g, key, alone in zip(groups.tolist(), np.hstack(parts), missing.tolist())]
         shared: dict = {}
-        out = []
-        for g, key, alone in zip(groups.tolist(), np.hstack(keys), missing.tolist()):
-            key = g if alone else key.tobytes()
+        for g, key in zip(groups.tolist(), keys):
             if key not in shared:
                 try:
                     shared[key] = self.layout(g)
                 except ValueError as exc:
                     shared[key] = exc
-            out.append(shared[key])
-        return out
+        return [shared[key] for key in keys]
 
     def design(self, g: int) -> DesignMatrix:
         """Group ``g``'s dense design, equal to :func:`build_design` on
