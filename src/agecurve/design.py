@@ -498,7 +498,8 @@ class GroupedDesigns:
 
     def layout(self, g: int) -> tuple[np.ndarray, list[str]]:
         """The global index and the label of each column of group ``g``'s
-        design, in design order; raises as :meth:`design` does."""
+        design, in design order; raises as :meth:`design` does. Both
+        depend only on the levels ``g`` holds (see :meth:`layouts`)."""
         parts, labels, _ = self._contrasts(g)
         index: list[int] = []
         for (_, offset, _), levels in zip(self._terms, parts):

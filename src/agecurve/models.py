@@ -309,7 +309,7 @@ class _SpecFits:
             i = np.flatnonzero((widths == w) & certified)
             fits = _fit_results(
                 [stack[j][2] for j in i.tolist()], self.held[groups[i]], beta[i, :w],
-                r_inv[i][:, :w, :w], rss[i], yty[groups[i]], means[i, :w],
+                r_inv[i, :w, :w], rss[i], yty[groups[i]], means[i, :w],
             )
             for g, fit in zip(groups[i].tolist(), fits):
                 out[g] = self._noted(g, fit)

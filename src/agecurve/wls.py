@@ -398,9 +398,8 @@ def fit_wls(design: DesignMatrix) -> FitResult:
             f"no residual degrees of freedom (n={n}, rank={p}); "
             "standard errors are undefined"
         )
-    if certified[0]:
-        yty = ys @ ys
-    else:
+    yty = ys @ ys
+    if not certified[0]:
         r = r_aug[:p, :p]
         r_inv = np.linalg.inv(r)[None]
         beta = np.linalg.solve(r, r_aug[:p, p])[None]

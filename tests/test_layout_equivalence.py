@@ -19,7 +19,6 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from agecurve import RankDeficientError, Survey, design, load_csv, models
