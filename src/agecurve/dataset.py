@@ -1,12 +1,12 @@
-"""Survey microdata: the columnar :class:`Survey`, CSV loading,
-filtering, and cohort bins.
+"""Survey microdata: the columnar :class:`Survey`, CSV loading and
+cohort bins.
 
 A survey keeps one numpy array per field, the country and each control
 as int codes into a tuple of levels, and is never changed in place, so
 one survey can be shared freely between model fits. Loading is tolerant
 of messy input (rows are dropped with a counted reason, never silently).
-A filter is a mask over the rows, which fits read without copying the
-survey.
+A fit restricts the sample to the cells of one pass over the survey
+that it keeps (see :mod:`agecurve.models`), without copying the survey.
 """
 
 from __future__ import annotations
@@ -37,11 +37,8 @@ __all__ = [
     "EmptySampleError",
     "Survey",
     "LoadReport",
-    "FilterSpec",
-    "FilterReport",
     "load_csv",
     "save_csv",
-    "filter_mask",
     "cohort_bin",
 ]
 
@@ -169,8 +166,8 @@ class Survey:
     mediator: np.ndarray | None = None
     birth_year: np.ndarray = field(init=False, repr=False)
     # The one pass over the survey that every fit reads the cells it
-    # keeps of (see agecurve.models); the columns are read-only, so it
-    # never goes stale.
+    # keeps of, and the row counts every fit by country shares (see
+    # agecurve.models); the columns are read-only, so neither goes stale.
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -278,37 +275,6 @@ class LoadReport:
             return f"loaded {self.rows_kept} rows"
         drops = ", ".join(f"{r}: {c}" for r, c in sorted(self.dropped.items()))
         return f"loaded {self.rows_kept} of {self.rows_read} rows (dropped {drops})"
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Declarative sample restriction.
-
-    ``listwise_vars`` names control variables whose missingness should
-    drop the row (listwise deletion); only members of
-    :data:`CONTROL_VARS` can be missing, so only those are accepted.
-    """
-
-    min_age: int = 15
-    max_age: int | None = None
-    countries: frozenset[str] | None = None
-    listwise_vars: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.min_age < 15:
-            raise ValueError("min_age below the survey minimum of 15")
-        if self.max_age is not None and self.max_age < self.min_age:
-            raise ValueError(f"max_age {self.max_age} below min_age {self.min_age}")
-        unknown = set(self.listwise_vars) - set(CONTROL_VARS)
-        if unknown:
-            raise ValueError(f"listwise_vars not control variables: {sorted(unknown)}")
-
-
-@dataclass
-class FilterReport:
-    n_in: int = 0
-    n_kept: int = 0
-    dropped: Counter = field(default_factory=Counter)
 
 
 def _parse_number(text: str, missing: frozenset[str]) -> float | None:
@@ -722,28 +688,6 @@ def save_csv(survey: Survey, path: str | Path) -> None:
         codes, levels = survey.controls[name]
         columns.append(np.array([*levels, ""], dtype=object)[codes])
     write_columns(path, list(IDENTITY_SCHEMA), columns)
-
-
-def filter_mask(survey: Survey, spec: FilterSpec) -> tuple[np.ndarray, FilterReport]:
-    """The rows a spec keeps, as a boolean mask over ``survey``, and the
-    report of what it dropped; the mask may keep no row.
-
-    Each dropped row is tallied under the first rule it fails: age below
-    the minimum, age above the maximum, country excluded, then a missing
-    listwise variable in name order.
-    """
-    rules = [("age below minimum", survey.age < spec.min_age)]
-    if spec.max_age is not None:
-        rules.append(("age above maximum", survey.age > spec.max_age))
-    if spec.countries is not None:
-        allowed = np.array([name in spec.countries for name in survey.country_levels], dtype=bool)
-        rules.append(("country excluded", ~allowed[survey.country_codes]))
-    rules.extend(
-        (f"missing {name}", survey.controls[name][0] < 0)
-        for name in sorted(spec.listwise_vars)
-    )
-    keep, dropped = _tally(len(survey), rules)
-    return keep, FilterReport(n_in=len(survey), n_kept=int(keep.sum()), dropped=dropped)
 
 
 def cohort_bin(birth_year: int, width: int = 5) -> str:

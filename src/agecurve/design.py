@@ -272,8 +272,8 @@ def _no_missing(variable: str, missing: np.ndarray) -> None:
     rows = np.flatnonzero(missing)
     if rows.size:
         raise DesignError(
-            f"record {rows[0]} has no {variable!r}; apply listwise deletion "
-            f"(FilterSpec.listwise_vars) before building the design"
+            f"record {rows[0]} has no {variable!r}; apply listwise deletion first: drop "
+            f"the rows with a missing value (Survey.take), as a controls spec does"
         )
 
 

@@ -35,6 +35,7 @@ one call).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -198,9 +199,9 @@ class _SpecFits:
     fits groups by position and :meth:`named` countries by name. A
     country's group is the union of the cells it keeps. ``index`` maps
     each country that holds rows, in first-appearance order, to its
-    group. Given ``designs``, a view of a pass in place of ``spec``'s,
-    they fit the rows ``kept`` (None: all), country ``g`` in their
-    group ``g`` (see :func:`_nested_fits`)."""
+    group; a survey keeps it and ``rows`` for every fit by country.
+    Given a view of a pass in ``designs`` (see :func:`_nested_fits`), they
+    fit the rows ``kept`` (None: all), country ``g`` in its group ``g``."""
 
     def __init__(
         self, survey: Survey, spec: ModelSpec | None, pooled: bool,
@@ -208,13 +209,16 @@ class _SpecFits:
     ) -> None:
         codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
         n_groups = 1 if pooled else len(survey.country_levels)
-        held = codes if kept is None else codes[kept]
-        self.rows = np.bincount(held, minlength=n_groups)
-        # A stable sort by code starts each country's run at its first row.
-        order = np.argsort(held.astype(np.min_scalar_type(n_groups)), kind="stable")
-        firsts = np.sort(order[(np.cumsum(self.rows) - self.rows)[self.rows > 0]])
         self.names = (None,) if pooled else survey.country_levels
-        self.index = {self.names[g]: g for g in held[firsts].tolist()}
+        derived = survey._derived if kept is None and not pooled else {}
+        if "countries" not in derived:
+            held = codes if kept is None else codes[kept]
+            rows = np.bincount(held, minlength=n_groups)
+            # A stable sort by code starts each country's run at its first row.
+            order = np.argsort(held.astype(np.min_scalar_type(n_groups)), kind="stable")
+            firsts = np.sort(order[(np.cumsum(rows) - rows)[rows > 0]])
+            derived["countries"] = rows, {self.names[g]: g for g in held[firsts].tolist()}
+        self.rows, self.index = derived["countries"]
         self.designs = _designs(survey, spec, pooled, codes, n_groups) if designs is None else designs
         self.held = self.designs.held_rows()
         self.n_periods = self.designs.held_levels("period_factor")
@@ -486,12 +490,17 @@ def _nested_fits(
 class CountryResult:
     """Outcome of one country's fit inside a batch; exactly one of ``fit``
     and ``error`` is set. ``notes`` starts as the fit's notes; callers
-    may add their own, such as the notes of a curve drawn from the fit."""
+    may add their own, such as the notes of a curve drawn from the fit.
+    ``rows_in`` counts the country's rows, and ``dropped`` those the
+    spec leaves out, each under the first reason it meets, "age above
+    maximum" then "missing <control>" by name; a zero count is left out."""
 
     country: str
     fit: FitResult | None = None
     error: str | None = None
     notes: list[str] = field(default_factory=list)
+    rows_in: int = 0
+    dropped: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -510,17 +519,33 @@ def batch_fit(
 
     ``countries`` defaults to first-appearance order in ``survey``. A
     country the data cannot support (absent from the survey, no rows
-    after filtering, rank deficiency, a single survey round under a
-    cohort spec) yields an error entry; other countries are unaffected.
-    A fitted country's notes are its fit's notes.
+    after the age cap or listwise deletion, rank deficiency, a single
+    survey round under a cohort spec) yields an error entry; other
+    countries are unaffected. A fitted country's notes are its fit's
+    notes. Every entry holds the ``rows_in`` and ``dropped`` tallies.
     """
     fits = _SpecFits(survey, spec, pooled=False)
     if countries is None:
         countries = list(fits.index)
     outcomes = fits.named(countries)
+    names = sorted(CONTROL_VARS) if spec.controls else []
+    by_cell = np.zeros((len(fits.rows), 4, len(names)), np.int64)
+    if names:
+        missing = np.array([survey.controls[name][0] < 0 for name in names])
+        rows = np.flatnonzero(missing.any(axis=0))
+        # keyed by the pass's int64 cell codes, so that the key cannot wrap
+        key = fits.designs._cell[rows] * len(names) + missing[:, rows].argmax(axis=0)
+        by_cell = np.bincount(key, minlength=by_cell.size).reshape(by_cell.shape)
+    missed = by_cell[:, 2] + (0 if spec.age_cap else by_cell[:, 3])  # the cap is the first reason
+    reasons = ["age above maximum", *(f"missing {name}" for name in names)]
+    dropped = np.column_stack([fits.rows - fits.held - missed.sum(axis=1), missed]).tolist()
     results: list[CountryResult] = []
     for country in countries:
+        g = fits.index.get(country)
         result = CountryResult(country=country)
+        if g is not None:
+            result.rows_in = int(fits.rows[g])
+            result.dropped = Counter({reason: n for reason, n in zip(reasons, dropped[g]) if n})
         outcome = outcomes[country]
         if isinstance(outcome, ValueError):
             result.error = str(outcome)

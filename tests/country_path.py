@@ -7,12 +7,16 @@ country's part of the survey, kept verbatim so that
 against them. ``Survey.take`` and ``Survey.by_country`` are module
 functions here, without the kept parts, ``take`` passes the country
 codes through, as ``Survey.take`` does, and otherwise only the imports
-differ.
+differ. ``FilterSpec``, ``FilterReport`` and ``filter_mask`` are the
+declarative filter as it was before the fits' own drop tallies
+(``CountryResult.rows_in`` and ``dropped``) replaced it, kept verbatim
+as the reference for those tallies and for ``record_path.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,8 +25,6 @@ from agecurve.dataset import (
     _NUMERIC,
     CONTROL_VARS,
     EmptySampleError,
-    FilterReport,
-    FilterSpec,
     Survey,
     _factor,
     _tally,
@@ -37,6 +39,59 @@ from agecurve.design import (
 )
 from agecurve.models import CountryResult, ModelSpec, terms_for
 from agecurve.wls import FitResult, fit_wls
+
+
+@dataclass(frozen=True)
+class FilterSpec:
+    """Declarative sample restriction.
+
+    ``listwise_vars`` names control variables whose missingness should
+    drop the row (listwise deletion); only members of
+    :data:`CONTROL_VARS` can be missing, so only those are accepted.
+    """
+
+    min_age: int = 15
+    max_age: int | None = None
+    countries: frozenset[str] | None = None
+    listwise_vars: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if self.min_age < 15:
+            raise ValueError("min_age below the survey minimum of 15")
+        if self.max_age is not None and self.max_age < self.min_age:
+            raise ValueError(f"max_age {self.max_age} below min_age {self.min_age}")
+        unknown = set(self.listwise_vars) - set(CONTROL_VARS)
+        if unknown:
+            raise ValueError(f"listwise_vars not control variables: {sorted(unknown)}")
+
+
+@dataclass
+class FilterReport:
+    n_in: int = 0
+    n_kept: int = 0
+    dropped: Counter = field(default_factory=Counter)
+
+
+def filter_mask(survey: Survey, spec: FilterSpec) -> tuple[np.ndarray, FilterReport]:
+    """The rows a spec keeps, as a boolean mask over ``survey``, and the
+    report of what it dropped; the mask may keep no row.
+
+    Each dropped row is tallied under the first rule it fails: age below
+    the minimum, age above the maximum, country excluded, then a missing
+    listwise variable in name order.
+    """
+    rules = [("age below minimum", survey.age < spec.min_age)]
+    if spec.max_age is not None:
+        rules.append(("age above maximum", survey.age > spec.max_age))
+    if spec.countries is not None:
+        allowed = np.array([name in spec.countries for name in survey.country_levels], dtype=bool)
+        rules.append(("country excluded", ~allowed[survey.country_codes]))
+    rules.extend(
+        (f"missing {name}", survey.controls[name][0] < 0)
+        for name in sorted(spec.listwise_vars)
+    )
+    keep, dropped = _tally(len(survey), rules)
+    return keep, FilterReport(n_in=len(survey), n_kept=int(keep.sum()), dropped=dropped)
 
 
 def take(survey: Survey, rows) -> Survey:
@@ -154,8 +209,8 @@ def encode_categorical(
     missing = np.flatnonzero(codes < 0)
     if missing.size:
         raise DesignError(
-            f"record {missing[0]} has no {variable!r}; apply listwise deletion "
-            f"(FilterSpec.listwise_vars) before building the design"
+            f"record {missing[0]} has no {variable!r}; apply listwise deletion first: drop "
+            f"the rows with a missing value (Survey.take), as a controls spec does"
         )
     present = np.flatnonzero(np.bincount(codes, minlength=len(levels))).tolist()
     observed = sorted((levels[code] for code in present), key=_level_sort_key)

@@ -23,8 +23,6 @@ from agecurve.dataset import (
     IDENTITY_SCHEMA,
     DataError,
     EmptySampleError,
-    FilterReport,
-    FilterSpec,
     LoadReport,
     RoundYearMap,
     Survey,
@@ -38,6 +36,7 @@ from agecurve.design import (
     TermSpec,
     age_bin_label,
 )
+from country_path import FilterReport, FilterSpec
 
 
 @dataclass(frozen=True)
@@ -338,8 +337,8 @@ def encode_categorical(
         value = rec.control(variable)
         if value is None:
             raise DesignError(
-                f"record {i} has no {variable!r}; apply listwise deletion "
-                f"(FilterSpec.listwise_vars) before building the design"
+                f"record {i} has no {variable!r}; apply listwise deletion first: drop "
+                f"the rows with a missing value (Survey.take), as a controls spec does"
             )
         values.append(value)
 

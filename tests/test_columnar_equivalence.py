@@ -1,10 +1,12 @@
-"""The package's loading, filtering and design building against the
-per-row reference in ``record_path.py``.
+"""The package's loading and design building against the per-row
+reference in ``record_path.py``.
 
 Random small survey files are loaded, filtered and turned into designs
 by both paths, which must agree exactly: the same records, the same row
 and drop tallies, bit-identical design values, weights and responses,
-and the same labels, dropped levels and error messages. The files mix
+and the same labels, dropped levels and error messages. The columnar
+path filters with the frozen ``filter_mask`` of ``country_path.py``,
+the reference for the fits' drop tallies. The files mix
 unmapped columns in with the mapped ones, repeat header names (the last
 occurrence is the one read), shuffle the column order, and carry blank
 lines and rows shorter or longer than the header.
@@ -19,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 import record_path
 from agecurve import dataset, design
-from agecurve.dataset import CONTROL_VARS, DataError, EmptySampleError, FilterSpec
+from agecurve.dataset import CONTROL_VARS, DataError, EmptySampleError
 from agecurve.design import DesignError, TermSpec
 from agecurve.models import PRESETS, terms_for
-from country_path import _filter_for
+from country_path import FilterSpec, _filter_for, filter_mask
 
 COUNTRIES = ("AA", "BB", "CC")
 # Level pools per control: with a missing token ("NA", "", "."), with
@@ -142,7 +144,7 @@ def assert_designs_equal(new, old):
 
 
 def check_filter_and_design(survey, records, spec, terms):
-    keep, new_report = dataset.filter_mask(survey, spec)
+    keep, new_report = filter_mask(survey, spec)
     old, old_error = outcome(record_path.apply_filter, records, spec)
     # the reference refuses an empty sample, where the mask keeps no row
     if old is None:

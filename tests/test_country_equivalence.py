@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 import country_path
 from agecurve import RankDeficientError, Survey, cli, design, load_csv, models, save_csv
-from agecurve.dataset import CONTROL_VARS, FilterSpec
+from agecurve.dataset import CONTROL_VARS
 from agecurve.design import TermSpec
 from agecurve.models import PRESETS, ModelSpec
 from conftest import FITTABLE, synth_rows
@@ -202,7 +202,7 @@ def test_build_design_matches_per_country_path(survey):
     """Explicit references, observed or not, give the same designs and
     the same error messages; so do controls with missing values."""
     complete, _ = outcome(
-        country_path.apply_filter, survey, FilterSpec(listwise_vars=frozenset(CONTROL_VARS))
+        country_path.apply_filter, survey, country_path.FilterSpec(listwise_vars=frozenset(CONTROL_VARS))
     )
     samples = [survey] if complete is None else [survey, complete[0]]
     for sample in samples:

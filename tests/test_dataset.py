@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from agecurve import (
     PRESETS,
     DataError,
-    FilterSpec,
     Survey,
     TermSpec,
     batch_fit,
@@ -21,7 +20,7 @@ from agecurve import (
     save_csv,
 )
 from agecurve import dataset
-from agecurve.dataset import CONTROL_VARS, DEFAULT_MISSING, ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap, filter_mask
+from agecurve.dataset import CONTROL_VARS, DEFAULT_MISSING, ESS_SCHEMA, IDENTITY_SCHEMA, RoundYearMap
 from record_path import SurveyRecord, rows
 
 
@@ -281,8 +280,8 @@ class TestLoadCsv:
         results = batch_fit(survey, PRESETS["quad-nocontrols-nocap"])
         assert [res.country for res in results] == [long_name, "DE"]
         assert results[0].error == "1 observations cannot identify 3 coefficients"
-        keep, _ = filter_mask(survey, FilterSpec(countries=frozenset({long_name})))
-        assert rows(survey.take(keep)) == [rec(country=long_name, age=40)]
+        own = survey.take(survey.country_codes == survey.country_levels.index(long_name))
+        assert rows(own) == [rec(country=long_name, age=40)]
 
     @pytest.mark.parametrize("column", [0, 4, 5])  # the country, the weight, a column not read
     def test_bytes_not_utf8_are_refused_in_any_column(self, tmp_path, column):
@@ -733,47 +732,44 @@ def test_absent_controls_share_one_read_only_column():
     assert codes.tolist() == [1, 0] and levels == ("female", "male")
 
 
-class TestFilterMask:
+class TestDropTallies:
+    """Each country's rows in and rows dropped by reason, as ``batch_fit``
+    counts them from the cells a spec leaves out. Only one row has a
+    control, so every other row misses "education", the first control
+    by name."""
+
     def make(self):
         return Survey.from_rows([
             row(age=20), row(age=40), row(age=70, country="FR"),
             row(age=90), row(age=30, sex="male"),
         ])
 
-    def test_age_window(self):
-        survey = self.make()
-        keep, report = filter_mask(survey, FilterSpec(min_age=25, max_age=69))
-        assert survey.take(keep).age.tolist() == [40, 30]
-        assert (report.n_in, report.n_kept) == (5, 2)
-        assert report.dropped["age below minimum"] == 1
-        assert report.dropped["age above maximum"] == 2
+    def tallies(self, spec):
+        return {r.country: (r.rows_in, r.dropped) for r in batch_fit(self.make(), PRESETS[spec])}
 
-    def test_country_and_listwise(self):
-        survey = self.make()
-        keep, report = filter_mask(
-            survey,
-            FilterSpec(countries=frozenset({"DE"}), listwise_vars=frozenset({"sex"})),
-        )
-        assert survey.take(keep).age.tolist() == [30]
-        assert report.dropped["country excluded"] == 1
-        assert report.dropped["missing sex"] == 3
+    def test_age_cap(self):
+        assert self.tallies("quad-nocontrols-cap") == {
+            "DE": (4, {"age above maximum": 1}), "FR": (1, {"age above maximum": 1}),
+        }
 
-    def test_order_preserved(self):
-        survey = self.make()
-        keep, _ = filter_mask(survey, FilterSpec())
-        assert keep.all()
-        assert rows(survey.take(keep)) == rows(survey)
+    def test_listwise_deletion_after_the_age_cap(self):
+        assert self.tallies("quad-controls-nocap") == {
+            "DE": (4, {"missing education": 4}), "FR": (1, {"missing education": 1}),
+        }
+        assert self.tallies("quad-controls-cap") == {
+            "DE": (4, {"age above maximum": 1, "missing education": 3}),
+            "FR": (1, {"age above maximum": 1}),
+        }
 
-    def test_empty_result_keeps_no_row(self):
-        keep, report = filter_mask(self.make(), FilterSpec(countries=frozenset({"XX"})))
-        assert not keep.any()
-        assert (report.n_kept, report.dropped) == (0, {"country excluded": 5})
+    def test_no_restriction_drops_nothing(self):
+        assert self.tallies("quad-nocontrols-nocap") == {"DE": (4, {}), "FR": (1, {})}
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FilterSpec(min_age=30, max_age=20)
-        with pytest.raises(ValueError):
-            FilterSpec(listwise_vars=frozenset({"happiness"}))
+    def test_emptied_country_is_tallied_with_its_error(self):
+        results = batch_fit(self.make(), PRESETS["quad-nocontrols-cap"], ["FR", "XX"])
+        assert [(r.rows_in, r.dropped, r.error) for r in results] == [
+            (1, {"age above maximum": 1}, "filter removed all 1 records"),
+            (0, {}, "country 'XX' not in the survey"),
+        ]
 
 
 class TestCohortBin:

@@ -294,6 +294,20 @@ class TestBatchFit:
             "country 'BB' not in the survey"
         )
 
+    def test_specs_share_the_survey_country_counts(self, monkeypatch):
+        """The first fit by country counts each country's rows and finds
+        its first row; a later spec on the same survey reads both."""
+        survey = synth_survey(dict(seed=25, country="BB"), dict(seed=26, country="AA"), n=80)
+        counted = models._SpecFits(survey, PRESETS["quad-controls-cap"], False)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+        again = models._SpecFits(survey, PRESETS["ranges-fine"], False)
+        assert sorts == []
+        assert again.index is counted.index and again.rows is counted.rows
+        assert list(again.index) == ["BB", "AA"]
+        assert [r.rows_in for r in batch_fit(survey, PRESETS["ranges-fine"])] == [80, 80]
+
     def test_warnings_reach_the_caller(self, monkeypatch):
         """A warning raised inside a fit is the caller's to handle, not
         a note."""
