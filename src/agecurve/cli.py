@@ -99,7 +99,12 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     if path:
         if not Path(path).is_file():
             raise FatalError(f"config file not found: {path}")
-        config.read(path, encoding="utf-8")
+        try:
+            config.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # configparser's messages span lines; the error is one
+            reason = " ".join(str(exc).split())
+            raise FatalError(f"cannot read config file {path}: {reason}") from None
     return config
 
 

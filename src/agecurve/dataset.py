@@ -484,11 +484,14 @@ def _plain_block(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray] | Non
 
 
 def _header(handle: BinaryIO) -> list[str]:
-    """csv's first record of a binary file, leaving ``handle`` at the next."""
+    """csv's first record of a binary file, after a UTF-8 byte-order mark
+    if it starts with one, leaving ``handle`` at the next."""
+    start = 3 if handle.read(3) == b"\xef\xbb\xbf" else 0
+    handle.seek(start)
     lines = []
     text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
     header = next(csv.reader(lines.append(line) or line for line in iter(text.readline, "")), [])
-    text.detach().seek(len("".join(lines).encode()))
+    text.detach().seek(start + len("".join(lines).encode()))
     return header
 
 

@@ -83,19 +83,15 @@ def scheme_bin_labels(scheme: str) -> list[str]:
 
 
 def age_bin_label(age: int, scheme: str = "coarse") -> str:
-    """Bin label for an age under the named scheme.
+    """Bin label for an age under the named scheme, by its whole years.
 
     Total on ages 15 and up; ages below 15 are outside the survey
     population and raise.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown bin scheme {scheme!r}; use 'coarse' or 'fine'")
+    labels = scheme_bin_labels(scheme)
     if age < 15:
         raise ValueError(f"age {age} below the survey minimum of 15")
-    for label, low, high in _SCHEMES[scheme]:
-        if age >= low and (high is None or age <= high):
-            return label
-    raise AssertionError("unreachable: bin schemes are total on ages >= 15")
+    return labels[_BIN_CODES[scheme][min(int(age), 120)]]
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,8 @@ class TermSpec:
 
     @classmethod
     def age_bins(cls, scheme: str = "coarse", reference: str | None = None) -> "TermSpec":
-        if scheme not in _SCHEMES:
-            raise ValueError(f"unknown bin scheme {scheme!r}; use 'coarse' or 'fine'")
-        if reference is not None and reference not in {b[0] for b in _SCHEMES[scheme]}:
+        labels = scheme_bin_labels(scheme)
+        if reference is not None and reference not in labels:
             raise ValueError(f"{reference!r} is not a bin of the {scheme} scheme")
         return cls(kind="age_bins", scheme=scheme, reference_level=reference)
 
@@ -233,10 +228,11 @@ def _level_sort_key(level: str) -> tuple[int, float, str]:
 class _Factor:
     """One factor term coded once over every row. ``codes`` index
     ``levels`` (the column order), ``len(levels)`` marking a missing
-    value. With ``declared`` every level is a candidate column, else a
-    group's levels are those it holds; a ``reference`` of None is a
-    group's first level. ``unobserved`` words the error for a reference
-    the group lacks, given the group's levels."""
+    value. ``declared`` makes every level a candidate column, so one
+    that a group lacks is a dropped level; ``reference`` names the
+    level without a column (see :meth:`GroupedDesigns._coding`).
+    ``unobserved`` words the error for a reference the group lacks,
+    given the group's candidate levels."""
 
     term: str
     prefix: str
@@ -246,47 +242,6 @@ class _Factor:
     reference: str | None
     one_level_note: str | None
     unobserved: Callable[[str, list[str]], str]
-
-    def contrast(self, counts: np.ndarray) -> tuple[list[int], list[str], list[tuple[str, str, str]]]:
-        """Dummy coding of one group that holds no missing value, given
-        its ``counts`` per code: the levels with a column, in column
-        order, their labels ``prefix + level``, and the dropped levels,
-        each candidate level without rows as ``(term, level, "no
-        observations")`` followed, when one level is observed, by
-        ``(term, reference, one_level_note)`` if there is a note."""
-        counts = counts.tolist()
-        held = [j for j, count in enumerate(counts[:-1]) if count or self.declared]
-        levels = [self.levels[j] for j in held]
-        reference = levels[0] if self.reference is None else self.reference
-        if reference not in levels or not counts[held[levels.index(reference)]]:
-            raise DesignError(self.unobserved(reference, levels))
-        others = [j for j in held if self.levels[j] != reference]
-        contrast = [j for j in others if counts[j]]
-        dropped = [(self.term, self.levels[j], "no observations") for j in others if not counts[j]]
-        if self.one_level_note is not None and sum(map(bool, counts[:-1])) == 1:
-            dropped.append((self.term, reference, self.one_level_note))
-        return contrast, [f"{self.prefix}{self.levels[j]}" for j in contrast], dropped
-
-
-def _no_missing(variable: str, missing: np.ndarray) -> None:
-    rows = np.flatnonzero(missing)
-    if rows.size:
-        raise DesignError(
-            f"record {rows[0]} has no {variable!r}; apply listwise deletion first: drop "
-            f"the rows with a missing value (Survey.take), as a controls spec does"
-        )
-
-
-def _fill(values: np.ndarray, row_columns: np.ndarray) -> None:
-    rows = np.flatnonzero(row_columns >= 0)
-    values[rows, row_columns[rows]] = 1.0
-
-
-def _column_of(factor: _Factor, contrast: list[int], first: int) -> np.ndarray:
-    """Each code's column, counting from ``first`` (-1 for none)."""
-    column_of = np.full(len(factor.levels) + 1, -1)
-    column_of[contrast] = np.arange(first, first + len(contrast))
-    return column_of
 
 
 def _control_factor(survey: Survey, variable: str, reference: str | None) -> _Factor:
@@ -408,6 +363,8 @@ class GroupedDesigns:
         self._coded: list[tuple[TermSpec, _Factor, np.ndarray, np.ndarray]] = []
         # (term, global index, values) of a number given per row
         self._per_row: list[tuple[TermSpec, int, np.ndarray]] = []
+        # every global column's label
+        self._labels: list[str] = []
         offset = 0
         for term in terms:
             if term.kind == "mediator":
@@ -415,6 +372,7 @@ class GroupedDesigns:
                     raise DesignError("the mediator term needs a mediator value on every row")
                 self._terms.append((term, offset, ("mediator", survey.mediator)))
                 self._per_row.append((term, offset, survey.mediator))
+                self._labels.append("mediator")
                 offset += 1
                 continue
             if term.kind in _NUMERIC_TERMS:
@@ -424,6 +382,7 @@ class GroupedDesigns:
                 self._terms.append((term, offset, (label, column)))
                 age_columns.append(column(ages)[:, None])
                 self._age_index.append(offset)
+                self._labels.append(label)
                 offset += 1
                 continue
             factor = _term_factor(survey, term)
@@ -432,6 +391,7 @@ class GroupedDesigns:
             counts = np.bincount(key, minlength=self._n_cells * width).reshape(self._n_cells, width)
             self._terms.append((term, offset, (factor, counts)))
             self._coded.append((term, factor, np.arange(offset, offset + width - 1), key))
+            self._labels.extend(factor.prefix + level for level in factor.levels)
             offset += width - 1
         self.width = offset
         self._age_columns = np.hstack(age_columns)
@@ -477,77 +437,102 @@ class GroupedDesigns:
                 return np.count_nonzero(counts[:, :-1], axis=1)
         raise KeyError(f"no {kind} term")
 
-    def _contrasts(self, g: int) -> tuple[list, list[str], list[tuple[str, str, str]]]:
-        """Each factor term's levels with a column in group ``g`` (None
-        for a numeric term), the labels and the dropped levels."""
-        parts: list[list[int] | None] = []
-        labels: list[str] = []
-        dropped: list[tuple[str, str, str]] = []
-        for _, _, (term, detail) in self._terms:
-            if not isinstance(term, _Factor):
-                parts.append(None)
-                labels.append(term)
+    def _coding(self, groups: np.ndarray) -> tuple[np.ndarray, list[DesignError | None]]:
+        """Which global columns each of ``groups`` has, as a groups ×
+        :attr:`width` mask, and the error that refuses each group, or
+        None. A factor term has a column for each level a group holds
+        but its reference: the term's own, else its first declared
+        level, else its first held level. A group is refused at its
+        first term, in term order, with a missing value (this error
+        first) or without its reference."""
+        n = len(groups)
+        present = np.zeros((n, self.width), bool)
+        errors: list[DesignError | None] = [None] * n
+        for _, offset, (factor, counts) in self._terms:
+            if not isinstance(factor, _Factor):
+                present[:, offset] = True
                 continue
-            if detail[g, -1]:
-                _no_missing(term.term, term.codes[self._rows(g)] == len(term.levels))
-            contrast, labs, drops = term.contrast(detail[g])
-            parts.append(contrast)
-            labels.extend(labs)
-            dropped.extend(drops)
-        return parts, labels, dropped
+            missing = counts[groups, -1] > 0
+            # whether each group holds each level, and a last column of
+            # False for a reference that is not a level
+            held = counts[groups] > 0
+            held[:, -1] = False
+            names = [*factor.levels, factor.reference]
+            if factor.reference is not None:
+                reference = np.full(n, names.index(factor.reference))
+            else:
+                reference = np.zeros(n, np.intp) if factor.declared else held.argmax(axis=1)
+            lacks = ~held[np.arange(n), reference]
+            for i in np.flatnonzero(missing | lacks).tolist():
+                if errors[i] is not None:
+                    continue
+                if missing[i]:
+                    codes = factor.codes[self._rows(int(groups[i]))]
+                    errors[i] = DesignError(
+                        f"record {np.flatnonzero(codes == len(factor.levels))[0]} has no "
+                        f"{factor.term!r}; apply listwise deletion first: drop the rows with a "
+                        f"missing value (Survey.take), as a controls spec does"
+                    )
+                else:
+                    candidates = range(len(factor.levels)) if factor.declared else np.flatnonzero(held[i])
+                    errors[i] = DesignError(factor.unobserved(names[reference[i]], [names[j] for j in candidates]))
+            held[np.arange(n), reference] = False
+            present[:, offset:offset + len(factor.levels)] = held[:, :-1]
+        return present, errors
+
+    def _columns(self, present: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """The global index and the label of each column in ``present``."""
+        index = np.flatnonzero(present)
+        return index, [self._labels[i] for i in index.tolist()]
+
+    def layouts(self, groups: Sequence[int]) -> list[tuple[np.ndarray, list[str]] | ValueError]:
+        """:meth:`layout` of each of ``groups``, or its error, naming the
+        columns once per distinct set (see :meth:`_coding`)."""
+        present, errors = self._coding(np.asarray(groups, dtype=np.intp))
+        built: dict[bytes, tuple[np.ndarray, list[str]]] = {}
+        out: list[tuple[np.ndarray, list[str]] | ValueError] = []
+        # each group's mask row as one bytes key
+        for columns, key, error in zip(present, present.view(f"V{self.width}").ravel().tolist(), errors):
+            if error is None and key not in built:
+                built[key] = self._columns(columns)
+            out.append(error or built[key])
+        return out
 
     def layout(self, g: int) -> tuple[np.ndarray, list[str]]:
         """The global index and the label of each column of group ``g``'s
-        design, in design order; raises as :meth:`design` does. Both
-        depend only on the levels ``g`` holds (see :meth:`layouts`)."""
-        parts, labels, _ = self._contrasts(g)
-        index: list[int] = []
-        for (_, offset, _), levels in zip(self._terms, parts):
-            index.extend([offset] if levels is None else [offset + j for j in levels])
-        return np.array(index), labels
-
-    def layouts(self, groups: Sequence[int]) -> list[tuple[np.ndarray, list[str]] | ValueError]:
-        """:meth:`layout` of each of ``groups``, or its error, from one
-        call per key: the levels a group holds of each factor term, less
-        the first of a factor without an explicit reference, which is the
-        reference and has no column. A group with a missing value has its
-        own call, as the error names a row."""
-        groups = np.asarray(groups, dtype=np.intp)
-        parts, missing = [np.zeros((len(groups), 0), bool)], np.zeros(len(groups), bool)
-        for _, _, (factor, counts) in self._terms:
-            if isinstance(factor, _Factor):
-                held = counts[groups, :-1] > 0
-                missing |= counts[groups, -1] > 0
-                if factor.reference is None and factor.levels:
-                    held[np.arange(len(groups)), held.argmax(axis=1)] = False
-                parts.append(held)
-        keys = [g if alone else key.tobytes()
-                for g, key, alone in zip(groups.tolist(), np.hstack(parts), missing.tolist())]
-        shared: dict = {}
-        for g, key in zip(groups.tolist(), keys):
-            if key not in shared:
-                try:
-                    shared[key] = self.layout(g)
-                except ValueError as exc:
-                    shared[key] = exc
-        return [shared[key] for key in keys]
+        design, in design order; raises as :meth:`design` does."""
+        layout = self.layouts([g])[0]
+        if isinstance(layout, ValueError):
+            raise layout
+        return layout
 
     def design(self, g: int) -> DesignMatrix:
         """Group ``g``'s dense design, equal to :func:`build_design` on
         that group's rows alone, raising as that would; ``g`` must hold
-        a row."""
-        parts, labels, dropped = self._contrasts(g)
+        a row. Its columns are :meth:`layout`'s. A declared factor's
+        levels without rows are dropped, then a factor's one held level
+        with the term's note."""
+        index, labels = self.layout(g)
         rows = self._rows(g)
         ages = self._age[rows].astype(np.float64)
         values = np.zeros((len(ages), len(labels)))
-        column = 0
-        for (_, _, (term, detail)), levels in zip(self._terms, parts):
-            if levels is None:
-                values[:, column] = detail[rows] if term == "mediator" else detail(ages)
-                column += 1
-            else:
-                _fill(values, _column_of(term, levels, column)[term.codes[rows]])
-                column += len(levels)
+        # each global column's place in the design, -1 for none
+        column = np.full(self.width, -1)
+        column[index] = np.arange(len(index))
+        dropped: list[tuple[str, str, str]] = []
+        for _, offset, (term, detail) in self._terms:
+            if not isinstance(term, _Factor):
+                values[:, column[offset]] = detail[rows] if term == "mediator" else detail(ages)
+                continue
+            # a group with a design has no missing value
+            at = column[offset:][term.codes[rows]]
+            filled = np.flatnonzero(at >= 0)
+            values[filled, at[filled]] = 1.0
+            counts = detail[g, :-1]
+            if term.declared:
+                dropped.extend((term.term, level, "no observations") for level, n in zip(term.levels, counts) if not n)
+            if term.one_level_note is not None and np.count_nonzero(counts) == 1:
+                dropped.append((term.term, term.levels[counts.argmax()], term.one_level_note))
         return DesignMatrix(values, labels, self._weight[rows], self._response[rows], dropped)
 
     @staticmethod

@@ -89,8 +89,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.form not in ("quadratic", "ranges"):
             raise ValueError(f"unknown model form {self.form!r}")
-        if self.scheme not in ("coarse", "fine"):
-            raise ValueError(f"unknown bin scheme {self.scheme!r}")
+        scheme_bin_labels(self.scheme)  # raises on an unknown scheme
         if self.age_cap is not None and self.age_cap < 15:
             raise ValueError(f"age_cap {self.age_cap} below the survey minimum")
 
@@ -455,6 +454,7 @@ def adjusted_means(
     range model for ``scheme`` (period and cohort controlled by default;
     pass ``spec`` to override), then :func:`curve_from_fit`. The curve's
     notes are the fit's notes followed by its own."""
+    scheme_bin_labels(scheme)  # raises on an unknown scheme
     if spec is None:
         spec = PRESETS["ranges-coarse" if scheme == "coarse" else "ranges-fine"]
     if spec.form != "ranges" or spec.scheme != scheme:

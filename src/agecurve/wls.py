@@ -176,9 +176,10 @@ def _certified_cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their singular values computed."""
     eye = np.eye(gram.shape[-1])
     lower, failed = _each(np.linalg.cholesky, gram, eye)
+    # every R is triangular with a nonzero diagonal, a failed member's
+    # the identity, so its inverse does not raise
     r = lower.swapaxes(-1, -2)
-    r_inv, singular = _each(np.linalg.inv, r, eye)
-    failed |= singular
+    r_inv = np.linalg.inv(r)
     norms = np.sqrt(np.sum(r**2, axis=(-2, -1)) * np.sum(r_inv**2, axis=(-2, -1)))
     certified = ~failed & (_CERTIFICATE * norms < 1.0)
     doubt = np.flatnonzero(~failed & ~certified)

@@ -293,6 +293,61 @@ class TestInputHandling:
         assert message in err and len(err.splitlines()) == 1
 
 
+class TestConfigFile:
+    """The ``[filters]`` and ``[output]`` keys README documents, each
+    applied from the file and overridden by its flag, and a config file
+    that cannot be read."""
+
+    SPEC = "quad-nocontrols-nocap"
+
+    def fit(self, survey_csv, tmp_path, config_text, *flags):
+        config = tmp_path / "cfg.ini"
+        config.write_text(config_text, encoding="utf-8")
+        return main(["fit", "--input", str(survey_csv), "--spec", self.SPEC, "--config", str(config), *flags])
+
+    @pytest.mark.parametrize("flags, expected", [([], {"BB"}), (["--countries", "AA"], {"AA"})])
+    def test_countries(self, survey_csv, tmp_path, flags, expected):
+        out = tmp_path / "out"
+        code = self.fit(survey_csv, tmp_path, "[filters]\ncountries = BB\n", "--out", str(out), "--format", "csv", *flags)
+        assert code == 0
+        _, rows = read_csv(out / f"fit_{self.SPEC}.csv")
+        assert {row[0] for row in rows} == expected
+
+    @pytest.mark.parametrize("flags, expected", [([], [".csv"]), (["--format", "text"], [".txt"])])
+    def test_formats(self, survey_csv, tmp_path, flags, expected):
+        out = tmp_path / "out"
+        assert self.fit(survey_csv, tmp_path, "[output]\nformats = csv\n", "--out", str(out), *flags) == 0
+        assert [path.suffix for path in out.iterdir()] == expected
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_dir(self, survey_csv, tmp_path, flagged):
+        configured, flag = tmp_path / "configured", tmp_path / "flag"
+        flags = ["--out", str(flag)] if flagged else []
+        assert self.fit(survey_csv, tmp_path, f"[output]\ndir = {configured}\n", *flags) == 0
+        written, unused = (flag, configured) if flagged else (configured, flag)
+        assert (written / f"fit_{self.SPEC}.csv").is_file() and not unused.exists()
+
+    def test_config_not_found(self, survey_csv, tmp_path, capsys):
+        missing = tmp_path / "missing.ini"
+        code = main(["fit", "--input", str(survey_csv), "--config", str(missing), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"weight = pweight\n", b"[columns]\nweight = a\nweight = b\n", "[columns]\nweight = a\n".encode("utf-16")],
+        ids=["key-before-section", "duplicate-key", "utf-16"],
+    )
+    def test_unreadable_config_is_one_error_line(self, survey_csv, tmp_path, capsys, content):
+        config = tmp_path / "cfg.ini"
+        config.write_bytes(content)
+        code = main(["fit", "--input", str(survey_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config file {config}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestCurves:
     def test_fine_curves_with_chart(self, survey_csv, tmp_path):
         out = tmp_path / "out"

@@ -467,6 +467,22 @@ class TestReadPaths:
         assert outcome(path) == csv_outcome(path)
         assert cells_read(path) == csv_outcome(path, cells_read)
 
+    @pytest.mark.parametrize("write", [write_plain, write_quoted])
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_byte_order_mark_loads_as_without(self, tmp_path, write, block):
+        """A file that starts with a UTF-8 byte-order mark, as spreadsheet
+        "CSV UTF-8" exports do, loads as the same file without one: the
+        same columns, levels and LoadReport, from its first row on."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        header = ["country", "round", "age", "happiness", "weight", "sex"]
+        write(plain, header, [["DE", "1", "40", "7", "1.0", "1"], ["FR", "2", "50", "x", "0.5", "2"],
+                              ["FR", "2", "61", "6", "2.0", ""]])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+            expected = outcome(plain)
+            assert expected[1]["age"] == [40, 61]
+            assert outcome(marked) == expected
+
     def test_quoted_header_then_plain_rows(self, tmp_path):
         """csv reads a header record of two lines, with a name of multibyte
         characters, and the plain rows after it, blank lines among them,

@@ -7,6 +7,7 @@ from agecurve import (
     DesignError,
     DesignMatrix,
     EmptySampleError,
+    FINE_BINS,
     Survey,
     TermSpec,
     age_bin_label,
@@ -50,6 +51,18 @@ class TestAgeBinLabel:
         else:
             low, high = (int(part) for part in label.split("-"))
             assert low <= age <= high
+
+
+@pytest.mark.parametrize("scheme, bins", [("coarse", COARSE_BINS), ("fine", FINE_BINS)])
+def test_age_bin_label_bounds_hold_the_age(scheme, bins):
+    """The bounds that the bins table gives the label of every age from
+    15 to 130 hold the age; a fractional age is binned by its whole
+    years, also between two bins' bounds."""
+    bounds = {label: (low, high) for label, low, high in bins}
+    for age in range(15, 131):
+        for value in (age, age + 0.5):
+            low, high = bounds[age_bin_label(value, scheme)]
+            assert low <= age and (high is None or age <= high)
 
 
 @pytest.mark.parametrize("scheme", ["coarse", "fine"])

@@ -1,9 +1,9 @@
 """The package's per-layout fits against the per-country loop kept in
 ``member_path.py``.
 
-``_SpecFits.fit`` calls ``GroupedDesigns.layout`` once per distinct key
-of held levels (``GroupedDesigns.layouts``) and forms the results of each
-width's groups together; the reference calls ``layout`` for every group
+``_SpecFits.fit`` names the columns once per distinct set of them
+(``GroupedDesigns.layouts``) and forms the results of each width's
+groups together; the reference calls ``layout`` for every group
 and forms every result on its own. Both solve the same stack, so every
 (country, spec) must agree exactly: the same columns and labels, the
 same error class and message, and bit for bit the same ``FitResult``.
@@ -104,20 +104,20 @@ def report_30c_survey(path: Path) -> Survey:
 
 def test_report_30c_fits_match_per_country_path(tmp_path, monkeypatch):
     """Every (country, spec) of report's six presets, and the pooled
-    fits, from at most 28 ``layout`` calls: the six presets hold 28
-    distinct column sets over the 30 countries (180 calls one by one)."""
+    fits, from at most 28 label builds (``_columns``): the six presets
+    hold 28 distinct column sets over the 30 countries (180 one by one)."""
     survey = report_30c_survey(tmp_path / "survey.csv")
     for spec in PRESETS.values():
         assert_same_fits(survey, spec)
         assert_same_fits(survey, spec, pooled=True)
     calls = []
-    layout = design.GroupedDesigns.layout
+    columns = design.GroupedDesigns._columns
 
-    def counted(self, g):
-        calls.append(g)
-        return layout(self, g)
+    def counted(self, present):
+        calls.append(present)
+        return columns(self, present)
 
-    monkeypatch.setattr(design.GroupedDesigns, "layout", counted)
+    monkeypatch.setattr(design.GroupedDesigns, "_columns", counted)
     fresh = load_csv(tmp_path / "survey.csv", ESS_SCHEMA)[0]
     results = [models.batch_fit(fresh, spec) for spec in PRESETS.values()]
     assert sum(len(r) for r in results) == 180
@@ -151,8 +151,8 @@ def test_random_surveys_fit_as_per_country_path(survey, data):
 def test_countries_with_another_first_cohort_share_a_layout(monkeypatch):
     """C0's oldest respondent was born in 1905-1909 and C1's in
     1910-1914, and both hold every later cohort: the first cohort is the
-    reference and has no column, so the two share one ``layout`` call.
-    C2 holds neither and has a layout of its own."""
+    reference and has no column, so the two share one label build
+    (``_columns``). C2 holds neither and has a build of its own."""
     rng = np.random.default_rng(5)
     rows = []
     for country, oldest in (("C0", 95), ("C1", 91), ("C2", None)):
@@ -167,10 +167,10 @@ def test_countries_with_another_first_cohort_share_a_layout(monkeypatch):
     survey = Survey.from_rows(rows)
     spec = PRESETS["ranges-fine"]
     calls = []
-    layout = design.GroupedDesigns.layout
-    monkeypatch.setattr(design.GroupedDesigns, "layout", lambda self, g: calls.append(g) or layout(self, g))
+    columns = design.GroupedDesigns._columns
+    monkeypatch.setattr(design.GroupedDesigns, "_columns", lambda self, present: calls.append(present) or columns(self, present))
     fits = _SpecFits(survey, spec, False).fit([0, 1, 2])
-    assert calls == [0, 2]
+    assert len(calls) == 2
     assert fits[0].labels == fits[1].labels != fits[2].labels
     monkeypatch.undo()
     assert_same_fits(survey, spec)

@@ -220,6 +220,14 @@ class TestAdjustedMeans:
         with pytest.raises(ValueError, match="ranges"):
             adjusted_means(survey, "A", scheme="fine", spec=PRESETS["ranges-coarse"])
 
+    def test_unknown_scheme_has_one_message(self):
+        survey = synth_survey(n=50, seed=14)
+        message = "unknown bin scheme 'Fine'; use 'coarse' or 'fine'"
+        with pytest.raises(ValueError, match=message):
+            adjusted_means(survey, "A", scheme="Fine")
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(name="x", form="ranges", scheme="Fine")
+
 
 class TestAgeCurve:
     def test_lookup(self):
