@@ -95,7 +95,8 @@ class FatalError(Exception):
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
-    config = configparser.ConfigParser()
+    # values are read literally: a "%" is a character, not interpolation
+    config = configparser.ConfigParser(interpolation=None)
     if path:
         if not Path(path).is_file():
             raise FatalError(f"config file not found: {path}")

@@ -95,7 +95,8 @@ class RoundYearMap:
     base: int = 2000
     step: int = 2
 
-    def year(self, round_number: int) -> int:
+    def year(self, round_number: int | np.ndarray) -> int | np.ndarray:
+        """The fieldwork year of a round, or of each of an array of them."""
         return self.base + self.step * round_number
 
     def round_for(self, year: int) -> int | None:
@@ -663,7 +664,7 @@ def load_csv(
         else:
             rounds = offset
     if years is None:
-        years = round_map.base + round_map.step * rounds
+        years = round_map.year(rounds)
 
     survey = Survey(
         country_codes=column["country"][0][keep],

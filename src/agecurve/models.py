@@ -1,15 +1,15 @@
 """Named model specifications and per-country fitting.
 
-Every fit reads one kind of pass over a survey, which is never copied:
-each term is encoded once, and the rows are split into cells by
-country, by complete controls and by age up to a cut, the spec's cap or
-69 without one. Each cell's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` come from grouped sums
-over the codes (Wong, Lewis & Wardrop, "You Only Compress Once",
-arXiv:2102.11297), and a spec fits the union of the cells it keeps.
-A survey keeps one pass (:func:`_designs`); the replicates of a Monte
-Carlo experiment, stacked as the countries of one survey, fit their
-samples and a subset of each one's rows, those that attrition leaves,
-from one pass the same way (:func:`_nested_fits`).
+Every fit reads a pass over a survey, which is never copied: each term
+is encoded once, and the rows are split into cells. Each cell's ``X̃ᵀX̃``
+and ``X̃ᵀỹ`` come from grouped sums over the codes (Wong, Lewis &
+Wardrop, "You Only Compress Once", arXiv:2102.11297), and a fit reads
+the union of the cells it keeps. A survey keeps one pass, whose cells
+split the rows by country, by complete controls and by age up to a cut,
+the spec's cap or 69 without one (:func:`_designs`). The replicates of a
+Monte Carlo experiment, stacked as the countries of one survey, each fit
+two nested samples from one pass whose cells split the rows by country
+and by whether they stay in the smaller sample (:func:`_nested_fits`).
 The countries asked for are solved in one stacked call of the
 :mod:`agecurve.wls` kernel, without a dense design. Only a country whose
 Gram matrix has no Cholesky factor or fails the full-rank certificate,
@@ -42,14 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import CONTROL_VARS, EmptySampleError, Survey
-from .design import (
-    COARSE_REFERENCE,
-    FINE_REFERENCE,
-    DesignError,
-    GroupedDesigns,
-    TermSpec,
-    scheme_bin_labels,
-)
+from .design import _SCHEME_REFERENCES, DesignError, GroupedDesigns, TermSpec, scheme_bin_labels
 from .wls import FitResult, _csne, _fit_results, fit_wls
 
 __all__ = [
@@ -158,11 +151,11 @@ _CUT = PRESETS["quad-controls-cap"].age_cap
 
 
 def _pass(survey: Survey, terms: list[TermSpec], cut: int, group: np.ndarray, n: int) -> GroupedDesigns:
-    """One encoding of ``terms`` over ``survey`` whose cells split each
-    of the ``n`` groups of ``group``: cell ``4g`` holds the rows of
-    group ``g`` with complete controls and an age up to ``cut``,
-    ``4g + 1`` those above it, and ``4g + 2`` and ``4g + 3`` the same
-    with incomplete controls."""
+    """A survey's pass (see :func:`_designs`): one encoding of ``terms``
+    over ``survey`` whose cells split each of the ``n`` groups of
+    ``group``: cell ``4g`` holds the rows of group ``g`` with complete
+    controls and an age up to ``cut``, ``4g + 1`` those above it, and
+    ``4g + 2`` and ``4g + 3`` the same with incomplete controls."""
     incomplete = np.logical_or.reduce([codes < 0 for codes, _ in survey.controls.values()])
     return GroupedDesigns(survey, terms, 4 * group + 2 * incomplete + (survey.age > cut), 4 * n)
 
@@ -194,29 +187,27 @@ def _designs(survey: Survey, spec: ModelSpec, pooled: bool, codes: np.ndarray, n
 
 class _SpecFits:
     """One spec over every country of a survey, or over the pooled
-    sample, from the survey's pass (see :func:`_designs`); :meth:`fit`
-    fits groups by position and :meth:`named` countries by name. A
-    country's group is the union of the cells it keeps. ``index`` maps
-    each country that holds rows, in first-appearance order, to its
-    group; a survey keeps it and ``rows`` for every fit by country.
-    Given a view of a pass in ``designs`` (see :func:`_nested_fits`), they
-    fit the rows ``kept`` (None: all), country ``g`` in its group ``g``."""
+    sample, from the survey's pass (see :func:`_designs`), or the groups
+    of a view of a pass in ``designs``, country ``g`` in its group ``g``
+    (see :func:`_nested_fits`); :meth:`fit` fits groups by position and
+    :meth:`named` countries by name. A country's group is the union of
+    the cells it keeps. ``index`` maps each country that holds rows, in
+    first-appearance order, to its group, and ``rows`` counts its rows in
+    the survey; a survey keeps both for every fit by country."""
 
     def __init__(
-        self, survey: Survey, spec: ModelSpec | None, pooled: bool,
-        designs: GroupedDesigns | None = None, kept: np.ndarray | None = None,
+        self, survey: Survey, spec: ModelSpec | None, pooled: bool, designs: GroupedDesigns | None = None
     ) -> None:
         codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
         n_groups = 1 if pooled else len(survey.country_levels)
         self.names = (None,) if pooled else survey.country_levels
-        derived = survey._derived if kept is None and not pooled else {}
+        derived = {} if pooled else survey._derived
         if "countries" not in derived:
-            held = codes if kept is None else codes[kept]
-            rows = np.bincount(held, minlength=n_groups)
+            rows = np.bincount(codes, minlength=n_groups)
             # A stable sort by code starts each country's run at its first row.
-            order = np.argsort(held.astype(np.min_scalar_type(n_groups)), kind="stable")
+            order = np.argsort(codes.astype(np.min_scalar_type(n_groups)), kind="stable")
             firsts = np.sort(order[(np.cumsum(rows) - rows)[rows > 0]])
-            derived["countries"] = rows, {self.names[g]: g for g in held[firsts].tolist()}
+            derived["countries"] = rows, {self.names[g]: g for g in codes[firsts].tolist()}
         self.rows, self.index = derived["countries"]
         self.designs = _designs(survey, spec, pooled, codes, n_groups) if designs is None else designs
         self.held = self.designs.held_rows()
@@ -426,11 +417,12 @@ def curve_from_fit(fit: FitResult, country: str, scheme: str) -> AgeCurve:
     their own coefficient. Bins with no observations are left out of the
     curve, each with a note in the curve's ``notes``."""
     base = fit.coef("const") + _context_offset(fit)
-    reference = COARSE_REFERENCE if scheme == "coarse" else FINE_REFERENCE
+    bins = scheme_bin_labels(scheme)  # raises on an unknown scheme
+    reference = _SCHEME_REFERENCES[scheme]
     labels: list[str] = []
     levels: list[float] = []
     notes: list[str] = []
-    for bin_label in scheme_bin_labels(scheme):
+    for bin_label in bins:
         if bin_label == reference:
             labels.append(bin_label)
             levels.append(base)
@@ -456,7 +448,7 @@ def adjusted_means(
     notes are the fit's notes followed by its own."""
     scheme_bin_labels(scheme)  # raises on an unknown scheme
     if spec is None:
-        spec = PRESETS["ranges-coarse" if scheme == "coarse" else "ranges-fine"]
+        spec = PRESETS[f"ranges-{scheme}"]
     if spec.form != "ranges" or spec.scheme != scheme:
         raise ValueError(
             f"spec {spec.name!r} does not fit {scheme!r} age ranges"
@@ -467,23 +459,22 @@ def adjusted_means(
 
 
 def _nested_fits(
-    survey: Survey, spec: ModelSpec, drop: np.ndarray | None
+    survey: Survey, terms: list[TermSpec], drop: np.ndarray | None, more: Sequence[TermSpec] = ()
 ) -> tuple[list[FitResult | ValueError], list[FitResult | ValueError]]:
-    """Each country's fit by position, as :func:`fit_spec` fits it and
-    records its error, and the same without the rows ``drop`` (None:
-    none), from one pass over ``survey`` whose groups are ``c`` for the
-    rows of country ``c`` that stay and ``c + n`` for those dropped, of
-    ``n`` countries: the full sample keeps the cells of both, the subset
-    those of the first."""
-    n, terms = len(survey.country_levels), terms_for(spec)
-    if drop is None:
-        return (_SpecFits(survey, spec, False).fit(range(n)),) * 2
-    designs = _pass(survey, terms, spec.age_cap or _CUT, survey.country_codes + n * drop, 2 * n)
+    """Each country's fit by position, as :meth:`_SpecFits.fit` gives it,
+    of ``terms`` on all its rows and of ``terms + more`` on the rows that
+    ``drop`` leaves (None: all), from one encoding over ``2n`` cells of
+    the ``n`` countries: cell ``c`` holds the rows of country ``c`` that
+    stay, ``c + n`` those dropped. Without a drop or more terms the two
+    samples are one, fitted once."""
+    n, model = len(survey.country_levels), [*terms, *more]
     countries = np.arange(n)[:, None]
-    return tuple(
-        _SpecFits(survey, spec, False, designs.merged(_kept(spec, groups), terms), kept).fit(range(n))
-        for groups, kept in ((countries + [0, n], None), (countries, ~drop))
-    )
+    cell = survey.country_codes if drop is None else survey.country_codes + n * drop
+    designs = GroupedDesigns(survey, model, cell, 2 * n)
+    full = _SpecFits(survey, None, False, designs.merged(countries + [0, n], terms)).fit(range(n))
+    if drop is None and not more:
+        return full, full
+    return full, _SpecFits(survey, None, False, designs.merged(countries, model)).fit(range(n))
 
 
 @dataclass

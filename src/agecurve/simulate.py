@@ -32,21 +32,21 @@ draws that came before.
 
 Each replicate draws its own sample. The replicates are then fitted as
 countries are, a chunk of them under a fixed row count at a time: their
-samples become the countries of one survey, fitted from one pass over
-it (see :mod:`agecurve.models`), and no replicate's fit or error depends
-on the others.
+samples become the countries of one survey, each fitted on two nested
+samples from one pass over it (see :mod:`agecurve.models`), and no
+replicate's fit or error depends on the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import DEFAULT_ROUND_MAP, Survey
-from .design import FINE_BINS, GroupedDesigns, TermSpec
-from .models import PRESETS, _fitted, _nested_fits, _SpecFits, curve_from_fit
+from .design import FINE_BINS, TermSpec
+from .models import PRESETS, _fitted, _nested_fits, curve_from_fit, terms_for
 from .wls import RankDeficientError
 
 __all__ = [
@@ -225,7 +225,7 @@ def _draw(config: DgpConfig, seeds: Sequence[int] | None = None) -> tuple[Survey
         rounds = rng.choice(np.asarray(config.rounds, dtype=np.int64), size=config.n)
         noise = rng.normal(0.0, config.noise_sd, size=config.n)
 
-        years = DEFAULT_ROUND_MAP.base + DEFAULT_ROUND_MAP.step * rounds
+        years = DEFAULT_ROUND_MAP.year(rounds)
         births = years - ages
 
         deterministic = config.intercept + config.age_effect.values(ages)
@@ -450,15 +450,9 @@ def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> Sim
 
     def fit_chunk(survey: Survey, _) -> list[tuple[float, float, float]]:
         """Each replicate's age slope without and with the mediator, and the mediator's."""
-        k = len(survey.country_levels)
-        designs = GroupedDesigns(survey, terms, survey.country_codes, k)
-        without, with_mediator = (
-            _SpecFits(survey, None, False, designs=designs.merged(np.arange(k)[:, None], model)).fit(range(k))
-            for model in (terms[:-1], terms)
-        )
         return [
             (_fitted(total).coef("age"), _fitted(direct).coef("age"), direct.coef("mediator"))
-            for total, direct in zip(without, with_mediator)
+            for total, direct in zip(*_nested_fits(survey, terms[:-1], None, terms[-1:]))
         ]
 
     totals, directs, mediator_coefs = np.array(_fit_replicates(config, seeds, fit_chunk)).T
@@ -493,17 +487,16 @@ def experiment_truncation(
 ) -> SimResult:
     """Quadratic curvature under an age cap versus the full age range.
 
-    Each replicate fits the quadratic (with period factors) on all ages
-    and again on ages at most ``cap_age``, as :func:`batch_fit` fits
-    ``quad-nocontrols-nocap`` and ``quad-nocontrols-cap`` capped at
-    ``cap_age``: at the default cap both come from one pass. A replicate
-    with no age above the cap keeps its full fit as its capped fit, and
-    the first replicate whose fit fails raises its error. With the
-    s-shaped default truth the capped fit shows more curvature, because
-    the cap removes the late-life decline the quadratic would otherwise
-    have to average in. The contract check: the capped age-squared
-    coefficient exceeds the full-range one in at least 95 percent of
-    replicates.
+    Each replicate fits the quadratic (with period factors) of
+    ``quad-nocontrols-nocap`` on all ages and again on ages at most
+    ``cap_age``, both from one pass over its sample, in which the rows
+    above the cap are a cell of their own: a replicate with no age above
+    the cap has its full fit as its capped fit. The first replicate
+    whose fit fails raises its error. With the s-shaped default truth
+    the capped fit shows more curvature, because the cap removes the
+    late-life decline the quadratic would otherwise have to average in.
+    The contract check: the capped age-squared coefficient exceeds the
+    full-range one in at least 95 percent of replicates.
     """
     if config is None:
         config = default_truncation_config()
@@ -511,21 +504,16 @@ def experiment_truncation(
         raise ValueError(
             f"age_high {config.age_high} does not extend past the cap {cap_age}"
         )
-
-    full_spec = PRESETS["quad-nocontrols-nocap"]
-    capped_spec = replace(PRESETS["quad-nocontrols-cap"], age_cap=cap_age)
+    if cap_age < 15:
+        raise ValueError(f"age_cap {cap_age} below the survey minimum")
+    terms = terms_for(PRESETS["quad-nocontrols-nocap"])
     seeds = _replicate_seeds(config.seed, reps)
-    # the full and the capped fit's age and age_sq coefficients, per replicate
 
     def fit_chunk(survey: Survey, _) -> list[list[list[float]]]:
         """Each replicate's full and capped fit's age and age_sq coefficients."""
-        k = len(survey.country_levels)
-        full, capped = (_SpecFits(survey, spec, False).fit(range(k)) for spec in (full_spec, capped_spec))
-        # a cap above every age of a replicate leaves its full sample, and so its full fit
-        binding = np.bincount(survey.country_codes, survey.age > cap_age, k) > 0
         return [
-            [[fit.coef("age"), fit.coef("age_sq")] for fit in map(_fitted, (f, c if bound else f))]
-            for f, c, bound in zip(full, capped, binding.tolist())
+            [[fit.coef("age"), fit.coef("age_sq")] for fit in map(_fitted, fits)]
+            for fits in zip(*_nested_fits(survey, terms, survey.age > cap_age))
         ]
 
     coefs = np.array(_fit_replicates(config, seeds, fit_chunk))
@@ -598,7 +586,7 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
         """Each replicate's attrited-minus-full level of the late bins
         that both curves hold, or None when it cannot be fitted."""
         out = []
-        for fits in zip(*_nested_fits(survey, PRESETS["ranges-fine"], drop)):
+        for fits in zip(*_nested_fits(survey, terms_for(PRESETS["ranges-fine"]), drop)):
             try:
                 full, attrited = (curve_from_fit(_fitted(fit), config.country, "fine") for fit in fits)
             except RankDeficientError:

@@ -327,6 +327,27 @@ class TestConfigFile:
         written, unused = (flag, configured) if flagged else (configured, flag)
         assert (written / f"fit_{self.SPEC}.csv").is_file() and not unused.exists()
 
+    @pytest.mark.parametrize("section", ["output", "filters", "columns"])
+    def test_percent_is_read_literally(self, tmp_path, section):
+        """A ``%`` in a value is a character of it, not the start of an
+        interpolation: in the output dir, in a country and in a column name."""
+        survey = survey_file(
+            tmp_path / "survey.csv",
+            dict(n=400, seed=101, country="AA"), dict(n=400, seed=102, country="B%"), **FITTABLE,
+        )
+        out = tmp_path / "100%"
+        text = {
+            "output": f"[output]\ndir = {out}\n",
+            "filters": "[filters]\ncountries = B%\n",
+            "columns": "[columns]\nhappiness = happy%\n",
+        }[section]
+        if section == "columns":
+            survey.write_text(survey.read_text().replace('"happiness"', '"happy%"'), encoding="utf-8")
+        flags = [] if section == "output" else ["--out", str(out)]
+        assert self.fit(survey, tmp_path, text, "--format", "csv", *flags) == 0
+        _, rows = read_csv(out / f"fit_{self.SPEC}.csv")
+        assert {row[0] for row in rows} == ({"B%"} if section == "filters" else {"AA", "B%"})
+
     def test_config_not_found(self, survey_csv, tmp_path, capsys):
         missing = tmp_path / "missing.ini"
         code = main(["fit", "--input", str(survey_csv), "--config", str(missing), "--out", str(tmp_path / "o")])

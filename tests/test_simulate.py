@@ -8,6 +8,7 @@ from agecurve import (
     AgeEffect,
     AttritionConfig,
     DgpConfig,
+    EmptySampleError,
     HypothesisCheck,
     MediatorConfig,
     S_SHAPE,
@@ -282,6 +283,18 @@ class TestExperiments:
         with pytest.raises(ValueError, match="cap"):
             experiment_truncation(config, reps=2)
 
+    def test_truncation_cap_below_the_survey_minimum(self):
+        with pytest.raises(ValueError) as raised:
+            experiment_truncation(default_truncation_config(seed=1), reps=2, cap_age=14)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "age_cap 14 below the survey minimum"
+
+    def test_truncation_cap_below_every_age(self):
+        config = replace(default_truncation_config(seed=1), n=300, age_low=30)
+        with pytest.raises(EmptySampleError) as raised:
+            experiment_truncation(config, reps=2, cap_age=20)
+        assert str(raised.value) == "filter removed all 300 records"
+
     def test_attrition_small_run(self):
         result = experiment_attrition(default_attrition_config(seed=53), reps=6)
         assert result.passed
@@ -401,11 +414,11 @@ class TestChunks:
         assert 0 < sum(uncapped) < 12 and (full == capped).tolist() == uncapped
 
     def test_pass_of_more_than_256_cells(self, monkeypatch):
-        # One chunk of 40 replicates splits into 8 cells each, 320 in
-        # all; a chunk of 15 holds 120. Keys formed from narrow codes
+        # One chunk of 160 replicates splits into 2 cells each, 320 in
+        # all; a chunk of 60 holds 120. Keys formed from narrow codes
         # would wrap past 256 cells under numpy 1's value-based casting.
-        config = replace(default_attrition_config(seed=9, strength=1.0), n=300)
-        self.run_both(monkeypatch, experiment_attrition, config, 40, 300 * 15, 3)
+        config = replace(default_attrition_config(seed=9, strength=1.0), n=200)
+        self.run_both(monkeypatch, experiment_attrition, config, 160, 200 * 60, 3)
 
     def test_mediator_across_chunks(self, monkeypatch):
         config = replace(default_mediator_config(seed=6), n=500)
