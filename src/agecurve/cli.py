@@ -139,21 +139,26 @@ def _load_survey(args, config: configparser.ConfigParser) -> Survey:
     return survey
 
 
+def _setting(args, config, flag, section, key=None, cast=str):
+    """``--<flag>``, else ``cast`` of the config's ``[section]`` value of
+    ``key`` (``flag`` when not given), else None."""
+    value = getattr(args, flag, None)
+    if value is None and config.has_option(section, key or flag):
+        value = cast(config.get(section, key or flag))
+    return value
+
+
 def _countries_arg(args, config: configparser.ConfigParser) -> list[str] | None:
     """The ``--countries`` list, else the config's, each country once in
     first-appearance order."""
-    raw = getattr(args, "countries", None)
-    if raw is None and config.has_option("filters", "countries"):
-        raw = config.get("filters", "countries")
+    raw = _setting(args, config, "countries", "filters")
     if raw is None:
         return None
     return list(dict.fromkeys(c.strip() for c in raw.split(",") if c.strip()))
 
 
 def _formats(args, config: configparser.ConfigParser) -> set[str]:
-    raw = getattr(args, "format", None)
-    if raw is None and config.has_option("output", "formats"):
-        raw = config.get("output", "formats")
+    raw = _setting(args, config, "format", "output", "formats")
     if raw is None:
         raw = "csv,text"
     formats = {f.strip() for f in raw.split(",") if f.strip()}
@@ -164,10 +169,7 @@ def _formats(args, config: configparser.ConfigParser) -> set[str]:
 
 
 def _out_dir(args, config: configparser.ConfigParser) -> Path:
-    raw = getattr(args, "out", None)
-    if raw is None and config.has_option("output", "dir"):
-        raw = config.get("output", "dir")
-    out = Path(raw or "out")
+    out = Path(_setting(args, config, "out", "output", "dir") or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -236,17 +238,23 @@ def _report_partial(fits: _Fits) -> int:
     return EXIT_PARTIAL
 
 
+def _write(path: Path, content) -> None:
+    """Write ``content``, a text or a ``(header, rows)`` table for
+    :func:`write_csv`, to ``path`` and say so."""
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        write_csv(path, *content)
+    print(f"wrote {path}")
+
+
 def _write_table(out: Path, formats: set[str], stem: str, header, rows, fmts) -> None:
     """Write ``<stem>.csv`` and/or an aligned ``<stem>.txt``, as
     ``formats`` asks."""
     if "csv" in formats:
-        path = out / f"{stem}.csv"
-        write_csv(path, header, rows)
-        print(f"wrote {path}")
+        _write(out / f"{stem}.csv", (header, rows))
     if "text" in formats:
-        path = out / f"{stem}.txt"
-        path.write_text(format_table(header, rows, fmts), encoding="utf-8")
-        print(f"wrote {path}")
+        _write(out / f"{stem}.txt", format_table(header, rows, fmts))
 
 
 def _write_fit(fits: _Fits, out: Path, formats: set[str], name: str) -> None:
@@ -305,9 +313,7 @@ def _write_curves(fits: _Fits, out: Path, formats: set[str], scheme: str, autosc
             title=f"Adjusted happiness by age range ({scheme} bins)",
             y_range=None if autoscale else (0.0, 10.0),
         )
-        path = out / f"curves_{scheme}.svg"
-        path.write_text(chart, encoding="utf-8")
-        print(f"wrote {path}")
+        _write(out / f"curves_{scheme}.svg", chart)
 
 
 def _verdicts(fits: _Fits, rule: str) -> list[ShapeVerdict]:
@@ -423,14 +429,8 @@ def cmd_detect(args) -> int:
 
 
 def _simulate_config(args, config: configparser.ConfigParser) -> tuple[DgpConfig, int]:
-    section = config["simulate"] if config.has_section("simulate") else {}
-
     def pick(name, cast, fallback):
-        value = getattr(args, name, None)
-        if value is None:
-            value = section.get(name)
-            if value is not None:
-                value = cast(value)
+        value = _setting(args, config, name, "simulate", cast=cast)
         return fallback if value is None else value
 
     default_config = EXPERIMENTS[args.experiment][0]
@@ -463,14 +463,10 @@ def cmd_simulate(args) -> int:
         header = ["replicate", "seed", *result.estimates.keys()]
         estimates = [values.tolist() for values in result.estimates.values()]
         rows = zip(range(result.n_reps), result.seeds, *estimates)
-        path = out / f"simulate_{result.experiment}.csv"
-        write_csv(path, header, rows)
-        print(f"wrote {path}")
+        _write(out / f"simulate_{result.experiment}.csv", (header, rows))
     summary = result.summary()
     if "text" in formats:
-        path = out / f"simulate_{result.experiment}.txt"
-        path.write_text(summary + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        _write(out / f"simulate_{result.experiment}.txt", summary + "\n")
     print(summary)
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 

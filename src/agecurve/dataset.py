@@ -99,10 +99,11 @@ class RoundYearMap:
         """The fieldwork year of a round, or of each of an array of them."""
         return self.base + self.step * round_number
 
-    def round_for(self, year: int) -> int | None:
-        """Inverse lookup; ``None`` when the year is off the grid."""
+    def round_for(self, year: int | np.ndarray) -> int | np.ndarray | None:
+        """The round of a fieldwork year, or of each of an array of them;
+        ``None`` when any year is off the grid."""
         offset, remainder = divmod(year - self.base, self.step)
-        if remainder != 0 or offset < 1:
+        if np.any((remainder != 0) | (offset < 1)):
             return None
         return offset
 
@@ -291,12 +292,12 @@ def _parse_number(text: str, missing: frozenset[str]) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _numbers(cells: Sequence[str], missing: frozenset[str]) -> np.ndarray:
+def _numbers(cells: Sequence[str], missing: frozenset[str], exact: bool) -> np.ndarray:
     """:func:`_parse_number` over a column, NaN where it gives ``None``.
     ``float`` reads the cells directly, a non-finite value becoming NaN,
-    unless a missing token is itself a finite number; a cell it rejects
-    sends the column to one parse per distinct cell."""
-    if all(_parse_number(token, frozenset()) is None for token in missing):
+    when ``exact`` says that no missing token is a number; a cell it
+    rejects sends the column to one parse per distinct cell."""
+    if exact:
         try:
             values = np.fromiter(map(float, cells), np.float64, len(cells))
         except ValueError:
@@ -394,13 +395,13 @@ class _Numbers:
         self.exact = all(_parse_number(token, frozenset()) is None for token in missing)
 
     def add(self, texts: Sequence[str]) -> None:
-        self.parts.append(_numbers(texts, self.missing))
+        self.parts.append(_numbers(texts, self.missing, self.exact))
 
     def add_block(self, data: bytes, words: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> None:
         values, ok = _decimals(words, starts, lens)
         ok &= self.exact
         if not ok.all():
-            values[~ok] = _numbers(_texts(data, starts[~ok], lens[~ok]), self.missing)
+            values[~ok] = _numbers(_texts(data, starts[~ok], lens[~ok]), self.missing, self.exact)
         self.parts.append(values)
 
     def result(self) -> np.ndarray:
@@ -654,15 +655,13 @@ def load_csv(
     rounds = rnd[keep].astype(np.int64) if "round" in schema else None
     years = year[keep].astype(np.int64) if "period_year" in schema else None
     if rounds is None:
-        offset, remainder = np.divmod(years - round_map.base, round_map.step)
-        if np.any((remainder != 0) | (offset < 1)):
+        rounds = round_map.round_for(years)
+        if rounds is None:
             rounds = distinct_codes(years)[1] + 1
             report.notes.append(
                 "survey years do not follow the round-year grid; "
                 "rounds assigned by rank over observed years"
             )
-        else:
-            rounds = offset
     if years is None:
         years = round_map.year(rounds)
 

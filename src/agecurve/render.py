@@ -133,10 +133,14 @@ _PALETTE = (
 )
 
 
-def _ticks(low: float, high: float, count: int = 6) -> list[float]:
+# Chart text is escaped, so that any title or name leaves the SVG well-formed XML.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _ticks(low: float, high: float) -> list[float]:
     if high <= low:
         high = low + 1.0
-    raw_step = (high - low) / (count - 1)
+    raw_step = (high - low) / 5  # about six ticks
     magnitude = 10.0 ** int(f"{raw_step:e}".split("e")[1])
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * magnitude
@@ -157,18 +161,15 @@ def svg_line_chart(
     series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     *,
     title: str = "",
-    x_label: str = "age",
-    y_label: str = "happiness",
     y_range: tuple[float, float] | None = (0.0, 10.0),
-    width: int = 900,
-    height: int = 520,
 ) -> str:
-    """Standalone SVG line chart.
+    """Standalone SVG line chart of happiness by age.
 
     ``series`` is ``[(name, [(x, y), ...]), ...]``; each series becomes
     one polyline plus a legend entry. ``y_range`` defaults to the full
     0-10 happiness scale so charts from different countries are visually
-    comparable; pass None to fit the data instead.
+    comparable; pass None to fit the data instead. ``&``, ``<`` and ``>``
+    in the title and the names are escaped.
     """
     if not series:
         raise ValueError("chart needs at least one series")
@@ -188,6 +189,7 @@ def svg_line_chart(
     else:
         y_low, y_high = y_range
 
+    width, height = 900, 520
     margin_left, margin_right = 64, 180
     margin_top, margin_bottom = 48, 56
     plot_w = width - margin_left - margin_right
@@ -207,7 +209,7 @@ def svg_line_chart(
     if title:
         out.append(
             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
+            f'font-family="sans-serif" font-size="16">{title.translate(_ESCAPES)}</text>'
         )
 
     axis_style = 'stroke="#333" stroke-width="1"'
@@ -240,10 +242,10 @@ def svg_line_chart(
     out += [
         f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 12}" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12">{x_label}</text>',
+        'font-size="12">age</text>',
         f'<text x="16" y="{margin_top + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {margin_top + plot_h / 2:.1f})">{y_label}</text>',
+        f'transform="rotate(-90 16 {margin_top + plot_h / 2:.1f})">happiness</text>',
     ]
 
     for k, (name, pts) in enumerate(series):
@@ -257,7 +259,7 @@ def svg_line_chart(
             f'x2="{margin_left + plot_w + 34}" y2="{legend_y:.1f}" '
             f'stroke="{color}" stroke-width="1.8"/>',
             f'<text x="{margin_left + plot_w + 40}" y="{legend_y + 4:.1f}" '
-            f'font-family="sans-serif" font-size="11">{name}</text>',
+            f'font-family="sans-serif" font-size="11">{name.translate(_ESCAPES)}</text>',
         ]
 
     out.append("</svg>")

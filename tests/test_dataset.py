@@ -73,6 +73,20 @@ class TestFromRows:
         with pytest.raises(ValueError, match="every row needs a country"):
             Survey.from_rows([row(), row(country=None)])
 
+    def test_unknown_control_is_refused(self):
+        survey = Survey.from_rows([row(), row(country="FR")])
+        with pytest.raises(ValueError, match=r"unknown control variables: \['income'\]"):
+            replace(survey, controls={"income": ([0, 0], ("low",))})
+
+    @pytest.mark.parametrize("column", [
+        {"age": [40, 50, 60]}, {"weight": [1.0]}, {"mediator": [0.5, 0.5, 0.5]},
+        {"controls": {"sex": ([0, 0, 0], ("male",))}},
+    ], ids=["age", "weight", "mediator", "control"])
+    def test_ragged_column_is_refused(self, column):
+        survey = Survey.from_rows([row(), row(country="FR")])
+        with pytest.raises(ValueError, match="every survey column needs one entry per row"):
+            replace(survey, **column)
+
     @pytest.mark.parametrize(
         "codes,levels", [([0, 2], ("DE", "FR")), ([0, -1], ("DE", "FR")), ([0, 1], ("DE", "DE"))]
     )
@@ -93,6 +107,13 @@ class TestRoundYearMap:
         assert m.round_for(2016) == 8
         assert m.round_for(2003) is None
         assert m.round_for(2000) is None
+
+    def test_inverse_of_an_array(self):
+        m = RoundYearMap()
+        rounds = m.round_for(np.array([2016, 2002, 2002, 2010]))
+        assert rounds.dtype == np.int64 and rounds.tolist() == [8, 1, 1, 5]
+        assert m.round_for(np.array([2002, 2003])) is None
+        assert m.round_for(np.array([2004, 2000])) is None
 
 
 def write_rows(path, header, rows):
@@ -206,6 +227,14 @@ class TestLoadCsv:
                    [["DE", 40, 7, 1]])
         with pytest.raises(DataError, match="has neither a 'round' nor a 'period_year' column"):
             load_csv(path, schema)
+
+    def test_schema_must_map_the_required_fields(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_rows(path, self.HEADER, [["DE", 1, 40, 7, 1.0]])
+        with pytest.raises(DataError, match="schema must map the 'weight' column"):
+            load_csv(path, {name: name for name in self.HEADER if name != "weight"})
+        with pytest.raises(DataError, match=r"schema must map 'round' or 'period_year' \(or both\)"):
+            load_csv(path, {name: name for name in self.HEADER if name != "round"})
 
     def test_unknown_schema_fields_are_named(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -700,7 +729,7 @@ class TestNumbers:
     @pytest.mark.parametrize("tail", [[], ["NA"], ["x"]])
     def test_pinned_cells(self, missing, tail):
         cells = [" 7 ", "1_0", "inf", "-inf", "NaN", "1e999", "-9", "2.5", *tail]
-        got = dataset._numbers(cells, missing)
+        got = dataset._numbers(cells, missing, dataset._Numbers(missing).exact)
         np.testing.assert_array_equal(got, self.expected(cells, missing))
         assert got[:2].tolist() == [7.0, 10.0] and np.isnan(got[2:6]).all()
         assert math.isnan(got[6]) == ("-9" in missing)
@@ -708,8 +737,9 @@ class TestNumbers:
     @given(cells=st.lists(st.one_of(st.sampled_from(PLAIN_CELLS), st.text("09.-eE_ inaNf", max_size=5))),
            missing=st.sets(st.sampled_from(("", "NA", "-9", "0", " 1", "nan", "1e999", "x"))))
     def test_matches_one_parse_per_cell(self, cells, missing):
+        missing = frozenset(missing)
         np.testing.assert_array_equal(
-            dataset._numbers(cells, frozenset(missing)), self.expected(cells, frozenset(missing))
+            dataset._numbers(cells, missing, dataset._Numbers(missing).exact), self.expected(cells, missing)
         )
 
 

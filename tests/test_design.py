@@ -213,11 +213,15 @@ class TestBuildDesign:
         survey = synth_survey(n=50, seed=8)
         with pytest.raises(DesignError, match="intercept"):
             build_design(survey, [TermSpec.age_linear()])
-        with pytest.raises(DesignError, match="exclusive"):
+        with pytest.raises(DesignError, match="age_linear and age_bins are mutually exclusive"):
             build_design(
                 survey,
                 [TermSpec.intercept(), TermSpec.age_linear(), TermSpec.age_bins()],
             )
+        with pytest.raises(DesignError, match="age_squared and age_bins are mutually exclusive"):
+            build_design(survey, [TermSpec.intercept(), TermSpec.age_squared(), TermSpec.age_bins()])
+        with pytest.raises(DesignError, match="the mediator term needs a mediator value on every row"):
+            build_design(survey, [TermSpec.intercept(), TermSpec.mediator()])
         with pytest.raises(DesignError, match="duplicate"):
             build_design(
                 survey,
@@ -244,6 +248,14 @@ class TestDesignMatrixValidation:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(DesignError, match="positive"):
             DesignMatrix(np.ones((2, 1)), ["a"], np.array([1.0, 0.0]), np.zeros(2))
+
+    def test_rejects_values_that_are_not_2d(self):
+        with pytest.raises(DesignError, match="values must be a 2-d array"):
+            DesignMatrix(np.ones(2), ["a"], np.ones(2), np.zeros(2))
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(DesignError, match="design has no rows"):
+            DesignMatrix(np.ones((0, 1)), ["a"], np.ones(0), np.zeros(0))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DesignError):

@@ -132,3 +132,12 @@ class TestSvgChart:
 
         root = ET.fromstring(svg_line_chart(self.series(), title="t"))
         assert root.tag.endswith("svg")
+
+    def test_markup_characters_in_text_are_escaped(self):
+        import xml.etree.ElementTree as ET
+
+        names = ["A&B", "C<D", "E>F"]
+        series = [(name, points) for name, (_, points) in zip(names, self.series() * 2)]
+        root = ET.fromstring(svg_line_chart(series, title="A&B <by> age"))
+        texts = [element.text for element in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "A&B <by> age" and texts[-3:] == names

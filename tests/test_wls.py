@@ -170,6 +170,12 @@ class TestRankHandling:
             fit_wls(design)
         assert set(excinfo.value.suspect_labels) == {"a", "a_twice"}
 
+    def test_all_zero_design_names_every_column(self):
+        design = DesignMatrix(np.zeros((5, 2)), ["a", "b"], np.ones(5), np.arange(5.0))
+        with pytest.raises(RankDeficientError, match=r"rank 0 of 2\); dependent columns: \['a', 'b'\]") as excinfo:
+            fit_wls(design)
+        assert excinfo.value.suspect_labels == ["a", "b"]
+
     def test_rank_check_reports_without_raising(self):
         design = self.duplicated_column_design()
         report = rank_check(design)
