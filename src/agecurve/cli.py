@@ -141,10 +141,14 @@ def _load_survey(args, config: configparser.ConfigParser) -> Survey:
 
 def _setting(args, config, flag, section, key=None, cast=str):
     """``--<flag>``, else ``cast`` of the config's ``[section]`` value of
-    ``key`` (``flag`` when not given), else None."""
-    value = getattr(args, flag, None)
-    if value is None and config.has_option(section, key or flag):
-        value = cast(config.get(section, key or flag))
+    ``key`` (``flag`` when not given), else None. A value that ``cast``
+    refuses is a fatal error naming the key and the file."""
+    value, key = getattr(args, flag, None), key or flag
+    if value is None and config.has_option(section, key):
+        try:
+            value = cast(config.get(section, key))
+        except ValueError as exc:
+            raise FatalError(f"{key} in [{section}] of {args.config}: {exc}") from None
     return value
 
 

@@ -161,7 +161,7 @@ class TermSpec:
         return self.kind
 
 
-@dataclass
+@dataclass(eq=False)
 class DesignMatrix:
     """A dense design with one label per column.
 

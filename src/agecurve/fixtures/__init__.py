@@ -8,8 +8,6 @@ none of the numbers are produced by this package.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from ..render import read_csv
 
 FIXTURE_NAMES = ("table1", "table2", "table3", "table4")
@@ -22,6 +20,9 @@ def load(name: str) -> list[Row]:
     empty cells become None. ``name`` is one of :data:`FIXTURE_NAMES`."""
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; known: {list(FIXTURE_NAMES)}")
+    # imported here, not at startup: only a command that reads a table needs it
+    from importlib import resources
+
     with resources.as_file(resources.files(__name__) / f"{name}.csv") as path:
         header, rows = read_csv(path)
     return [dict(zip(header, row)) for row in rows]

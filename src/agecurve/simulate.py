@@ -310,7 +310,7 @@ class HypothesisCheck:
     detail: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult:
     """Everything one experiment run produced.
 
@@ -409,18 +409,39 @@ def default_attrition_config(seed: int = 303, strength: float = 0.5) -> DgpConfi
     )
 
 
+# The two rules of every experiment's checks. Each reads a series of
+# per-replicate values, a replicate without one (NaN) fails the check,
+# and ``gaps`` ends the detail with why replicates lack one.
 def _mean_check(
-    name: str, values: np.ndarray, target: float, n_reps: int
+    name: str, values: np.ndarray, target: float, measure: str = "|diff|", gaps: str = ""
 ) -> HypothesisCheck:
-    mean = float(np.mean(values))
-    mc_se = float(np.std(values, ddof=1)) / np.sqrt(n_reps)
-    tolerance = 3.0 * mc_se
+    """Passes when the mean of ``values`` is within three Monte Carlo
+    standard errors (sample sd over the square root of the count, 0
+    below two values) of ``target``."""
+    finite = values[np.isfinite(values)]
+    mean = float(np.mean(finite)) if finite.size else float("nan")
+    sd = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
+    tolerance = 3.0 * (sd / np.sqrt(max(finite.size, 1)))
     return HypothesisCheck(
         name=name,
-        passed=abs(mean - target) <= tolerance,
+        passed=bool(finite.size == values.size and abs(mean - target) <= tolerance),
         observed=mean,
         target=target,
-        detail=f"|diff| {abs(mean - target):.5f} <= 3 MC SE {tolerance:.5f}",
+        detail=f"{measure} {abs(mean - target):.5f} <= 3 MC SE {tolerance:.5f}{gaps}",
+    )
+
+
+def _share_check(name: str, values: np.ndarray, what: str, gaps: str = "") -> HypothesisCheck:
+    """Passes when ``values`` is positive in at least 95 percent of the
+    replicates; ``observed`` is that share of the values held."""
+    finite = values[np.isfinite(values)]
+    share = float(np.mean(finite > 0)) if finite.size else float("nan")
+    return HypothesisCheck(
+        name=name,
+        passed=bool(finite.size == values.size and share >= 0.95),
+        observed=share,
+        target=0.95,
+        detail=f"{what} in {share:.1%} of replicates{gaps}",
     )
 
 
@@ -471,8 +492,8 @@ def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> Sim
         "mediator_coef": mediator_coefs,
     }
     checks = [
-        _mean_check("total_age_slope_unbiased", totals, total_target, reps),
-        _mean_check("direct_age_slope_unbiased", directs, direct_target, reps),
+        _mean_check("total_age_slope_unbiased", totals, total_target),
+        _mean_check("direct_age_slope_unbiased", directs, direct_target),
     ]
     metrics = {
         "mean_absorbed_by_mediator": float(np.mean(totals - directs)),
@@ -519,7 +540,9 @@ def experiment_truncation(
     coefs = np.array(_fit_replicates(config, seeds, fit_chunk))
     (full_age, full_sq), (capped_age, capped_sq) = coefs.transpose(1, 2, 0)
 
-    frac_inflated = float(np.mean(capped_sq > full_sq))
+    # A difference of two floats is positive exactly when the first is larger.
+    inflation = capped_sq - full_sq
+    check = _share_check("cap_inflates_curvature", inflation, "capped age_sq > full age_sq")
     estimates = {
         "full_age_sq": full_sq,
         "capped_age_sq": capped_sq,
@@ -527,20 +550,11 @@ def experiment_truncation(
         "capped_age": capped_age,
     }
     metrics = {
-        "frac_capped_curvature_greater": frac_inflated,
+        "frac_capped_curvature_greater": check.observed,
         "frac_capped_age_more_negative": float(np.mean(capped_age < full_age)),
-        "mean_curvature_inflation": float(np.mean(capped_sq - full_sq)),
+        "mean_curvature_inflation": float(np.mean(inflation)),
     }
-    checks = [
-        HypothesisCheck(
-            name="cap_inflates_curvature",
-            passed=frac_inflated >= 0.95,
-            observed=frac_inflated,
-            target=0.95,
-            detail=f"capped age_sq > full age_sq in {frac_inflated:.1%} of replicates",
-        )
-    ]
-    return _finalize("truncation", config.seed, seeds, estimates, {}, metrics, checks)
+    return _finalize("truncation", config.seed, seeds, estimates, {}, metrics, [check])
 
 
 def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> SimResult:
@@ -607,35 +621,15 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     checks: list[HypothesisCheck] = []
     for label in late_bins:
         diffs = inflations[label]
-        finite = diffs[np.isfinite(diffs)]
-        frac_positive = float(np.mean(finite > 0)) if finite.size else float("nan")
-        metrics[f"frac_positive:{label}"] = frac_positive
-        missing = reps - finite.size
-        empty = missing - unfitted
+        empty = np.count_nonzero(~np.isfinite(diffs)) - unfitted
         gaps = f"; {empty} of {reps} replicates have no respondent in the bin" if empty else ""
         if unfitted:
             gaps += f"; {unfitted} of {reps} replicates could not be fitted"
-        if strength > 0:
-            checks.append(
-                HypothesisCheck(
-                    name=f"late_bin_inflated:{label}",
-                    passed=bool(not missing and frac_positive >= 0.95),
-                    observed=frac_positive,
-                    target=0.95,
-                    detail=f"attrited > full in {frac_positive:.1%} of replicates{gaps}",
-                )
-            )
-        else:
-            mean = float(np.mean(finite)) if finite.size else float("nan")
-            sd = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
-            tolerance = 3.0 * sd / np.sqrt(max(finite.size, 1))
-            checks.append(
-                HypothesisCheck(
-                    name=f"late_bin_unbiased:{label}",
-                    passed=bool(not missing and abs(mean) <= tolerance),
-                    observed=mean,
-                    target=0.0,
-                    detail=f"|mean| {abs(mean):.5f} <= 3 MC SE {tolerance:.5f}{gaps}",
-                )
-            )
+        inflated = _share_check(f"late_bin_inflated:{label}", diffs, "attrited > full", gaps)
+        metrics[f"frac_positive:{label}"] = inflated.observed
+        checks.append(
+            inflated
+            if strength > 0
+            else _mean_check(f"late_bin_unbiased:{label}", diffs, 0.0, "|mean|", gaps)
+        )
     return _finalize("attrition", config.seed, seeds, estimates, {}, metrics, checks)

@@ -100,7 +100,7 @@ class RankReport:
     tol: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """One fitted model. Coefficient order follows ``labels``.
 

@@ -1,5 +1,5 @@
 """The per-sample reference path of the Monte Carlo experiments:
-agecurve's ``generate``, ``experiment_mediator``,
+agecurve's ``generate``, ``_mean_check``, ``experiment_mediator``,
 ``experiment_truncation`` and ``experiment_attrition`` as they were
 when every replicate encoded and fitted each of its samples on its own
 (the mediator's two models as one dense design through
@@ -26,7 +26,6 @@ from agecurve.simulate import (
     SimResult,
     _finalize,
     _replicate_seeds,
-    _mean_check,
     default_attrition_config,
     default_mediator_config,
     default_truncation_config,
@@ -109,6 +108,21 @@ def _with_mediator_column(design: DesignMatrix, values: np.ndarray) -> DesignMat
         row_weights=design.row_weights,
         response=design.response,
         dropped_levels=list(design.dropped_levels),
+    )
+
+
+def _mean_check(
+    name: str, values: np.ndarray, target: float, n_reps: int
+) -> HypothesisCheck:
+    mean = float(np.mean(values))
+    mc_se = float(np.std(values, ddof=1)) / np.sqrt(n_reps)
+    tolerance = 3.0 * mc_se
+    return HypothesisCheck(
+        name=name,
+        passed=abs(mean - target) <= tolerance,
+        observed=mean,
+        target=target,
+        detail=f"|diff| {abs(mean - target):.5f} <= 3 MC SE {tolerance:.5f}",
     )
 
 

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -295,8 +298,8 @@ class TestInputHandling:
 
 class TestConfigFile:
     """The ``[filters]`` and ``[output]`` keys README documents, each
-    applied from the file and overridden by its flag, and a config file
-    that cannot be read."""
+    applied from the file and overridden by its flag, a config file
+    that cannot be read, and a ``[simulate]`` value that cannot be cast."""
 
     SPEC = "quad-nocontrols-nocap"
 
@@ -367,6 +370,16 @@ class TestConfigFile:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: cannot read config file {config}: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value", [("reps", "x"), ("reps", ""), ("strength", "half")])
+    def test_refused_value_names_key_and_file(self, tmp_path, capsys, key, value):
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[simulate]\n{key} = {value}\n", encoding="utf-8")
+        code = main(["simulate", "--experiment", "attrition", "--n", "300", "--config", str(config), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {key} in [simulate] of {config}: ")
+        assert repr(value) in captured.err and len(captured.err.splitlines()) == 1
 
 
 class TestCurves:
@@ -784,3 +797,18 @@ def test_report_ignores_a_country_whose_rows_are_all_dropped(tmp_path, monkeypat
     assert without[1][0] == "loaded 600 rows"
     assert (code, out[1:], err, files) == (without[0], without[1][1:], *without[2:])
     assert code == 2 and "FAILED ONE [ranges-coarse]" in err and "ZZ" not in err
+
+
+def test_startup_leaves_importlib_resources_unimported():
+    """Only reading a bundled table needs ``importlib.resources`` (and
+    the ``tempfile`` it brings). Without ``site``, whose ``.pth`` hooks
+    may import it first, and with only the package and numpy on the
+    path, importing the CLI must not import it."""
+    src = Path(agecurve.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(np.__file__).resolve().parents[1])])
+    script = "import sys, agecurve.cli; sys.exit('importlib.resources' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr or "importing agecurve.cli imported importlib.resources"

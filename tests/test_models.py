@@ -13,7 +13,11 @@ from agecurve import (
     Survey,
     adjusted_means,
     batch_fit,
+    build_design,
+    default_truncation_config,
+    experiment_truncation,
     fit_spec,
+    fit_wls,
     get_spec,
     predict_curve,
     quad_vertex,
@@ -332,3 +336,30 @@ class TestBatchFit:
         (res,) = results
         assert res.ok
         assert res.notes == []
+
+
+class TestRecordIdentity:
+    """The records that hold arrays compare and hash by identity, as
+    ``Survey`` does: ``==`` never compares their arrays, so it never
+    raises, and each can key a dict or join a set."""
+
+    survey = synth_survey(n=150, seed=22, country="AA", rounds=(1, 2, 3))
+    spec = PRESETS["quad-nocontrols-nocap"]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s, spec: build_design(s, terms_for(spec)),
+            lambda s, spec: fit_wls(build_design(s, terms_for(spec))),
+            lambda s, spec: fit_spec(s, spec, "AA"),
+            lambda s, spec: experiment_truncation(default_truncation_config(), reps=2),
+        ],
+        ids=["DesignMatrix", "FitResult from fit_wls", "FitResult from fit_spec", "SimResult"],
+    )
+    def test_equal_records_are_distinct(self, make):
+        first, second = make(self.survey, self.spec), make(self.survey, self.spec)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+    def test_batch_fit_results_compare_without_raising(self):
+        assert batch_fit(self.survey, self.spec) != batch_fit(self.survey, self.spec)
