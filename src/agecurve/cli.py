@@ -6,8 +6,9 @@ over fitted data or the bundled reference tables), ``simulate`` (the
 Monte Carlo bias experiments), and ``report`` (everything ``fit``,
 ``detect`` and ``curves`` write, plus coefficient reductions).
 
-The survey commands load the file once and fit each (country, spec) at
-most once; every table they write is a view of those shared fits.
+The survey commands load the file once, name their specs up front and
+fit each (country, spec) once, in one fit plan; every table they write
+is a view of those shared fits.
 
 Exit codes: 0 success, 1 fatal error, 2 partial failure (some countries
 failed; failures are listed on stderr and the rest of the output is
@@ -35,8 +36,7 @@ from .design import DesignError, FINE_BINS, scheme_bin_labels
 from .models import (
     PRESETS,
     AgeCurve,
-    CountryResult,
-    batch_fit,
+    _fit_plan,
     curve_from_fit,
     get_spec,
 )
@@ -63,17 +63,14 @@ from .simulate import (
 from .render import bin_midpoint, format_table, svg_line_chart, write_csv
 from .wls import RankDeficientError
 
-QUAD_BATTERY = (
-    "quad-controls-cap",
-    "quad-nocontrols-cap",
-    "quad-nocontrols-nocap",
-    "quad-controls-nocap",
-)
+QUAD_BATTERY = tuple(name for name, spec in PRESETS.items() if spec.form == "quadratic")
 
 FIT_HEADER = ("country", "model", "coefficient", "estimate", "std_error", "t_abs", "n", "rank")
 FIT_FORMATS = ("%s", "%s", "%s", "%.5f", "%.5f", "%.2f", "%d", "%d")
 
 RULES = ("quad_t15", "range_t1", "curve_heuristic")
+# the spec whose fits each rule reads
+RULE_SPECS = {"quad_t15": "quad-nocontrols-nocap", "range_t1": "ranges-coarse", "curve_heuristic": "ranges-fine"}
 RULE_FIXTURES = {"quad_t15": "table2", "range_t1": "table3", "curve_heuristic": "table4"}
 FORMATS = ("csv", "text", "svg")
 
@@ -179,41 +176,31 @@ def _out_dir(args, config: configparser.ConfigParser) -> Path:
 
 
 class _Fits(dict):
-    """:func:`batch_fit` results keyed by spec name, each computed on
-    first use, so every writer in one command shares one fit per
-    (country, spec). ``unusable`` lists ``"<country> [<rule>]: <reason>"``
-    for fitted countries that a detection rule cannot read."""
+    """The :func:`~agecurve.models.batch_fit` results of a command's
+    specs, keyed by name in the order given, from one fit plan, so every
+    writer in the command shares one fit per (country, spec). ``curves``
+    holds the adjusted curve of every ``ranges-<scheme>`` fit of a
+    command that draws ``scheme``'s curves; a bin a country has no
+    respondent in becomes a note of that fit. ``unusable`` lists
+    ``"<country> [<rule>]: <reason>"`` for fitted countries that a
+    detection rule cannot read."""
 
-    def __init__(self, survey: Survey, countries: list[str] | None):
-        super().__init__()
-        self.survey = survey
-        self.countries = countries
+    def __init__(self, survey: Survey, countries: list[str] | None, names: Sequence[str], scheme: str | None):
+        super().__init__(zip(names, _fit_plan(survey, [get_spec(name) for name in names], countries)))
         self.unusable: list[str] = []
-        self._curves: dict[str, list[AgeCurve]] = {}
-
-    def __missing__(self, name: str) -> list[CountryResult]:
-        self[name] = batch_fit(self.survey, get_spec(name), self.countries)
-        return self[name]
-
-    def curves(self, scheme: str) -> list[AgeCurve]:
-        """The adjusted curve of every ``ranges-<scheme>`` fit, computed
-        on first use; a bin a country has no respondent in becomes a
-        note of that fit."""
-        if scheme not in self._curves:
-            self._curves[scheme] = []
-            for res in self[f"ranges-{scheme}"]:
-                if res.ok:
-                    curve = curve_from_fit(res.fit, res.country, scheme)
-                    self._curves[scheme].append(curve)
-                    res.notes.extend(curve.notes)
-        return self._curves[scheme]
+        self.curves: list[AgeCurve] = []
+        for res in self[f"ranges-{scheme}"] if scheme else []:
+            if res.ok:
+                self.curves.append(curve_from_fit(res.fit, res.country, scheme))
+                res.notes.extend(self.curves[-1].notes)
 
 
-def _survey_run(args) -> tuple[_Fits, Path, set[str]]:
-    """Load the survey once and set up the shared fits, the output
-    directory and the formats of a survey command."""
+def _survey_run(args, names: Sequence[str], scheme: str | None = None) -> tuple[_Fits, Path, set[str]]:
+    """Load the survey once and fit the specs ``names`` of a survey
+    command, and the curves of ``scheme`` when it draws them; also set
+    up its output directory and formats."""
     config = _read_config(args.config)
-    fits = _Fits(_load_survey(args, config), _countries_arg(args, config))
+    fits = _Fits(_load_survey(args, config), _countries_arg(args, config), names, scheme)
     formats = _formats(args, config)
     return fits, _out_dir(args, config), formats
 
@@ -291,7 +278,7 @@ def _write_reductions(fits: _Fits, out: Path, formats: set[str]) -> None:
 
 
 def _write_curves(fits: _Fits, out: Path, formats: set[str], scheme: str, autoscale: bool) -> None:
-    curves = fits.curves(scheme)
+    curves = fits.curves
     bin_order = scheme_bin_labels(scheme)
     header = ["country", *bin_order, "max", "min", "difference"]
     rows = []
@@ -322,11 +309,11 @@ def _write_curves(fits: _Fits, out: Path, formats: set[str], scheme: str, autosc
 
 def _verdicts(fits: _Fits, rule: str) -> list[ShapeVerdict]:
     if rule == "quad_t15":
-        return [detect_quad(r.fit, r.country) for r in fits["quad-nocontrols-nocap"] if r.ok]
+        return [detect_quad(r.fit, r.country) for r in fits[RULE_SPECS[rule]] if r.ok]
     if rule == "curve_heuristic":
-        return [classify_curve(curve) for curve in fits.curves("fine")]
+        return [classify_curve(curve) for curve in fits.curves]
     verdicts = []
-    for res in fits["ranges-coarse"]:
+    for res in fits[RULE_SPECS[rule]]:
         if res.ok:
             try:
                 verdicts.append(detect_ranges(res.fit, res.country))
@@ -363,14 +350,14 @@ def cmd_fit(args) -> int:
         names = [get_spec(name).name for name in requested]
     except KeyError as exc:
         raise FatalError(exc.args[0]) from None
-    fits, out, formats = _survey_run(args)
+    fits, out, formats = _survey_run(args, names)
     for name in names:
         _write_fit(fits, out, formats, name)
     return _report_partial(fits)
 
 
 def cmd_curves(args) -> int:
-    fits, out, formats = _survey_run(args)
+    fits, out, formats = _survey_run(args, [f"ranges-{args.scheme}"], args.scheme)
     _write_curves(fits, out, formats, args.scheme, args.autoscale)
     return _report_partial(fits)
 
@@ -403,7 +390,7 @@ def _detect_from_fixture(rule: str) -> list:
 def cmd_detect(args) -> int:
     rule = args.rule
     if not args.fixture:
-        fits, out, formats = _survey_run(args)
+        fits, out, formats = _survey_run(args, [RULE_SPECS[rule]], "fine" if rule == "curve_heuristic" else None)
         _write_detect(out, formats, rule, _verdicts(fits, rule))
         return _report_partial(fits)
     if args.fixture != RULE_FIXTURES[rule]:
@@ -478,8 +465,8 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     """Everything ``fit --spec quad-battery``, all three ``detect`` rules
     and ``curves --scheme fine`` write, plus the reductions table, over
-    one load and one fit per (country, spec)."""
-    fits, out, formats = _survey_run(args)
+    one load and one fit plan of the six presets."""
+    fits, out, formats = _survey_run(args, list(PRESETS), "fine")
     for name in QUAD_BATTERY:
         _write_fit(fits, out, formats, name)
     _write_reductions(fits, out, formats)

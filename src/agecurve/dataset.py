@@ -5,8 +5,8 @@ A survey keeps one numpy array per field, the country and each control
 as int codes into a tuple of levels, and is never changed in place, so
 one survey can be shared freely between model fits. Loading is tolerant
 of messy input (rows are dropped with a counted reason, never silently).
-A fit restricts the sample to the cells of one pass over the survey
-that it keeps (see :mod:`agecurve.models`), without copying the survey.
+A fit restricts the sample to the cells of a pass over the survey that
+it keeps (see :mod:`agecurve.models`), and keeps nothing on the survey.
 """
 
 from __future__ import annotations
@@ -167,10 +167,6 @@ class Survey:
     controls: Mapping[str, tuple[np.ndarray, tuple[str, ...]]] = field(default_factory=dict)
     mediator: np.ndarray | None = None
     birth_year: np.ndarray = field(init=False, repr=False)
-    # The one pass over the survey that every fit reads the cells it
-    # keeps of, and the row counts every fit by country shares (see
-    # agecurve.models); the columns are read-only, so neither goes stale.
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         put = functools.partial(object.__setattr__, self)

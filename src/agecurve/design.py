@@ -291,6 +291,22 @@ def _term_factor(survey: Survey, term: TermSpec) -> _Factor:
     )
 
 
+def _check_terms(terms: Sequence[TermSpec], model: bool) -> None:
+    """Refuse a term twice, or not exactly one intercept. A pass tells
+    age-bins terms apart by scheme, to hold both schemes' bins; a model
+    holds one at most, and not beside ``age_linear`` or ``age_squared``."""
+    kinds = [t.kind for t in terms]
+    keys = [(t.kind, t.name, None if model else t.scheme) for t in terms]
+    if len(set(keys)) != len(keys):
+        dupes = sorted({t.describe() for t, key in zip(terms, keys) if keys.count(key) > 1})
+        raise DesignError(f"duplicate terms: {dupes}")
+    if kinds.count("intercept") != 1:
+        raise DesignError("the design must contain exactly one intercept term")
+    for kind in ("age_linear", "age_squared"):
+        if model and kind in kinds and "age_bins" in kinds:
+            raise DesignError(f"{kind} and age_bins are mutually exclusive")
+
+
 # The terms that are numbers rather than factors, each a function of age.
 _NUMERIC_TERMS: dict[str, tuple[str, Callable[[np.ndarray], np.ndarray]]] = {
     "intercept": ("const", np.ones_like),
@@ -304,7 +320,9 @@ class GroupedDesigns:
 
     ``cell`` gives each row's cell, 0 to ``n_cells - 1``. Each cell is a
     group, and :meth:`merged` makes groups that are unions of cells, so
-    a sample restriction is the cells a group leaves out. Each term is
+    a sample restriction is the cells a group leaves out, and picks a
+    model's terms, so ``terms`` may hold the age bins of both schemes
+    (see :func:`_check_terms`). Each term is
     encoded once over all rows and counted per cell. Every group's
     columns sit in one global layout, a column per numeric term and per
     level of each factor term, of which :meth:`layout` names the ones a
@@ -326,21 +344,10 @@ class GroupedDesigns:
     def __init__(
         self, survey: Survey, terms: Sequence[TermSpec], cell: np.ndarray, n_cells: int
     ) -> None:
-        kinds = [t.kind for t in terms]
-        keys = [(t.kind, t.name) for t in terms]
-        if len(set(keys)) != len(keys):
-            dupes = sorted({t.describe() for t in terms if keys.count((t.kind, t.name)) > 1})
-            raise DesignError(f"duplicate terms: {dupes}")
-        if kinds.count("intercept") != 1:
-            raise DesignError("the design must contain exactly one intercept term")
-        if "age_linear" in kinds and "age_bins" in kinds:
-            raise DesignError("age_linear and age_bins are mutually exclusive")
-        if "age_squared" in kinds and "age_bins" in kinds:
-            raise DesignError("age_squared and age_bins are mutually exclusive")
-
+        _check_terms(terms, model=False)
         self.terms = tuple(terms)
         self._age, self._weight, self._response = survey.age, survey.weight, survey.happiness
-        if {"age_linear", "age_squared"} & set(kinds):
+        if {"age_linear", "age_squared"} & {t.kind for t in terms}:
             ages, self._age_code = distinct_codes(survey.age)
         else:
             # only the intercept is a number, the same at every age: age
@@ -397,9 +404,10 @@ class GroupedDesigns:
         self._age_columns = np.hstack(age_columns)
 
     def merged(self, cells: np.ndarray, terms: Sequence[TermSpec]) -> GroupedDesigns:
-        """The designs of ``terms``, in this one's order and global
-        columns, for groups that are unions of cells: group ``i`` holds
-        the cells in row ``i`` of ``cells``, no cell in two groups."""
+        """The designs of the model ``terms``, in this one's order and
+        global columns, for groups that are unions of cells: group ``i``
+        holds the cells in row ``i`` of ``cells``, no cell in two groups."""
+        _check_terms(terms, model=True)
         self._cell_sums()
         view = copy.copy(self)
         view.n_groups, view._cells = len(cells), np.asarray(cells)
@@ -637,4 +645,5 @@ def build_design(survey: Survey, terms: Sequence[TermSpec]) -> DesignMatrix:
     """
     if not len(survey):
         raise EmptySampleError("cannot build a design from zero records")
+    _check_terms(terms, model=True)
     return GroupedDesigns(survey, terms, np.zeros(len(survey), dtype=np.intp), 1).design(0)

@@ -1,12 +1,19 @@
 """Named model specifications and per-country fitting.
 
-Every fit reads a pass over a survey, which is never copied: each term
-is encoded once, and the rows are split into cells. Each cell's ``X̃ᵀX̃``
-and ``X̃ᵀỹ`` come from grouped sums over the codes (Wong, Lewis &
-Wardrop, "You Only Compress Once", arXiv:2102.11297), and a fit reads
-the union of the cells it keeps. A survey keeps one pass, whose cells
-split the rows by country, by complete controls and by age up to a cut,
-the spec's cap or 69 without one (:func:`_designs`). The replicates of a
+Every fit reads a pass over a survey: each term is encoded once, and
+the rows are split into cells. Each cell's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` come
+from grouped sums over the codes (Wong, Lewis & Wardrop, "You Only
+Compress Once", arXiv:2102.11297), and a fit reads the union of the
+cells it keeps. A survey command names its specs up front, and its fit
+plan (:func:`_fit_plan`) builds one pass for the specs of one form and
+cut, over the union of their terms, whose cells split the rows by
+country, by complete controls and by age up to the cut, the spec's cap
+or 69 without one (:func:`_pass`, :func:`_view`); each pass is dropped
+before the next is built. Nothing is kept on the survey, so
+:func:`batch_fit`, the plan of one spec, builds a pass on each call:
+specs fitted one call each cost more than the same specs in one plan.
+:func:`fit_spec` fits one country from a pass over its rows alone. The
+replicates of a
 Monte Carlo experiment, stacked as the countries of one survey, each fit
 two nested samples from one pass whose cells split the rows by country
 and by whether they stay in the smaller sample (:func:`_nested_fits`).
@@ -149,70 +156,43 @@ def terms_for(spec: ModelSpec) -> list[TermSpec]:
 # the capped presets' cap, so that it shares their pass.
 _CUT = PRESETS["quad-controls-cap"].age_cap
 
+# The order of the term kinds in a model (see terms_for): a pass over
+# several specs' terms keeps it, and so each spec's order.
+_KINDS = ("intercept", "age_linear", "age_squared", "age_bins", "period_factor", "cohort_factor", "control_factor")
+
 
 def _pass(survey: Survey, terms: list[TermSpec], cut: int, group: np.ndarray, n: int) -> GroupedDesigns:
-    """A survey's pass (see :func:`_designs`): one encoding of ``terms``
-    over ``survey`` whose cells split each of the ``n`` groups of
-    ``group``: cell ``4g`` holds the rows of group ``g`` with complete
-    controls and an age up to ``cut``, ``4g + 1`` those above it, and
-    ``4g + 2`` and ``4g + 3`` the same with incomplete controls."""
+    """One encoding of ``terms`` over ``survey`` whose cells split each
+    of the ``n`` groups of ``group``: cell ``4g`` holds the rows of group
+    ``g`` with complete controls and an age up to ``cut``, ``4g + 1``
+    those above it, and ``4g + 2`` and ``4g + 3`` the same with
+    incomplete controls."""
     incomplete = np.logical_or.reduce([codes < 0 for codes, _ in survey.controls.values()])
     return GroupedDesigns(survey, terms, 4 * group + 2 * incomplete + (survey.age > cut), 4 * n)
 
 
-def _kept(spec: ModelSpec, groups: np.ndarray) -> np.ndarray:
-    """The cells of a pass that ``spec`` keeps of the groups in each row
-    of ``groups``: complete controls only when it has controls, ages up
-    to the cut only when it has a cap."""
+def _view(full: GroupedDesigns, spec: ModelSpec, n: int) -> GroupedDesigns:
+    """The designs of ``spec`` for the ``n`` groups of a pass: the cells
+    each keeps, complete controls only when it has controls, ages up to
+    the cut only when it has a cap. A cell's sums for a term do not
+    depend on the other terms of its pass, so neither does a spec's
+    fit."""
     offsets = [i + j for i in (0, 2)[: 1 if spec.controls else 2] for j in (0, 1)[: 1 if spec.age_cap else 2]]
-    return (4 * groups[..., None] + offsets).reshape(len(groups), -1)
-
-
-def _designs(survey: Survey, spec: ModelSpec, pooled: bool, codes: np.ndarray, n: int) -> GroupedDesigns:
-    """The designs of ``spec`` for the ``n`` countries of ``codes`` (or
-    the pooled sample): the cells each keeps of the survey's one pass,
-    cut at the spec's cap (``_CUT`` without one). A pass that is cut
-    elsewhere or lacks a term of ``spec`` is dropped before a new one is
-    built. A cell's sums for a term do not depend on the other terms of
-    its pass, so neither does a spec's fit."""
-    terms = terms_for(spec)
-    key = (pooled, spec.age_cap or _CUT)
-    held = survey._derived.pop("pass", None)
-    if held is None or held[0] != key or not set(terms) <= set(held[1].terms):
-        del held
-        held = key, _pass(survey, terms, key[1], codes, n)
-    survey._derived["pass"] = held
-    return held[1].merged(_kept(spec, np.arange(n)[:, None]), terms)
+    return full.merged(4 * np.arange(n)[:, None] + offsets, terms_for(spec))
 
 
 class _SpecFits:
-    """One spec over every country of a survey, or over the pooled
-    sample, from the survey's pass (see :func:`_designs`), or the groups
-    of a view of a pass in ``designs``, country ``g`` in its group ``g``
-    (see :func:`_nested_fits`); :meth:`fit` fits groups by position and
-    :meth:`named` countries by name. A country's group is the union of
-    the cells it keeps. ``index`` maps each country that holds rows, in
-    first-appearance order, to its group, and ``rows`` counts its rows in
-    the survey; a survey keeps both for every fit by country."""
+    """One spec's designs over groups of rows: a group's are the cells
+    it keeps of a pass, which a fit plan shares between the specs of one
+    form and cut (see :func:`_view`, :func:`_nested_fits`). :meth:`fit`
+    fits groups by position. ``names`` names each group's country (None:
+    the pooled sample), and ``rows`` counts its rows."""
 
-    def __init__(
-        self, survey: Survey, spec: ModelSpec | None, pooled: bool, designs: GroupedDesigns | None = None
-    ) -> None:
-        codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
-        n_groups = 1 if pooled else len(survey.country_levels)
-        self.names = (None,) if pooled else survey.country_levels
-        derived = {} if pooled else survey._derived
-        if "countries" not in derived:
-            rows = np.bincount(codes, minlength=n_groups)
-            # A stable sort by code starts each country's run at its first row.
-            order = np.argsort(codes.astype(np.min_scalar_type(n_groups)), kind="stable")
-            firsts = np.sort(order[(np.cumsum(rows) - rows)[rows > 0]])
-            derived["countries"] = rows, {self.names[g]: g for g in codes[firsts].tolist()}
-        self.rows, self.index = derived["countries"]
-        self.designs = _designs(survey, spec, pooled, codes, n_groups) if designs is None else designs
-        self.held = self.designs.held_rows()
-        self.n_periods = self.designs.held_levels("period_factor")
-        self.cohort = any(term.kind == "cohort_factor" for term in self.designs.terms)
+    def __init__(self, designs: GroupedDesigns, names: Sequence[str | None], rows: Sequence[int]) -> None:
+        self.designs, self.names, self.rows = designs, names, rows
+        self.held = designs.held_rows()
+        self.n_periods = designs.held_levels("period_factor")
+        self.cohort = any(term.kind == "cohort_factor" for term in designs.terms)
 
     def fit(self, groups: Sequence[int]) -> list[FitResult | ValueError]:
         """The fit of each of ``groups``, as :func:`fit_spec` describes
@@ -250,25 +230,13 @@ class _SpecFits:
                 out[g] = exc
         return [out[g] for g in groups]
 
-    def named(self, countries: Sequence[str | None]) -> dict[str | None, FitResult | ValueError]:
-        """:meth:`fit` by country (``None``: the pooled sample); a country
-        that holds no row is not in the survey."""
-        known = [country for country in countries if country in self.index]
-        fits = dict(zip(known, self.fit([self.index[country] for country in known])))
-        for country in countries:
-            fits.setdefault(country, EmptySampleError(f"country {country!r} not in the survey"))
-        return fits
-
     def _noted(self, g: int, fit: FitResult) -> FitResult:
         """``fit``, with a note when it rests on fewer than three rounds."""
         n_periods = int(self.n_periods[g])
         if n_periods >= 3:
             return fit
         label = self.names[g] if self.names[g] is not None else "pooled sample"
-        note = (
-            f"{label}: only {n_periods} distinct survey round(s); period "
-            "and cohort factors have little leverage"
-        )
+        note = f"{label}: only {n_periods} distinct survey round(s); period and cohort factors have little leverage"
         return replace(fit, notes=(note,))
 
     def _solve(self, stack: list, out: dict) -> list:
@@ -310,14 +278,11 @@ class _SpecFits:
         return [stack[i] for i in np.flatnonzero(~certified).tolist()]
 
 
-def fit_spec(
-    survey: Survey,
-    spec: ModelSpec,
-    country: str | None = None,
-) -> FitResult:
+def fit_spec(survey: Survey, spec: ModelSpec, country: str | None = None) -> FitResult:
     """Fit one spec for one country (or the pooled sample when ``country``
-    is None): the one-country case of :func:`batch_fit`, raising the
-    error that it records.
+    is None), from a pass over that country's rows only, built on each
+    call: the fit that :func:`batch_fit` records for it, bit for bit,
+    raising the error instead.
 
     The spec's sample restrictions apply (age cap, listwise deletion
     when controls are on). Raises :class:`EmptySampleError` for a
@@ -327,7 +292,13 @@ def fit_spec(
     cohort factors are identified but have little leverage, and the
     fit's ``notes`` say so.
     """
-    return _fitted(_SpecFits(survey, spec, pooled=country is None).named([country])[country])
+    if country is not None:
+        code = survey.country_levels.index(country) if country in survey.country_levels else -1
+        survey = survey.take(survey.country_codes == code)
+    if not len(survey):
+        raise EmptySampleError(f"country {country!r} not in the survey")
+    full = _pass(survey, terms_for(spec), spec.age_cap or _CUT, np.zeros(len(survey), np.intp), 1)
+    return _fitted(_SpecFits(_view(full, spec, 1), (country,), [len(survey)]).fit([0])[0])
 
 
 def _fitted(fit: FitResult | ValueError) -> FitResult:
@@ -471,10 +442,11 @@ def _nested_fits(
     countries = np.arange(n)[:, None]
     cell = survey.country_codes if drop is None else survey.country_codes + n * drop
     designs = GroupedDesigns(survey, model, cell, 2 * n)
-    full = _SpecFits(survey, None, False, designs.merged(countries + [0, n], terms)).fit(range(n))
+    names, rows = survey.country_levels, np.bincount(survey.country_codes, minlength=n)
+    full = _SpecFits(designs.merged(countries + [0, n], terms), names, rows).fit(range(n))
     if drop is None and not more:
         return full, full
-    return full, _SpecFits(survey, None, False, designs.merged(countries, model)).fit(range(n))
+    return full, _SpecFits(designs.merged(countries, model), names, rows).fit(range(n))
 
 
 @dataclass
@@ -498,15 +470,13 @@ class CountryResult:
         return self.fit is not None
 
 
-def batch_fit(
-    survey: Survey,
-    spec: ModelSpec,
-    countries: Sequence[str] | None = None,
-) -> list[CountryResult]:
+def batch_fit(survey: Survey, spec: ModelSpec, countries: Sequence[str] | None = None) -> list[CountryResult]:
     """Fit one spec across countries in one pass (see the module
     docstring), each country exactly as :func:`fit_spec` fits it,
-    isolating failures. A spec's fits are the same bit for bit whichever
-    specs were fitted on ``survey`` before (see :func:`_designs`).
+    isolating failures: the fit plan of one spec (:func:`_fit_plan`).
+    Nothing is kept on ``survey``, so each call builds its own pass: the
+    four quadratic presets cost more fitted one call each than in the
+    one plan that the survey commands fit them in.
 
     ``countries`` defaults to first-appearance order in ``survey``. A
     country the data cannot support (absent from the survey, no rows
@@ -515,33 +485,70 @@ def batch_fit(
     countries are unaffected. A fitted country's notes are its fit's
     notes. Every entry holds the ``rows_in`` and ``dropped`` tallies.
     """
-    fits = _SpecFits(survey, spec, pooled=False)
+    return _fit_plan(survey, [spec], countries)[0]
+
+
+def _fit_plan(
+    survey: Survey, specs: Sequence[ModelSpec], countries: Sequence[str] | None = None
+) -> list[list[CountryResult]]:
+    """:func:`batch_fit` of each of ``specs`` over the same ``countries``.
+    The specs of one form and cut share one pass over the union of their
+    terms (:func:`_plan_pass`), which is dropped before the next pass is
+    built. The countries' rows and first-appearance order are counted
+    once for all the specs."""
+    codes, n = survey.country_codes, len(survey.country_levels)
+    rows = np.bincount(codes, minlength=n)
+    # A stable sort by code starts each country's run at its first row.
+    order = np.argsort(codes.astype(np.min_scalar_type(n)), kind="stable")
+    firsts = np.sort(order[(np.cumsum(rows) - rows)[rows > 0]])
+    index = {survey.country_levels[g]: g for g in codes[firsts].tolist()}
     if countries is None:
-        countries = list(fits.index)
-    outcomes = fits.named(countries)
-    names = sorted(CONTROL_VARS) if spec.controls else []
-    by_cell = np.zeros((len(fits.rows), 4, len(names)), np.int64)
-    if names:
+        countries = list(index)
+    passes: dict[tuple[str, int], list[ModelSpec]] = {}
+    for spec in specs:
+        passes.setdefault((spec.form, spec.age_cap or _CUT), []).append(spec)
+    results: dict[ModelSpec, list[CountryResult]] = {}
+    for (_, cut), members in passes.items():
+        results.update(_plan_pass(survey, members, cut, rows, [index.get(c) for c in countries], countries))
+    return [results[spec] for spec in specs]
+
+
+def _plan_pass(
+    survey: Survey, specs: list[ModelSpec], cut: int, rows: np.ndarray, groups: list, countries: Sequence[str]
+) -> dict[ModelSpec, list[CountryResult]]:
+    """The results of ``specs``, of one form, for ``countries`` (each in
+    its group of ``groups``, None when the survey holds no row of it),
+    from one pass over the union of their terms cut at ``cut``. The rows
+    that miss a control are tallied once, for every controls spec."""
+    n = len(rows)
+    terms = sorted(dict.fromkeys(t for spec in specs for t in terms_for(spec)), key=lambda t: _KINDS.index(t.kind))
+    full = _pass(survey, terms, cut, survey.country_codes, n)
+    names = sorted(CONTROL_VARS)
+    by_cell = np.zeros((n, 4, len(names)), np.int64)
+    if any(spec.controls for spec in specs):
         missing = np.array([survey.controls[name][0] < 0 for name in names])
-        rows = np.flatnonzero(missing.any(axis=0))
+        held = np.flatnonzero(missing.any(axis=0))
         # keyed by the pass's int64 cell codes, so that the key cannot wrap
-        key = fits.designs._cell[rows] * len(names) + missing[:, rows].argmax(axis=0)
+        key = full._cell[held] * len(names) + missing[:, held].argmax(axis=0)
         by_cell = np.bincount(key, minlength=by_cell.size).reshape(by_cell.shape)
-    missed = by_cell[:, 2] + (0 if spec.age_cap else by_cell[:, 3])  # the cap is the first reason
     reasons = ["age above maximum", *(f"missing {name}" for name in names)]
-    dropped = np.column_stack([fits.rows - fits.held - missed.sum(axis=1), missed]).tolist()
-    results: list[CountryResult] = []
-    for country in countries:
-        g = fits.index.get(country)
-        result = CountryResult(country=country)
-        if g is not None:
-            result.rows_in = int(fits.rows[g])
-            result.dropped = Counter({reason: n for reason, n in zip(reasons, dropped[g]) if n})
-        outcome = outcomes[country]
-        if isinstance(outcome, ValueError):
-            result.error = str(outcome)
-        else:
-            result.fit = outcome
-            result.notes.extend(outcome.notes)
-        results.append(result)
-    return results
+    known = [g for g in groups if g is not None]
+    out: dict[ModelSpec, list[CountryResult]] = {}
+    for spec in specs:
+        fits = _SpecFits(_view(full, spec, n), survey.country_levels, rows)
+        outcomes = dict(zip(known, fits.fit(known)))
+        # a controls spec drops cell 2, and cell 3 without a cap, which is the first reason
+        missed = (by_cell[:, 2] + (0 if spec.age_cap else by_cell[:, 3])) * spec.controls
+        dropped = np.column_stack([rows - fits.held - missed.sum(axis=1), missed]).tolist()
+        out[spec] = [CountryResult(country) for country in countries]
+        for result, g in zip(out[spec], groups):
+            outcome = EmptySampleError(f"country {result.country!r} not in the survey") if g is None else outcomes[g]
+            if isinstance(outcome, ValueError):
+                result.error = str(outcome)
+            else:
+                result.fit = outcome
+                result.notes.extend(outcome.notes)
+            if g is not None:
+                result.rows_in = int(rows[g])
+                result.dropped = Counter({reason: k for reason, k in zip(reasons, dropped[g]) if k})
+    return out

@@ -72,7 +72,7 @@ class TestFit:
         def broken(*args, **kwargs):
             raise KeyError("a bug, not bad input")
 
-        monkeypatch.setattr(agecurve.cli, "batch_fit", broken)
+        monkeypatch.setattr(agecurve.cli, "_fit_plan", broken)
         with pytest.raises(KeyError, match="a bug"):
             main(["fit", "--input", str(survey_csv), "--out", str(tmp_path / "o")])
 
@@ -113,6 +113,28 @@ class TestFit:
         assert main(argv + ["--out", str(out_b)]) == 0
         name = "fit_quad-nocontrols-nocap.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestFitPlan:
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (["report"], 2),
+            (["fit", "--spec", "quad-battery"], 1),
+            (["curves", "--scheme", "fine"], 1),
+            *((["detect", "--rule", rule], 1) for rule in RULES),
+        ],
+        ids=["report", "fit-quad-battery", "curves-fine", *RULES],
+    )
+    def test_passes_per_command(self, survey_csv, tmp_path, monkeypatch, argv, passes):
+        """A command builds one pass per form of the specs it names:
+        ``report`` one for its four quadratic presets and one for its
+        two range presets."""
+        calls = []
+        build = agecurve.models._pass
+        monkeypatch.setattr(agecurve.models, "_pass", lambda *args: calls.append(args) or build(*args))
+        assert main([*argv, "--input", str(survey_csv), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == passes
 
 
 class TestInputHandling:
@@ -688,14 +710,14 @@ class TestSharedFits:
         assert code == 0
         # four quadratic presets, ranges-coarse and ranges-fine, two
         # countries: one encoding for the quadratic presets' shared pass
-        # and one per ranges spec, one stacked solve per spec holding both
-        # countries, and no dense fallback fit
-        assert calls == {"GroupedDesigns": 3, "_csne": 6, "fit_wls": 0}
+        # and one for the ranges presets' shared pass, one stacked solve
+        # per spec holding both countries, and no dense fallback fit
+        assert calls == {"GroupedDesigns": 2, "_csne": 6, "fit_wls": 0}
         assert stacked == [2] * 6
         # each encoding reads every row of the file
         with survey_csv.open(newline="", encoding="utf-8") as handle:
             file_rows = sum(1 for _ in csv.reader(handle)) - 1
-        assert rows_encoded == [file_rows] * 3
+        assert rows_encoded == [file_rows] * 2
 
 
 class TestParser:

@@ -14,10 +14,10 @@ surveys hold countries with one or two rounds, countries that the age
 cap or listwise deletion empties, countries with nobody in the fine
 scheme's reference bin, control levels seen in one country only,
 numeric levels whose text order differs from their value order, and
-unit or non-unit weights. Designs stay bit-identical. The quadratic
-presets share one pass over the survey, and a ranges preset replaces
-it, so each preset must give the same fits bit for bit whether it is
-fitted alone, after other presets or inside ``report``.
+unit or non-unit weights. Designs stay bit-identical. A fit plan
+fits the specs of one form and cut from one pass over the survey, so
+each preset must give the same fits bit for bit whether it is fitted
+alone, in a plan with other specs or inside ``report``.
 """
 
 from __future__ import annotations
@@ -337,29 +337,33 @@ def assert_same_results(new, old):
 @settings(max_examples=25, deadline=None)
 @given(survey=capped_surveys())
 def test_quadratic_presets_fit_alike_alone_together_and_in_report(survey, tmp_path_factory):
-    """Each preset fitted alone, on a survey of its own, after the
-    presets before it on one survey, and inside ``report`` gives the
-    same fits bit for bit, and matches the per-country reference; so
-    does each quadratic preset refitted after a ranges preset replaced
-    the survey's pass, and each spec of ``OTHER_SPECS``, alone or after
-    the presets."""
+    """Each preset fitted alone, on a survey of its own, in one fit plan
+    with every other spec, in a plan of the specs in reverse order and
+    inside ``report`` gives the same fits bit for bit, and matches the
+    per-country reference; so does each spec of ``OTHER_SPECS``, alone
+    or in a plan with the presets. In ``report`` the two ranges presets
+    come from one pass that holds both schemes' bins, and the quadratic
+    presets from another."""
     path = tmp_path_factory.getbasetemp() / "three_ways.csv"
     save_csv(survey, path)
     in_report = {}
 
-    def recorded(survey, spec, countries=None):
-        in_report[spec.name] = models.batch_fit(survey, spec, countries)
-        return in_report[spec.name]
+    def recorded(survey, specs, countries=None):
+        results = models._fit_plan(survey, specs, countries)
+        in_report.update((spec.name, result) for spec, result in zip(specs, results))
+        return results
 
-    with mock.patch.object(cli, "batch_fit", recorded):
+    with mock.patch.object(cli, "_fit_plan", recorded):
         cli.main(["report", "--input", str(path), "--out", str(path.parent / "three_ways"), "--format", "csv"])
+    assert list(in_report) == list(PRESETS)
     together = load_csv(path)[0]
-    fits = {name: models.batch_fit(together, spec) for name, spec in PRESETS.items()}
-    refitted = {name: models.batch_fit(together, PRESETS[name]) for name in QUADRATIC}
+    specs = [*PRESETS.values(), *OTHER_SPECS]
+    fits = dict(zip(specs, models._fit_plan(together, specs)))
+    reversed_fits = dict(zip(specs[::-1], models._fit_plan(together, specs[::-1])))
     for name, spec in PRESETS.items():
         alone = models.batch_fit(load_csv(path)[0], spec)
-        assert_same_results(fits[name], alone)
-        assert_same_results(refitted.get(name, alone), alone)
+        assert_same_results(fits[spec], alone)
+        assert_same_results(reversed_fits[spec], alone)
         assert_same_results(in_report[name], alone)
         assert_results_equal(alone, country_path.batch_fit(together, spec, None))
         for result in alone:
@@ -369,7 +373,8 @@ def test_quadratic_presets_fit_alike_alone_together_and_in_report(survey, tmp_pa
                 assert_same_fit(fit, result.fit)
     for spec in OTHER_SPECS:
         alone = models.batch_fit(load_csv(path)[0], spec)
-        assert_same_results(models.batch_fit(together, spec), alone)
+        assert_same_results(fits[spec], alone)
+        assert_same_results(reversed_fits[spec], alone)
         assert_results_equal(alone, country_path.batch_fit(together, spec, None))
 
 

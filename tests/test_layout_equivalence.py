@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from agecurve import RankDeficientError, Survey, design, load_csv, models
 from agecurve.dataset import CONTROL_VARS, ESS_SCHEMA
 from agecurve.design import TermSpec
-from agecurve.models import PRESETS, _SpecFits
+from agecurve.models import PRESETS, _SpecFits, terms_for
 from member_path import MemberFits
 from test_country_equivalence import OTHER_SPECS, assert_same_fit, surveys
 
@@ -79,9 +79,20 @@ def assert_same_layouts(designs, groups):
         assert np.array_equal(shared[0], columns) and shared[1] == labels
 
 
+def spec_fits(survey, spec, pooled=False, designs=None, fits=_SpecFits):
+    """``fits`` of ``spec`` over the survey's countries, or the pooled
+    sample, from a pass of its own, or of the groups of ``designs``."""
+    codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
+    names = (None,) if pooled else survey.country_levels
+    if designs is None:
+        full = models._pass(survey, terms_for(spec), spec.age_cap or 69, codes, len(names))
+        designs = models._view(full, spec, len(names))
+    return fits(designs, names, np.bincount(codes, minlength=len(names)))
+
+
 def assert_same_fits(survey, spec, pooled=False, designs=None, groups=None):
-    new = _SpecFits(survey, spec, pooled, designs)
-    old = MemberFits(survey, spec, pooled, new.designs)
+    new = spec_fits(survey, spec, pooled, designs)
+    old = spec_fits(survey, spec, pooled, new.designs, MemberFits)
     if groups is None:
         groups = list(range(new.designs.n_groups))
     live = [g for g in groups if new.held[g]]
@@ -169,7 +180,7 @@ def test_countries_with_another_first_cohort_share_a_layout(monkeypatch):
     calls = []
     columns = design.GroupedDesigns._columns
     monkeypatch.setattr(design.GroupedDesigns, "_columns", lambda self, present: calls.append(present) or columns(self, present))
-    fits = _SpecFits(survey, spec, False).fit([0, 1, 2])
+    fits = spec_fits(survey, spec).fit([0, 1, 2])
     assert len(calls) == 2
     assert fits[0].labels == fits[1].labels != fits[2].labels
     monkeypatch.undo()
@@ -203,11 +214,11 @@ def test_explicit_references_key_on_every_held_level():
         TermSpec.control("education", reference="10"),
     ]
     designs = models._pass(survey, terms, 69, survey.country_codes, 3).merged(np.arange(12).reshape(3, 4), terms)
-    fits = _SpecFits(survey, None, False, designs).fit([0, 1, 2])
+    fits = spec_fits(survey, None, designs=designs).fit([0, 1, 2])
     assert isinstance(fits[1], design.DesignError) and isinstance(fits[2], design.DesignError)
     assert_same_fits(survey, None, designs=designs)
     terms[1] = TermSpec.age_bins("fine")
     designs = models._pass(survey, terms, 69, survey.country_codes, 3).merged(np.arange(12).reshape(3, 4), terms)
-    fits = _SpecFits(survey, None, False, designs).fit([0, 1, 2])
+    fits = spec_fits(survey, None, designs=designs).fit([0, 1, 2])
     assert "education=2" in fits[0].labels and "education=9" in fits[1].labels
     assert_same_fits(survey, None, designs=designs)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from agecurve import (
     predict_curve,
     quad_vertex,
 )
-from agecurve import models
+from agecurve import cli, dataset, models
 from agecurve.models import terms_for
 from conftest import FITTABLE, synth_rows, synth_survey
 
@@ -307,17 +309,16 @@ class TestBatchFit:
         )
 
     def test_specs_share_the_survey_country_counts(self, monkeypatch):
-        """The first fit by country counts each country's rows and finds
-        its first row; a later spec on the same survey reads both."""
+        """A fit plan counts each country's rows and finds its first row
+        once for all its specs, of both forms."""
         survey = synth_survey(dict(seed=25, country="BB"), dict(seed=26, country="AA"), n=80)
-        counted = models._SpecFits(survey, PRESETS["quad-controls-cap"], False)
+        specs = [PRESETS["quad-controls-cap"], PRESETS["ranges-fine"], PRESETS["ranges-coarse"]]
         sorts = []
         argsort = np.argsort
         monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(a) or argsort(*a, **k))
-        again = models._SpecFits(survey, PRESETS["ranges-fine"], False)
-        assert sorts == []
-        assert again.index is counted.index and again.rows is counted.rows
-        assert list(again.index) == ["BB", "AA"]
+        plan = models._fit_plan(survey, specs)
+        assert len(sorts) == 1
+        assert [[(r.country, r.rows_in) for r in results] for results in plan] == [[("BB", 80), ("AA", 80)]] * 3
         assert [r.rows_in for r in batch_fit(survey, PRESETS["ranges-fine"])] == [80, 80]
 
     def test_warnings_reach_the_caller(self, monkeypatch):
@@ -363,3 +364,37 @@ class TestRecordIdentity:
 
     def test_batch_fit_results_compare_without_raising(self):
         assert batch_fit(self.survey, self.spec) != batch_fit(self.survey, self.spec)
+
+
+class TestSurveyIsUnchanged:
+    """A fit keeps nothing on its survey: the survey commands name their
+    specs up front, so no pass or count is cached between fits."""
+
+    def test_survey_fields_are_data(self):
+        assert [f.name for f in dataclasses.fields(Survey)] == [
+            "country_codes", "country_levels", "round", "period_year", "age", "happiness",
+            "weight", "controls", "mediator", "birth_year",
+        ]
+
+    def test_no_fit_changes_its_survey(self, tmp_path, monkeypatch):
+        survey = synth_survey(dict(seed=27, country="AA"), dict(seed=28, country="BB"), n=300, **FITTABLE)
+        before = copy.deepcopy(vars(survey))
+        for spec in PRESETS.values():
+            batch_fit(survey, spec)
+            fit_spec(survey, spec, "BB")
+            fit_spec(survey, spec)
+        adjusted_means(survey, "AA")
+        np.testing.assert_equal(vars(survey), before)
+
+        loaded = []
+        load = cli.load_csv
+
+        def recorded(*args, **kwargs):
+            loaded.append(load(*args, **kwargs))
+            loaded.append(copy.deepcopy(vars(loaded[0][0])))
+            return loaded[0]
+
+        monkeypatch.setattr(cli, "load_csv", recorded)
+        dataset.save_csv(survey, tmp_path / "survey.csv")
+        assert cli.main(["report", "--input", str(tmp_path / "survey.csv"), "--out", str(tmp_path / "out")]) == 0
+        np.testing.assert_equal(vars(loaded[0][0]), loaded[1])
