@@ -151,11 +151,14 @@ def _setting(args, config, flag, section, key=None, cast=str):
 
 def _countries_arg(args, config: configparser.ConfigParser) -> list[str] | None:
     """The ``--countries`` list, else the config's, each country once in
-    first-appearance order."""
+    first-appearance order. A list that names no country is refused."""
     raw = _setting(args, config, "countries", "filters")
     if raw is None:
         return None
-    return list(dict.fromkeys(c.strip() for c in raw.split(",") if c.strip()))
+    countries = list(dict.fromkeys(c.strip() for c in raw.split(",") if c.strip()))
+    if not countries:
+        raise FatalError(f"the country filter {raw!r} names no country")
+    return countries
 
 
 def _formats(args, config: configparser.ConfigParser) -> set[str]:
@@ -200,7 +203,8 @@ def _survey_run(args, names: Sequence[str], scheme: str | None = None) -> tuple[
     command, and the curves of ``scheme`` when it draws them; also set
     up its output directory and formats."""
     config = _read_config(args.config)
-    fits = _Fits(_load_survey(args, config), _countries_arg(args, config), names, scheme)
+    countries = _countries_arg(args, config)
+    fits = _Fits(_load_survey(args, config), countries, names, scheme)
     formats = _formats(args, config)
     return fits, _out_dir(args, config), formats
 

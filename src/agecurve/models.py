@@ -1,28 +1,26 @@
 """Named model specifications and per-country fitting.
 
-Every fit reads a pass over a survey: each term is encoded once, and
-the rows are split into cells. Each cell's ``X̃ᵀX̃`` and ``X̃ᵀỹ`` come
-from grouped sums over the codes (Wong, Lewis & Wardrop, "You Only
-Compress Once", arXiv:2102.11297), and a fit reads the union of the
-cells it keeps. A survey command names its specs up front, and its fit
-plan (:func:`_fit_plan`) builds one pass for the specs of one form and
-cut, over the union of their terms, whose cells split the rows by
-country, by complete controls and by age up to the cut, the spec's cap
-or 69 without one (:func:`_pass`, :func:`_view`); each pass is dropped
-before the next is built. Nothing is kept on the survey, so
-:func:`batch_fit`, the plan of one spec, builds a pass on each call:
-specs fitted one call each cost more than the same specs in one plan.
-:func:`fit_spec` fits one country from a pass over its rows alone. The
-replicates of a
-Monte Carlo experiment, stacked as the countries of one survey, each fit
-two nested samples from one pass whose cells split the rows by country
-and by whether they stay in the smaller sample (:func:`_nested_fits`).
-The countries asked for are solved in one stacked call of the
-:mod:`agecurve.wls` kernel, without a dense design. Only a country whose
-Gram matrix has no Cholesky factor or fails the full-rank certificate,
-or that has no more rows than columns, has its dense design filled and
-goes through :func:`agecurve.wls.fit_wls`, which names the columns of a
-dependency.
+Every fit is a sample of a pass over a survey (:func:`_pass`): each term
+is encoded once, the rows of each group, a country or a Monte Carlo
+replicate, are split into cells by a list of row masks, and each cell's
+``X̃ᵀX̃`` and ``X̃ᵀỹ`` come from grouped sums over the codes (Wong,
+Lewis & Wardrop, "You Only Compress Once", arXiv:2102.11297). A sample
+is a model's terms and the masks whose rows it leaves out, and it fits
+the union of the cells it keeps. A spec's pass splits by incomplete
+controls and by ages above the cut, its cap or 69 without one
+(:func:`_spec_samples`). A survey command names its specs up front, and
+its fit plan (:func:`_fit_plan`) builds one pass for the specs of one
+form and cut, over the union of their terms, each dropped before the
+next is built. Nothing is kept on the survey, so :func:`batch_fit`, the
+plan of one spec, builds a pass on each call, and :func:`fit_spec` one
+over a country's rows alone. The replicates of an experiment are stacked
+as the countries of one survey, whose pass splits by the rows their
+smaller sample drops (see :mod:`agecurve.simulate`). The countries asked
+for are solved in one stacked call of the :mod:`agecurve.wls` kernel,
+without a dense design. Only a country whose Gram matrix has no Cholesky
+factor or fails the full-rank certificate, or that has no more rows than
+columns, has its dense design filled and goes through
+:func:`agecurve.wls.fit_wls`, which names the columns of a dependency.
 
 The battery mirrors the analysis the package exists to reproduce and
 probe:
@@ -156,37 +154,59 @@ def terms_for(spec: ModelSpec) -> list[TermSpec]:
 # the capped presets' cap, so that it shares their pass.
 _CUT = PRESETS["quad-controls-cap"].age_cap
 
-# The order of the term kinds in a model (see terms_for): a pass over
-# several specs' terms keeps it, and so each spec's order.
-_KINDS = ("intercept", "age_linear", "age_squared", "age_bins", "period_factor", "cohort_factor", "control_factor")
+# The order of the term kinds in a model (see terms_for), the mediator
+# of a Monte Carlo model last: a pass over several samples' terms keeps
+# it, and so each sample's order.
+_KINDS = (
+    "intercept", "age_linear", "age_squared", "age_bins", "period_factor", "cohort_factor", "control_factor", "mediator"
+)
 
 
-def _pass(survey: Survey, terms: list[TermSpec], cut: int, group: np.ndarray, n: int) -> GroupedDesigns:
-    """One encoding of ``terms`` over ``survey`` whose cells split each
-    of the ``n`` groups of ``group``: cell ``4g`` holds the rows of group
-    ``g`` with complete controls and an age up to ``cut``, ``4g + 1``
-    those above it, and ``4g + 2`` and ``4g + 3`` the same with
-    incomplete controls."""
+def _spec_samples(survey: Survey, specs: Sequence[ModelSpec], cut: int) -> tuple[list, list[np.ndarray]]:
+    """The samples of ``specs`` and the splits of their pass over
+    ``survey``: incomplete controls, then ages above ``cut``. A spec
+    leaves out the first when it has controls, the second when it has a
+    cap."""
     incomplete = np.logical_or.reduce([codes < 0 for codes, _ in survey.controls.values()])
-    return GroupedDesigns(survey, terms, 4 * group + 2 * incomplete + (survey.age > cut), 4 * n)
+    samples = [(tuple(terms_for(s)), (0,) * s.controls + (1,) * (s.age_cap is not None)) for s in specs]
+    return samples, [incomplete, survey.age > cut]
 
 
-def _view(full: GroupedDesigns, spec: ModelSpec, n: int) -> GroupedDesigns:
-    """The designs of ``spec`` for the ``n`` groups of a pass: the cells
-    each keeps, complete controls only when it has controls, ages up to
-    the cut only when it has a cap. A cell's sums for a term do not
-    depend on the other terms of its pass, so neither does a spec's
-    fit."""
-    offsets = [i + j for i in (0, 2)[: 1 if spec.controls else 2] for j in (0, 1)[: 1 if spec.age_cap else 2]]
-    return full.merged(4 * np.arange(n)[:, None] + offsets, terms_for(spec))
+def _pass(
+    survey: Survey, samples: Sequence[tuple], splits: Sequence[np.ndarray], group: np.ndarray, names: Sequence,
+    groups: Sequence[int] | None = None,
+) -> list[tuple[list[FitResult | ValueError], np.ndarray]]:
+    """Each of ``samples``' fit of each of ``groups`` (default: all), as
+    :meth:`_SpecFits.fit` gives it, and the rows each group holds in it,
+    from one encoding of the samples' terms over ``survey``, dropped on
+    return. A sample is a model's terms and the indices of the
+    ``splits`` whose rows it leaves out; one given twice is fitted once.
+
+    ``group`` numbers each row's group, one per name of ``names`` (None:
+    the pooled sample), and the cells split each group by the row masks
+    of ``splits``, the first the most significant: with k splits, group
+    ``g`` holds cells ``g·2ᵏ`` to ``g·2ᵏ + 2ᵏ − 1``. A cell's sums for a
+    term do not depend on the other terms of its pass, so neither does a
+    sample's fit."""
+    n, k, cell = len(names), len(splits), group
+    for split in splits:
+        cell = 2 * cell + split
+    terms = sorted(dict.fromkeys(t for model, _ in samples for t in model), key=lambda t: _KINDS.index(t.kind))
+    full, rows = GroupedDesigns(survey, terms, cell, n << k), np.bincount(group, minlength=n)
+    fitted = {}
+    for model, leaves in dict.fromkeys(samples):
+        offsets = [0]
+        for i in range(k):
+            offsets = [2 * o + bit for o in offsets for bit in (0, 1)[: 1 if i in leaves else 2]]
+        fits = _SpecFits(full.merged((np.arange(n) << k)[:, None] + offsets, model), names, rows)
+        fitted[model, leaves] = fits.fit(range(n) if groups is None else groups), fits.held
+    return [fitted[sample] for sample in samples]
 
 
 class _SpecFits:
-    """One spec's designs over groups of rows: a group's are the cells
-    it keeps of a pass, which a fit plan shares between the specs of one
-    form and cut (see :func:`_view`, :func:`_nested_fits`). :meth:`fit`
-    fits groups by position. ``names`` names each group's country (None:
-    the pooled sample), and ``rows`` counts its rows."""
+    """One sample's designs over groups of rows, each the cells it keeps
+    of a pass (:func:`_pass`); :meth:`fit` fits groups by position.
+    ``names`` names each group's country (None: the pooled sample)."""
 
     def __init__(self, designs: GroupedDesigns, names: Sequence[str | None], rows: Sequence[int]) -> None:
         self.designs, self.names, self.rows = designs, names, rows
@@ -226,8 +246,8 @@ class _SpecFits:
         for g, _, _ in dense:
             try:
                 out[g] = self._noted(g, fit_wls(self.designs.design(g)))
-            except ValueError as exc:
-                out[g] = exc
+            except ValueError as exc:  # its traceback would hold the pass in a cycle
+                out[g] = exc.with_traceback(None)
         return [out[g] for g in groups]
 
     def _noted(self, g: int, fit: FitResult) -> FitResult:
@@ -297,8 +317,9 @@ def fit_spec(survey: Survey, spec: ModelSpec, country: str | None = None) -> Fit
         survey = survey.take(survey.country_codes == code)
     if not len(survey):
         raise EmptySampleError(f"country {country!r} not in the survey")
-    full = _pass(survey, terms_for(spec), spec.age_cap or _CUT, np.zeros(len(survey), np.intp), 1)
-    return _fitted(_SpecFits(_view(full, spec, 1), (country,), [len(survey)]).fit([0])[0])
+    samples, splits = _spec_samples(survey, [spec], spec.age_cap or _CUT)
+    [((fit,), _)] = _pass(survey, samples, splits, np.zeros(len(survey), np.intp), (country,))
+    return _fitted(fit)
 
 
 def _fitted(fit: FitResult | ValueError) -> FitResult:
@@ -429,26 +450,6 @@ def adjusted_means(
     return replace(curve, notes=fit.notes + curve.notes)
 
 
-def _nested_fits(
-    survey: Survey, terms: list[TermSpec], drop: np.ndarray | None, more: Sequence[TermSpec] = ()
-) -> tuple[list[FitResult | ValueError], list[FitResult | ValueError]]:
-    """Each country's fit by position, as :meth:`_SpecFits.fit` gives it,
-    of ``terms`` on all its rows and of ``terms + more`` on the rows that
-    ``drop`` leaves (None: all), from one encoding over ``2n`` cells of
-    the ``n`` countries: cell ``c`` holds the rows of country ``c`` that
-    stay, ``c + n`` those dropped. Without a drop or more terms the two
-    samples are one, fitted once."""
-    n, model = len(survey.country_levels), [*terms, *more]
-    countries = np.arange(n)[:, None]
-    cell = survey.country_codes if drop is None else survey.country_codes + n * drop
-    designs = GroupedDesigns(survey, model, cell, 2 * n)
-    names, rows = survey.country_levels, np.bincount(survey.country_codes, minlength=n)
-    full = _SpecFits(designs.merged(countries + [0, n], terms), names, rows).fit(range(n))
-    if drop is None and not more:
-        return full, full
-    return full, _SpecFits(designs.merged(countries, model), names, rows).fit(range(n))
-
-
 @dataclass
 class CountryResult:
     """Outcome of one country's fit inside a batch; exactly one of ``fit``
@@ -473,10 +474,8 @@ class CountryResult:
 def batch_fit(survey: Survey, spec: ModelSpec, countries: Sequence[str] | None = None) -> list[CountryResult]:
     """Fit one spec across countries in one pass (see the module
     docstring), each country exactly as :func:`fit_spec` fits it,
-    isolating failures: the fit plan of one spec (:func:`_fit_plan`).
-    Nothing is kept on ``survey``, so each call builds its own pass: the
-    four quadratic presets cost more fitted one call each than in the
-    one plan that the survey commands fit them in.
+    isolating failures: the fit plan of one spec (:func:`_fit_plan`),
+    which builds its own pass on each call.
 
     ``countries`` defaults to first-appearance order in ``survey``. A
     country the data cannot support (absent from the survey, no rows
@@ -520,26 +519,24 @@ def _plan_pass(
     its group of ``groups``, None when the survey holds no row of it),
     from one pass over the union of their terms cut at ``cut``. The rows
     that miss a control are tallied once, for every controls spec."""
-    n = len(rows)
-    terms = sorted(dict.fromkeys(t for spec in specs for t in terms_for(spec)), key=lambda t: _KINDS.index(t.kind))
-    full = _pass(survey, terms, cut, survey.country_codes, n)
+    samples, splits = _spec_samples(survey, specs, cut)
     names = sorted(CONTROL_VARS)
-    by_cell = np.zeros((n, 4, len(names)), np.int64)
+    # by country, the rows that miss a control up to the cut and above it
+    by_side = np.zeros((len(rows), 2, len(names)), np.int64)
     if any(spec.controls for spec in specs):
         missing = np.array([survey.controls[name][0] < 0 for name in names])
         held = np.flatnonzero(missing.any(axis=0))
-        # keyed by the pass's int64 cell codes, so that the key cannot wrap
-        key = full._cell[held] * len(names) + missing[:, held].argmax(axis=0)
-        by_cell = np.bincount(key, minlength=by_cell.size).reshape(by_cell.shape)
+        key = (2 * survey.country_codes[held] + splits[1][held]) * len(names) + missing[:, held].argmax(axis=0)
+        by_side = np.bincount(key, minlength=by_side.size).reshape(by_side.shape)
     reasons = ["age above maximum", *(f"missing {name}" for name in names)]
     known = [g for g in groups if g is not None]
+    passed = _pass(survey, samples, splits, survey.country_codes, survey.country_levels, known)
     out: dict[ModelSpec, list[CountryResult]] = {}
-    for spec in specs:
-        fits = _SpecFits(_view(full, spec, n), survey.country_levels, rows)
-        outcomes = dict(zip(known, fits.fit(known)))
-        # a controls spec drops cell 2, and cell 3 without a cap, which is the first reason
-        missed = (by_cell[:, 2] + (0 if spec.age_cap else by_cell[:, 3])) * spec.controls
-        dropped = np.column_stack([rows - fits.held - missed.sum(axis=1), missed]).tolist()
+    for spec, (fits, held_rows) in zip(specs, passed):
+        outcomes = dict(zip(known, fits))
+        # above a cap, the age is a row's first reason
+        missed = (by_side[:, 0] + (0 if spec.age_cap else by_side[:, 1])) * spec.controls
+        dropped = np.column_stack([rows - held_rows - missed.sum(axis=1), missed]).tolist()
         out[spec] = [CountryResult(country) for country in countries]
         for result, g in zip(out[spec], groups):
             outcome = EmptySampleError(f"country {result.country!r} not in the survey") if g is None else outcomes[g]

@@ -32,9 +32,10 @@ draws that came before.
 
 Each replicate draws its own sample. The replicates are then fitted as
 countries are, a chunk of them under a fixed row count at a time: their
-samples become the countries of one survey, each fitted on two nested
-samples from one pass over it (see :mod:`agecurve.models`), and no
-replicate's fit or error depends on the others.
+samples become the countries of one survey, and each experiment's two
+samples of every replicate are fitted from one pass over it, split by
+the rows the smaller sample drops (see :func:`agecurve.models._pass`).
+No replicate's fit or error depends on the others.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .dataset import DEFAULT_ROUND_MAP, Survey
 from .design import FINE_BINS, TermSpec
-from .models import PRESETS, _fitted, _nested_fits, curve_from_fit, terms_for
+from .models import PRESETS, _fitted, _pass, curve_from_fit, terms_for
 from .wls import RankDeficientError
 
 __all__ = [
@@ -286,15 +287,16 @@ def _draw(config: DgpConfig, seeds: Sequence[int] | None = None) -> tuple[Survey
 _CHUNK_ROWS = 1 << 15
 
 
-def _fit_replicates(config: DgpConfig, seeds: list[int], fit) -> list:
-    """What ``fit(survey, drop)`` gives each replicate, in replicate
-    order, for the :func:`_draw` of each chunk of replicates under
-    ``_CHUNK_ROWS`` rows: replicate ``i`` of the chunk is the survey's
-    country ``i``, and ``drop`` holds the rows attrition drops (None:
-    none)."""
+def _replicates(config: DgpConfig, seeds: list[int], samples: list, read, splits=lambda *_: []) -> list:
+    """``read`` of each replicate's fits of ``samples``, in replicate
+    order. Each chunk of replicates under ``_CHUNK_ROWS`` rows is drawn
+    (:func:`_draw`), replicate ``i`` as the survey's country ``i``, and
+    fitted from one pass split by ``splits(survey, drop)``."""
     per, out = max(1, _CHUNK_ROWS // config.n), []
     for first in range(0, len(seeds), per):
-        out.extend(fit(*_draw(config, seeds[first : first + per])))
+        survey, drop = _draw(config, seeds[first : first + per])
+        passed = _pass(survey, samples, splits(survey, drop), survey.country_codes, survey.country_levels)
+        out.extend(read(*fits) for fits in zip(*(fits for fits, _ in passed)))
     return out
 
 
@@ -467,16 +469,14 @@ def experiment_mediator(config: DgpConfig | None = None, reps: int = 200) -> Sim
 
     # The Monte Carlo standard error of the checks needs two replicates.
     seeds = _replicate_seeds(config.seed, reps, minimum=2)
-    terms = [TermSpec.intercept(), TermSpec.age_linear(), TermSpec.period(), TermSpec.mediator()]
+    total = (TermSpec.intercept(), TermSpec.age_linear(), TermSpec.period())
+    samples = [(total, ()), ((*total, TermSpec.mediator()), ())]
 
-    def fit_chunk(survey: Survey, _) -> list[tuple[float, float, float]]:
-        """Each replicate's age slope without and with the mediator, and the mediator's."""
-        return [
-            (_fitted(total).coef("age"), _fitted(direct).coef("age"), direct.coef("mediator"))
-            for total, direct in zip(*_nested_fits(survey, terms[:-1], None, terms[-1:]))
-        ]
+    def read(total, direct) -> tuple[float, float, float]:
+        """The age slope without and with the mediator, and the mediator's."""
+        return _fitted(total).coef("age"), _fitted(direct).coef("age"), direct.coef("mediator")
 
-    totals, directs, mediator_coefs = np.array(_fit_replicates(config, seeds, fit_chunk)).T
+    totals, directs, mediator_coefs = np.array(_replicates(config, seeds, samples, read)).T
 
     med = config.mediator
     total_target = config.age_effect.linear + med.total_effect
@@ -527,17 +527,15 @@ def experiment_truncation(
         )
     if cap_age < 15:
         raise ValueError(f"age_cap {cap_age} below the survey minimum")
-    terms = terms_for(PRESETS["quad-nocontrols-nocap"])
+    terms = tuple(terms_for(PRESETS["quad-nocontrols-nocap"]))
     seeds = _replicate_seeds(config.seed, reps)
 
-    def fit_chunk(survey: Survey, _) -> list[list[list[float]]]:
-        """Each replicate's full and capped fit's age and age_sq coefficients."""
-        return [
-            [[fit.coef("age"), fit.coef("age_sq")] for fit in map(_fitted, fits)]
-            for fits in zip(*_nested_fits(survey, terms, survey.age > cap_age))
-        ]
+    def read(*fits) -> list[list[float]]:
+        """The full and capped fit's age and age_sq coefficients."""
+        return [[fit.coef("age"), fit.coef("age_sq")] for fit in map(_fitted, fits)]
 
-    coefs = np.array(_fit_replicates(config, seeds, fit_chunk))
+    capped = lambda survey, _: [survey.age > cap_age]
+    coefs = np.array(_replicates(config, seeds, [(terms, ()), (terms, (0,))], read, capped))
     (full_age, full_sq), (capped_age, capped_sq) = coefs.transpose(1, 2, 0)
 
     # A difference of two floats is positive exactly when the first is larger.
@@ -596,21 +594,20 @@ def experiment_attrition(config: DgpConfig | None = None, reps: int = 200) -> Si
     seeds = _replicate_seeds(config.seed, reps)
     inflations = {label: np.full(reps, np.nan) for label in late_bins}
 
-    def fit_chunk(survey: Survey, drop: np.ndarray | None) -> list[dict[str, float] | None]:
-        """Each replicate's attrited-minus-full level of the late bins
-        that both curves hold, or None when it cannot be fitted."""
-        out = []
-        for fits in zip(*_nested_fits(survey, terms_for(PRESETS["ranges-fine"]), drop)):
-            try:
-                full, attrited = (curve_from_fit(_fitted(fit), config.country, "fine") for fit in fits)
-            except RankDeficientError:
-                out.append(None)
-                continue
-            held = set(inflations) & set(full.bin_labels) & set(attrited.bin_labels)
-            out.append({label: attrited.level(label) - full.level(label) for label in held})
-        return out
+    terms = tuple(terms_for(PRESETS["ranges-fine"]))
+    samples = [(terms, ()), (terms, (0,) if strength > 0 else ())]
 
-    differences = _fit_replicates(config, seeds, fit_chunk)
+    def read(*fits) -> dict[str, float] | None:
+        """The attrited-minus-full level of the late bins that both
+        curves hold, or None when the replicate cannot be fitted."""
+        try:
+            full, attrited = (curve_from_fit(_fitted(fit), config.country, "fine") for fit in fits)
+        except RankDeficientError:
+            return None
+        held = set(inflations) & set(full.bin_labels) & set(attrited.bin_labels)
+        return {label: attrited.level(label) - full.level(label) for label in held}
+
+    differences = _replicates(config, seeds, samples, read, lambda _, drop: [] if drop is None else [drop])
     unfitted = differences.count(None)
     for i, difference in enumerate(differences):
         for label, value in (difference or {}).items():

@@ -4,8 +4,9 @@ with a pivoted QR for the designs the certificate cannot clear.
 Let ``X̃ = √w·X`` and ``ỹ = √w·y``. The fast path works from the Gram
 matrix ``X̃ᵀX̃`` and ``X̃ᵀỹ`` alone, so one kernel solves a whole stack of
 problems at once: :func:`fit_wls` passes a stack of one, formed from a
-dense design, and :func:`agecurve.models.batch_fit` passes every
-country of a spec, formed from grouped sufficient statistics (see
+dense design, and a pass over a survey (:func:`agecurve.models._pass`)
+passes every group of rows of a sample, each country of a spec or each
+Monte Carlo replicate, formed from grouped sufficient statistics (see
 :class:`agecurve.design.GroupedDesigns`). Members of one width are
 factored together; numpy.linalg raises for a whole stack when one
 member has no Cholesky factor, and that stack is then redone one matrix

@@ -138,6 +138,26 @@ class TestFitPlan:
 
 
 class TestInputHandling:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["fit"], ["detect", "--rule", "range_t1"], ["curves"], ["report"],
+    ], ids=["fit", "detect", "curves", "report"])
+    def test_empty_country_list_is_refused(self, survey_csv, tmp_path, capsys, argv, source):
+        """A country filter that names no country is a fatal error with
+        one line, before any output is written."""
+        if source == "flag":
+            extra = ["--countries", ","]
+        else:
+            config = tmp_path / "cfg.ini"
+            config.write_text("[filters]\ncountries =\n", encoding="utf-8")
+            extra = ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(survey_csv), "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: the country filter ")
+        assert err.endswith(" names no country\n")
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path, capsys):
         code = main(["fit", "--input", str(tmp_path / "nope.csv")])
         assert code == 1

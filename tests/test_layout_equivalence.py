@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from agecurve import RankDeficientError, Survey, design, load_csv, models
 from agecurve.dataset import CONTROL_VARS, ESS_SCHEMA
 from agecurve.design import TermSpec
-from agecurve.models import PRESETS, _SpecFits, terms_for
+from agecurve.models import PRESETS, _SpecFits
 from member_path import MemberFits
 from test_country_equivalence import OTHER_SPECS, assert_same_fit, surveys
 
@@ -79,14 +80,31 @@ def assert_same_layouts(designs, groups):
         assert np.array_equal(shared[0], columns) and shared[1] == labels
 
 
+def pass_designs(survey, samples, splits, codes, names):
+    """The designs of each of ``samples`` that one ``models._pass`` over
+    ``survey``, split by ``splits``, would fit."""
+    designs = []
+
+    class Recorded:
+        def __init__(self, sample_designs, *_):
+            designs.append(sample_designs)
+            self.held = None
+
+        def fit(self, groups):
+            return []
+
+    with mock.patch.object(models, "_SpecFits", Recorded):
+        models._pass(survey, samples, splits, codes, names)
+    return designs
+
+
 def spec_fits(survey, spec, pooled=False, designs=None, fits=_SpecFits):
     """``fits`` of ``spec`` over the survey's countries, or the pooled
     sample, from a pass of its own, or of the groups of ``designs``."""
     codes = np.zeros(len(survey), np.intp) if pooled else survey.country_codes
     names = (None,) if pooled else survey.country_levels
     if designs is None:
-        full = models._pass(survey, terms_for(spec), spec.age_cap or 69, codes, len(names))
-        designs = models._view(full, spec, len(names))
+        (designs,) = pass_designs(survey, *models._spec_samples(survey, [spec], spec.age_cap or 69), codes, names)
     return fits(designs, names, np.bincount(codes, minlength=len(names)))
 
 
@@ -151,12 +169,13 @@ def test_random_surveys_fit_as_per_country_path(survey, data):
         assert_same_fits(survey, spec)
         assert_same_fits(survey, spec, groups=groups)
         assert_same_fits(survey, spec, pooled=True)
-    cells = np.arange(4 * n).reshape(n, 4)
+    _, splits = models._spec_samples(survey, [], 69)
     for terms in EXPLICIT:
-        full = models._pass(survey, terms, 69, survey.country_codes, n)
-        for kept in (cells, cells[:, :2], cells[:, :1]):
-            assert_same_fits(survey, None, designs=full.merged(kept, terms))
-            assert_same_fits(survey, None, designs=full.merged(kept, terms), groups=groups)
+        # every cell; complete controls only; and those up to the cut
+        samples = [(tuple(terms), leaves) for leaves in ((), (0,), (0, 1))]
+        for designs in pass_designs(survey, samples, splits, survey.country_codes, survey.country_levels):
+            assert_same_fits(survey, None, designs=designs)
+            assert_same_fits(survey, None, designs=designs, groups=groups)
 
 
 def test_countries_with_another_first_cohort_share_a_layout(monkeypatch):
@@ -207,18 +226,19 @@ def test_explicit_references_key_on_every_held_level():
                 labor_status="employed",
             ))
     survey = Survey.from_rows(rows)
+    _, splits = models._spec_samples(survey, [], 69)
     terms = [
         TermSpec.intercept(),
         TermSpec.age_bins("fine", reference="15-24"),
         TermSpec.period(),
         TermSpec.control("education", reference="10"),
     ]
-    designs = models._pass(survey, terms, 69, survey.country_codes, 3).merged(np.arange(12).reshape(3, 4), terms)
+    (designs,) = pass_designs(survey, [(tuple(terms), ())], splits, survey.country_codes, survey.country_levels)
     fits = spec_fits(survey, None, designs=designs).fit([0, 1, 2])
     assert isinstance(fits[1], design.DesignError) and isinstance(fits[2], design.DesignError)
     assert_same_fits(survey, None, designs=designs)
     terms[1] = TermSpec.age_bins("fine")
-    designs = models._pass(survey, terms, 69, survey.country_codes, 3).merged(np.arange(12).reshape(3, 4), terms)
+    (designs,) = pass_designs(survey, [(tuple(terms), ())], splits, survey.country_codes, survey.country_levels)
     fits = spec_fits(survey, None, designs=designs).fit([0, 1, 2])
     assert "education=2" in fits[0].labels and "education=9" in fits[1].labels
     assert_same_fits(survey, None, designs=designs)

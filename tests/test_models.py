@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import warnings
 
 import numpy as np
@@ -24,9 +25,10 @@ from agecurve import (
     predict_curve,
     quad_vertex,
 )
-from agecurve import cli, dataset, models
+from agecurve import cli, dataset, design, models
 from agecurve.models import terms_for
 from conftest import FITTABLE, synth_rows, synth_survey
+from expected_report import survey_csv
 
 
 def few_rounds(label, n_periods):
@@ -320,6 +322,24 @@ class TestBatchFit:
         assert len(sorts) == 1
         assert [[(r.country, r.rows_in) for r in results] for results in plan] == [[("BB", 80), ("AA", 80)]] * 3
         assert [r.rows_in for r in batch_fit(survey, PRESETS["ranges-fine"])] == [80, 80]
+
+    def test_failed_fits_free_their_pass(self, tmp_path):
+        """A fit that fails on the dense fallback keeps its error, but
+        not the traceback that would hold its pass in a reference cycle:
+        with the collector off, no pass outlives the plan. SE and IE fail
+        ``ranges-fine`` there as rank deficient."""
+        survey_csv(tmp_path / "survey.csv", 1, 5_000, 30)
+        survey = dataset.load_csv(tmp_path / "survey.csv", dataset.ESS_SCHEMA)[0]
+        gc.collect()
+        gc.disable()
+        try:
+            plan = models._fit_plan(survey, list(PRESETS.values()))
+            live = sum(isinstance(obj, design.GroupedDesigns) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert {r.country for r in plan[-1] if not r.ok} == {"SE", "IE"}
+        assert all("rank deficient" in r.error for r in plan[-1] if not r.ok)
+        assert live == 0
 
     def test_warnings_reach_the_caller(self, monkeypatch):
         """A warning raised inside a fit is the caller's to handle, not

@@ -22,8 +22,9 @@ from agecurve import (
     generate,
 )
 import replicate_path
-from agecurve import simulate
-from agecurve.simulate import _draw, _fit_replicates, _replicate_seeds
+from agecurve import models, simulate
+from agecurve.design import GroupedDesigns
+from agecurve.simulate import _draw
 from record_path import rows
 
 
@@ -384,13 +385,20 @@ class TestChunks:
     depends on the replicates stacked with it."""
 
     def run_both(self, monkeypatch, experiment, config, reps, budget, chunks, **kwargs):
-        seeds = _replicate_seeds(config.seed, reps)
-        sizes = lambda: _fit_replicates(config, seeds, lambda survey, _: [len(survey.country_levels)])
-        assert sizes() == [reps]
+        # the replicates of each pass built, a pass per chunk
+        sizes, build = [], simulate._pass
+
+        def counted(survey, *args):
+            sizes.append(len(survey.country_levels))
+            return build(survey, *args)
+
+        monkeypatch.setattr(simulate, "_pass", counted)
         whole = experiment(config, reps=reps, **kwargs)
+        assert sizes == [reps]
+        sizes.clear()
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", budget)
-        assert len(sizes()) == chunks
         chunked = experiment(config, reps=reps, **kwargs)
+        assert len(sizes) == chunks
         assert_identical(chunked, whole)
         return chunked
 
@@ -423,6 +431,26 @@ class TestChunks:
     def test_mediator_across_chunks(self, monkeypatch):
         config = replace(default_mediator_config(seed=6), n=500)
         self.run_both(monkeypatch, experiment_mediator, config, 7, 1000, 4)
+
+
+@pytest.mark.parametrize("experiment, config, per_replicate", [
+    (experiment_mediator, default_mediator_config(), 1),
+    (experiment_truncation, default_truncation_config(), 2),
+    (experiment_attrition, default_attrition_config(strength=0.5), 2),
+    (experiment_attrition, default_attrition_config(strength=0.0), 1),
+], ids=["mediator", "truncation", "attrition-0.5", "attrition-0"])
+def test_one_pass_per_chunk(monkeypatch, experiment, config, per_replicate):
+    """Each experiment builds one pass per chunk of replicates. A pass
+    split by the rows its smaller sample drops holds two cells per
+    replicate; one without a split, the mediator's and attrition's at
+    strength 0, whose two samples hold the same rows, holds one."""
+    passes = []
+    monkeypatch.setattr(models, "GroupedDesigns", lambda survey, terms, cell, n_cells: (
+        passes.append((len(survey.country_levels), n_cells)) or GroupedDesigns(survey, terms, cell, n_cells)
+    ))
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 3 * config.n)
+    experiment(config, reps=7)
+    assert passes == [(reps, reps * per_replicate) for reps in (3, 3, 1)]
 
 
 class TestReplicateErrors:
