@@ -6,9 +6,9 @@ over fitted data or the bundled reference tables), ``simulate`` (the
 Monte Carlo bias experiments), and ``report`` (everything ``fit``,
 ``detect`` and ``curves`` write, plus coefficient reductions).
 
-The survey commands load the file once, name their specs up front and
-fit each (country, spec) once, in one fit plan; every table they write
-is a view of those shared fits.
+Each survey command is one call of one runner, which loads the file
+once and fits each (country, spec) that the command's tables read once,
+in one fit plan; every table it writes is a view of those shared fits.
 
 Exit codes: 0 success, 1 fatal error, 2 partial failure (some countries
 failed; failures are listed on stderr and the rest of the output is
@@ -22,7 +22,7 @@ import configparser
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import fixtures
 from .dataset import (
@@ -32,7 +32,7 @@ from .dataset import (
     Survey,
     load_csv,
 )
-from .design import DesignError, FINE_BINS, scheme_bin_labels
+from .design import DesignError, scheme_bin_labels
 from .models import (
     PRESETS,
     AgeCurve,
@@ -68,11 +68,34 @@ QUAD_BATTERY = tuple(name for name, spec in PRESETS.items() if spec.form == "qua
 FIT_HEADER = ("country", "model", "coefficient", "estimate", "std_error", "t_abs", "n", "rank")
 FIT_FORMATS = ("%s", "%s", "%s", "%.5f", "%.5f", "%.2f", "%d", "%d")
 
-RULES = ("quad_t15", "range_t1", "curve_heuristic")
-# the spec whose fits each rule reads
-RULE_SPECS = {"quad_t15": "quad-nocontrols-nocap", "range_t1": "ranges-coarse", "curve_heuristic": "ranges-fine"}
-RULE_FIXTURES = {"quad_t15": "table2", "range_t1": "table3", "curve_heuristic": "table4"}
 FORMATS = ("csv", "text", "svg")
+# the controlled, age-capped baseline and the bare full-age comparison
+_REDUCTION_SPECS = ("quad-controls-cap", "quad-nocontrols-nocap")
+_FINE_LABELS = tuple(scheme_bin_labels("fine"))
+
+
+class _Rule(NamedTuple):
+    """A u-shape detection rule. On ``--input`` it reads the fits of the
+    preset ``spec``, or their adjusted curves when ``on_curves``, through
+    ``detect``; ``--fixture`` replays the published table ``fixture``,
+    ``replay`` reading a country and its row's ``columns``."""
+
+    spec: str
+    on_curves: bool
+    detect: Callable[..., ShapeVerdict]
+    fixture: str
+    columns: tuple[str, ...]
+    replay: Callable[..., ShapeVerdict]
+
+
+RULES = {
+    "quad_t15": _Rule("quad-nocontrols-nocap", False, detect_quad, "table2",
+                      ("coef_age", "t_age", "coef_age_sq", "t_age_sq"), detect_quad_values),
+    "range_t1": _Rule("ranges-coarse", False, detect_ranges, "table3",
+                      ("coef_15-34", "t_15-34", "coef_60-74", "t_60-74"), detect_ranges_values),
+    "curve_heuristic": _Rule("ranges-fine", True, classify_curve, "table4", _FINE_LABELS,
+                             lambda country, *levels: classify_curve(AgeCurve(country, _FINE_LABELS, levels))),
+}
 
 # The default configuration and the runner of each simulation experiment.
 EXPERIMENTS = {
@@ -178,40 +201,9 @@ def _out_dir(args, config: configparser.ConfigParser) -> Path:
     return out
 
 
-class _Fits(dict):
-    """The :func:`~agecurve.models.batch_fit` results of a command's
-    specs, keyed by name in the order given, from one fit plan, so every
-    writer in the command shares one fit per (country, spec). ``curves``
-    holds the adjusted curve of every ``ranges-<scheme>`` fit of a
-    command that draws ``scheme``'s curves; a bin a country has no
-    respondent in becomes a note of that fit. ``unusable`` lists
-    ``"<country> [<rule>]: <reason>"`` for fitted countries that a
-    detection rule cannot read."""
-
-    def __init__(self, survey: Survey, countries: list[str] | None, names: Sequence[str], scheme: str | None):
-        super().__init__(zip(names, _fit_plan(survey, [get_spec(name) for name in names], countries)))
-        self.unusable: list[str] = []
-        self.curves: list[AgeCurve] = []
-        for res in self[f"ranges-{scheme}"] if scheme else []:
-            if res.ok:
-                self.curves.append(curve_from_fit(res.fit, res.country, scheme))
-                res.notes.extend(self.curves[-1].notes)
-
-
-def _survey_run(args, names: Sequence[str], scheme: str | None = None) -> tuple[_Fits, Path, set[str]]:
-    """Load the survey once and fit the specs ``names`` of a survey
-    command, and the curves of ``scheme`` when it draws them; also set
-    up its output directory and formats."""
-    config = _read_config(args.config)
-    countries = _countries_arg(args, config)
-    fits = _Fits(_load_survey(args, config), countries, names, scheme)
-    formats = _formats(args, config)
-    return fits, _out_dir(args, config), formats
-
-
-def _report_partial(fits: _Fits) -> int:
+def _report_partial(fits: dict[str, list], unusable: list[str]) -> int:
     """List every fit's notes, every failed (country, spec) and every
-    unusable fit on stderr and return the exit code: partial when
+    ``unusable`` fit on stderr and return the exit code: partial when
     something failed, fatal when no fit succeeded."""
     for name, results in fits.items():
         for res in results:
@@ -222,7 +214,7 @@ def _report_partial(fits: _Fits) -> int:
         for name, results in fits.items()
         for res in results
         if not res.ok
-    ] + fits.unusable
+    ] + unusable
     for line in failed:
         print(f"FAILED {line}", file=sys.stderr)
     if not failed:
@@ -252,10 +244,10 @@ def _write_table(out: Path, formats: set[str], stem: str, header, rows, fmts) ->
         _write(out / f"{stem}.txt", format_table(header, rows, fmts))
 
 
-def _write_fit(fits: _Fits, out: Path, formats: set[str], name: str) -> None:
+def _write_fit(results, out: Path, formats: set[str], name: str) -> None:
     rows = [
         [res.country, name, label, coef, se, t, res.fit.n_obs, res.fit.rank]
-        for res in fits[name]
+        for res in results
         if res.ok
         for label, coef, se, t in zip(
             res.fit.labels, res.fit.coefficients.tolist(),
@@ -265,13 +257,13 @@ def _write_fit(fits: _Fits, out: Path, formats: set[str], name: str) -> None:
     _write_table(out, formats, f"fit_{name}", FIT_HEADER, rows, FIT_FORMATS)
 
 
-def _write_reductions(fits: _Fits, out: Path, formats: set[str]) -> None:
+def _write_reductions(fits: dict[str, list], out: Path, formats: set[str]) -> None:
     """Signed coefficient reductions: the controlled, age-capped model is
     the baseline; the bare full-age model is the comparison."""
     rows = [
         [bare.country, change.label, change.old, change.new,
          change.percent_reduction, "yes" if change.sign_flipped else "no"]
-        for controlled, bare in zip(fits["quad-controls-cap"], fits["quad-nocontrols-nocap"])
+        for controlled, bare in zip(*(fits[name] for name in _REDUCTION_SPECS))
         if controlled.ok and bare.ok
         for change in reduction(controlled.fit, bare.fit).changes
     ]
@@ -281,8 +273,7 @@ def _write_reductions(fits: _Fits, out: Path, formats: set[str]) -> None:
                  ["%s", "%s", "%.5f", "%.5f", "%.1f", "%s"])
 
 
-def _write_curves(fits: _Fits, out: Path, formats: set[str], scheme: str, autoscale: bool) -> None:
-    curves = fits.curves
+def _write_curves(curves: list[AgeCurve], out: Path, formats: set[str], scheme: str, autoscale: bool) -> None:
     bin_order = scheme_bin_labels(scheme)
     header = ["country", *bin_order, "max", "min", "difference"]
     rows = []
@@ -311,34 +302,12 @@ def _write_curves(fits: _Fits, out: Path, formats: set[str], scheme: str, autosc
         _write(out / f"curves_{scheme}.svg", chart)
 
 
-def _verdicts(fits: _Fits, rule: str) -> list[ShapeVerdict]:
-    if rule == "quad_t15":
-        return [detect_quad(r.fit, r.country) for r in fits[RULE_SPECS[rule]] if r.ok]
-    if rule == "curve_heuristic":
-        return [classify_curve(curve) for curve in fits.curves]
-    verdicts = []
-    for res in fits[RULE_SPECS[rule]]:
-        if res.ok:
-            try:
-                verdicts.append(detect_ranges(res.fit, res.country))
-            except KeyError as exc:  # no respondent in a bin the rule reads
-                fits.unusable.append(f"{res.country} [{rule}]: {exc.args[0]}")
-    return verdicts
-
-
 def _write_detect(out: Path, formats: set[str], rule: str, verdicts: list[ShapeVerdict]) -> None:
     evidence_keys = list(dict.fromkeys(key for v in verdicts for key in v.evidence))
     header = ["country", "rule", "is_ushape", *evidence_keys]
     rows = [
-        [
-            v.country,
-            v.rule,
-            "yes" if v.is_ushape else "no",
-            *[
-                (str(v.evidence[k]) if isinstance(v.evidence.get(k), tuple) else v.evidence.get(k))
-                for k in evidence_keys
-            ],
-        ]
+        [v.country, v.rule, "yes" if v.is_ushape else "no",
+         *(str(e) if isinstance(e, tuple) else e for e in map(v.evidence.get, evidence_keys))]
         for v in verdicts
     ]
     _write_table(out, formats, f"detect_{rule}", header, rows,
@@ -348,78 +317,101 @@ def _write_detect(out: Path, formats: set[str], rule: str, verdicts: list[ShapeV
     print(f"u-shape under {rule}: {positive} of {len(verdicts)} countries")
 
 
+def _curves(results, scheme: str) -> list[AgeCurve]:
+    """The adjusted curve of each fitted country of ``results``, the fits
+    of ``ranges-<scheme>``; a bin that a country has no respondent in
+    becomes a note of its fit."""
+    curves = []
+    for res in results:
+        if res.ok:
+            curves.append(curve_from_fit(res.fit, res.country, scheme))
+            res.notes.extend(curves[-1].notes)
+    return curves
+
+
+def _verdicts(name: str, results, curves: list[AgeCurve] | None) -> tuple[list[ShapeVerdict], list[str]]:
+    """Rule ``name``'s verdicts on the fits ``results`` of its spec, or on
+    their adjusted ``curves``, and ``"<country> [<rule>]: <reason>"`` for
+    each fit that the rule cannot read."""
+    rule = RULES[name]
+    if rule.on_curves:
+        return [rule.detect(curve) for curve in curves], []
+    verdicts, unusable = [], []
+    for res in results:
+        if res.ok:
+            try:
+                verdicts.append(rule.detect(res.fit, res.country))
+            except KeyError as exc:  # no respondent in a bin the rule reads
+                unusable.append(f"{res.country} [{name}]: {exc.args[0]}")
+    return verdicts, unusable
+
+
+def _run(args, specs: Sequence[str] = (), reductions: bool = False, rules: Sequence[str] = (),
+         scheme: str | None = None, autoscale: bool = False) -> int:
+    """Run a survey command: write the fit tables of the presets
+    ``specs``, the reductions table when asked, the verdicts of
+    ``rules`` and the curves of ``scheme``, in that order, from one load
+    of ``--input`` and one fit plan of every preset they read; then list
+    the failures on stderr and return the exit code."""
+    drawn = {f"ranges-{scheme}"} if scheme else set()
+    drawn.update(RULES[rule].spec for rule in rules if RULES[rule].on_curves)
+    read = {*specs, *(_REDUCTION_SPECS if reductions else ()), *(RULES[rule].spec for rule in rules), *drawn}
+    names = [name for name in PRESETS if name in read]
+    config = _read_config(args.config)
+    countries = _countries_arg(args, config)
+    fits = dict(zip(names, _fit_plan(_load_survey(args, config), [PRESETS[name] for name in names], countries)))
+    curves = {name: _curves(fits[name], PRESETS[name].scheme) for name in names if name in drawn}
+    formats = _formats(args, config)
+    out = _out_dir(args, config)
+    for name in specs:
+        _write_fit(fits[name], out, formats, name)
+    if reductions:
+        _write_reductions(fits, out, formats)
+    unusable = []
+    for rule in rules:
+        verdicts, failed = _verdicts(rule, fits[RULES[rule].spec], curves.get(RULES[rule].spec))
+        _write_detect(out, formats, rule, verdicts)
+        unusable += failed
+    if scheme:
+        _write_curves(curves[f"ranges-{scheme}"], out, formats, scheme, autoscale)
+    return _report_partial(fits, unusable)
+
+
 def cmd_fit(args) -> int:
     requested = QUAD_BATTERY if args.spec == "quad-battery" else (args.spec,)
     try:
         names = [get_spec(name).name for name in requested]
     except KeyError as exc:
         raise FatalError(exc.args[0]) from None
-    fits, out, formats = _survey_run(args, names)
-    for name in names:
-        _write_fit(fits, out, formats, name)
-    return _report_partial(fits)
+    return _run(args, specs=names)
 
 
 def cmd_curves(args) -> int:
-    fits, out, formats = _survey_run(args, [f"ranges-{args.scheme}"], args.scheme)
-    _write_curves(fits, out, formats, args.scheme, args.autoscale)
-    return _report_partial(fits)
-
-
-def _fixture_curve(row: dict) -> AgeCurve:
-    bins = [b[0] for b in FINE_BINS]
-    return AgeCurve(
-        country=str(row["country"]),
-        bin_labels=tuple(bins),
-        levels=tuple(float(row[b]) for b in bins),
-    )
-
-
-def _detect_from_fixture(rule: str) -> list:
-    rows = fixtures.load(RULE_FIXTURES[rule])
-    verdicts = []
-    for row in rows:
-        country = str(row["country"])
-        if rule == "quad_t15":
-            keys = ("coef_age", "t_age", "coef_age_sq", "t_age_sq")
-            verdicts.append(detect_quad_values(country, *(float(row[k]) for k in keys)))
-        elif rule == "range_t1":
-            keys = ("coef_15-34", "t_15-34", "coef_60-74", "t_60-74")
-            verdicts.append(detect_ranges_values(country, *(float(row[k]) for k in keys)))
-        else:
-            verdicts.append(classify_curve(_fixture_curve(row)))
-    return verdicts
+    return _run(args, scheme=args.scheme, autoscale=args.autoscale)
 
 
 def cmd_detect(args) -> int:
-    rule = args.rule
     if not args.fixture:
-        fits, out, formats = _survey_run(args, [RULE_SPECS[rule]], "fine" if rule == "curve_heuristic" else None)
-        _write_detect(out, formats, rule, _verdicts(fits, rule))
-        return _report_partial(fits)
-    if args.fixture != RULE_FIXTURES[rule]:
-        raise FatalError(
-            f"rule {rule!r} reads fixture {RULE_FIXTURES[rule]!r}, "
-            f"not {args.fixture!r}"
-        )
+        return _run(args, rules=[args.rule])
+    # the flags that name or read a survey file, which a bundled table replaces
+    given = [f"--{flag.replace('_', '-')}" for flag in ("input", "ess_columns", "map", "countries")
+             if getattr(args, flag) not in (None, False)]
+    if given:
+        raise FatalError(f"--fixture replays a bundled table and takes no survey flags, got {' '.join(given)}")
+    rule = RULES[args.rule]
+    if args.fixture != rule.fixture:
+        raise FatalError(f"rule {args.rule!r} reads fixture {rule.fixture!r}, not {args.fixture!r}")
     config = _read_config(args.config)
     formats = _formats(args, config)
-    verdicts = _detect_from_fixture(rule)
-    _write_detect(_out_dir(args, config), formats, rule, verdicts)
-    source_flags = {
-        str(row["country"]): row["source_ushape"] == "yes"
-        for row in fixtures.load(args.fixture)
-        if "source_ushape" in row
-    }
+    rows = fixtures.load(rule.fixture)
+    verdicts = [rule.replay(str(row["country"]), *(float(row[c]) for c in rule.columns)) for row in rows]
+    _write_detect(_out_dir(args, config), formats, args.rule, verdicts)
+    flags = {str(row["country"]): row["source_ushape"] == "yes" for row in rows if "source_ushape" in row}
+    shape = {True: "u-shaped", False: "not u-shaped"}
     for v in verdicts:
-        flag = source_flags.get(v.country)
-        if flag is not None and flag != v.is_ushape:
-            print(
-                f"note: {v.country} is flagged "
-                f"{'u-shaped' if flag else 'not u-shaped'} in the source table "
-                f"but the literal rule says "
-                f"{'u-shaped' if v.is_ushape else 'not u-shaped'}"
-            )
+        if flags.get(v.country, v.is_ushape) != v.is_ushape:
+            print(f"note: {v.country} is flagged {shape[flags[v.country]]} in the source table "
+                  f"but the literal rule says {shape[v.is_ushape]}")
     return EXIT_OK
 
 
@@ -470,14 +462,7 @@ def cmd_report(args) -> int:
     """Everything ``fit --spec quad-battery``, all three ``detect`` rules
     and ``curves --scheme fine`` write, plus the reductions table, over
     one load and one fit plan of the six presets."""
-    fits, out, formats = _survey_run(args, list(PRESETS), "fine")
-    for name in QUAD_BATTERY:
-        _write_fit(fits, out, formats, name)
-    _write_reductions(fits, out, formats)
-    for rule in RULES:
-        _write_detect(out, formats, rule, _verdicts(fits, rule))
-    _write_curves(fits, out, formats, "fine", autoscale=False)
-    return _report_partial(fits)
+    return _run(args, specs=QUAD_BATTERY, reductions=True, rules=tuple(RULES), scheme="fine")
 
 
 COMMANDS = ("fit", "curves", "detect", "simulate", "report")
@@ -536,7 +521,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         )
 
     if p := add("detect", "apply a u-shape detection rule", cmd_detect):
-        p.add_argument("--rule", choices=RULES, required=True)
+        p.add_argument("--rule", choices=tuple(RULES), required=True)
         p.add_argument(
             "--fixture",
             choices=tuple(fixtures.FIXTURE_NAMES),

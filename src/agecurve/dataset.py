@@ -381,6 +381,12 @@ def _texts(data: bytes, starts: np.ndarray, lens: np.ndarray) -> list[str]:
     return [data[s : s + n].decode() for s, n in zip(starts.tolist(), lens.tolist())]
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """A column from its parts, the first an empty one of the column's
+    dtype: a lone block is the column itself, not a copy of it."""
+    return parts[1] if len(parts) == 2 else np.concatenate(parts)
+
+
 class _Numbers:
     """A numeric column read block by block: :func:`_parse_number` of each
     cell, NaN where it gives ``None``."""
@@ -401,7 +407,7 @@ class _Numbers:
         self.parts.append(values)
 
     def result(self) -> np.ndarray:
-        return np.concatenate(self.parts)
+        return _joined(self.parts)
 
 
 def distinct_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,7 +461,7 @@ class _Codes:
         self.parts.append(np.array([self.code[text] for text in texts], np.int64)[inverse])
 
     def result(self) -> tuple[np.ndarray, tuple]:
-        return np.concatenate(self.parts), tuple(self.index)
+        return _joined(self.parts), tuple(self.index)
 
 
 def _plain_block(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -618,7 +624,8 @@ def load_csv(
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    column = {name: reader.result() for name, reader in readers.items()}
+    # each reader, and the blocks it holds, is released once its column is formed
+    column = {name: readers.pop(name).result() for name in schema}
     if not len(column["age"]):
         raise DataError(f"no usable rows in {path}")
 
@@ -647,6 +654,8 @@ def load_csv(
     )
     if not report.rows_kept:
         raise DataError(f"no usable rows in {path}")
+    if report.rows_kept == len(age):  # every row kept: views, not copies
+        keep = slice(None)
 
     rounds = rnd[keep].astype(np.int64) if "round" in schema else None
     years = year[keep].astype(np.int64) if "period_year" in schema else None

@@ -515,6 +515,42 @@ class TestDetect:
         assert code == 1
         assert "reads fixture" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--input", "/nonexistent.csv"], ["--countries", "DE"], ["--map", "age=agea"], ["--ess-columns"],
+    ], ids=["input", "countries", "map", "ess-columns"])
+    def test_fixture_refuses_survey_flags(self, tmp_path, capsys, flags):
+        """``--fixture`` replays a bundled table, so a flag that names or
+        reads a survey file is an error of one line, before any output
+        directory is made."""
+        out = tmp_path / "out"
+        code = main(["detect", "--rule", "quad_t15", "--fixture", "table2", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: --fixture ") and f" {flags[0]}" in err
+        assert not out.exists()
+
+    def test_report_lists_country_without_a_rule_bin(self, tmp_path, capsys):
+        """``report`` lists the fit that ``range_t1`` cannot read after the
+        fits' notes and failures, as ``detect`` does."""
+        path = survey_file(
+            tmp_path / "young.csv",
+            dict(seed=108, country="AA"), dict(seed=109, country="YOUNG", age_low=15, age_high=55),
+            n=300,
+        )
+        out = tmp_path / "out"
+        code = main(["report", "--input", str(path), "--out", str(out), "--format", "csv"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": no observations")[0] for line in err[:3]] == ["note [ranges-fine]: YOUNG"] * 3
+        assert [line.split(":")[0] for line in err[3:7]] == [
+            f"FAILED {country} [{spec}]"
+            for spec in ("quad-controls-cap", "quad-controls-nocap") for country in ("AA", "YOUNG")
+        ]
+        assert len(err) == 8 and err[7].startswith("FAILED YOUNG [range_t1]: no column 'bin:60-74'; ")
+        _, rows = read_csv(out / "detect_range_t1.csv")
+        assert [row[0] for row in rows] == ["AA"]
+
     def test_range_rule_lists_country_without_a_rule_bin(self, tmp_path, capsys):
         path = survey_file(
             tmp_path / "young.csv",
